@@ -51,8 +51,10 @@ void BM_PlaceNonInteractive(benchmark::State& state) {
     lmc.erase(p.core, p.ref);
   }
 }
+// The 65536 row is the deep-queue regime of the end-of-exam burst, where
+// the Eq. 27 probe's tree descents dominate.
 BENCHMARK(BM_PlaceNonInteractive)
-    ->ArgsProduct({{1, 4, 16}, {16, 256, 4096}});
+    ->ArgsProduct({{1, 4, 16}, {16, 256, 4096, 65536}});
 
 void BM_RecorderRecord(benchmark::State& state) {
   obs::Recorder rec(1, obs::Recorder::kDefaultCapacity);

@@ -117,6 +117,19 @@ class FlatRangeTree {
   /// weights are stable, so the new element lands after them). O(log N).
   [[nodiscard]] std::size_t insertion_rank(double weight) const;
 
+  /// Where a new element of `weight` would land, and the weight mass
+  /// ahead of it.
+  struct InsertionPoint {
+    std::size_t rank = 1;     ///< == insertion_rank(weight)
+    double prefix_sum = 0.0;  ///< == prefix(rank - 1).sum, bit for bit
+  };
+
+  /// insertion_rank() and the prefix sum before that rank in one
+  /// descent. Whole children ahead of the newcomer are absorbed as
+  /// subtree sums in exactly the order prefix() absorbs them, so the
+  /// sum is bit-identical to prefix(rank - 1).sum. O(log N).
+  [[nodiscard]] InsertionPoint insertion_point(double weight) const;
+
   /// In-order neighbors (nullptr at the ends). O(1) amortized: one leaf
   /// scan, stepping through the doubly linked leaf list at boundaries.
   [[nodiscard]] Handle predecessor(Handle h) const;

@@ -8,8 +8,9 @@
 /// queue insertion, virtual execution — becomes one `Step` on the task's
 /// timeline. The same step stream exists in two places:
 ///
-///  * **Live**: the service appends steps into a bounded `TraceStore`,
-///    which backs `GET /tasks/{id}/trace` while the daemon runs.
+///  * **Live**: the service appends steps into its bounded task table
+///    (svc/task_table.h), which backs `GET /tasks/{id}/trace` while the
+///    daemon runs.
 ///  * **Recorded**: shard workers emit the steps as `.dfr` v4 events
 ///    (dfr::EventType::kSubmitRecv..kExecEnd), so `build_timelines()`
 ///    can reconstruct every task's causal chain from a recording —
@@ -29,13 +30,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <initializer_list>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "dvfs/obs/json.h"
@@ -130,50 +129,6 @@ void sort_steps(std::vector<Step>& steps);
 [[nodiscard]] std::string trace_id_hex(std::uint64_t id);
 [[nodiscard]] std::optional<std::uint64_t> parse_trace_id(
     std::string_view text);
-
-/// Bounded live per-task step store (the data behind
-/// `GET /tasks/{id}/trace`). Striped like the service's status store:
-/// appends come from shard workers at placement rate, reads from HTTP
-/// lookups. Oldest tasks are evicted per stripe once `capacity` tasks
-/// are held.
-class TraceStore {
- public:
-  explicit TraceStore(std::size_t capacity, std::size_t stripes = 16);
-
-  TraceStore(const TraceStore&) = delete;
-  TraceStore& operator=(const TraceStore&) = delete;
-
-  /// Appends steps to `task`'s timeline (creating it on first touch).
-  void append(std::uint64_t task, std::uint64_t trace_id,
-              std::initializer_list<Step> steps);
-
-  /// Snapshot of a task's timeline so far; steps come back canonically
-  /// sorted. nullopt for unknown (or evicted) tasks.
-  [[nodiscard]] std::optional<Timeline> get(std::uint64_t task) const;
-
-  /// Timelines evicted to stay within capacity (exact; relaxed).
-  [[nodiscard]] std::uint64_t evicted() const {
-    return evicted_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Entry {
-    std::uint64_t trace_id = 0;
-    std::vector<Step> steps;
-  };
-  struct Stripe {
-    mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, Entry> by_task;
-    std::vector<std::uint64_t> fifo;
-    std::size_t evict_cursor = 0;
-  };
-
-  [[nodiscard]] Stripe& stripe_for(std::uint64_t task) const;
-
-  std::size_t per_stripe_capacity_;
-  mutable std::vector<Stripe> stripes_;
-  std::atomic<std::uint64_t> evicted_{0};
-};
 
 /// One recent sample that landed in a histogram bucket, with the trace
 /// id that produced it.

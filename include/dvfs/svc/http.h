@@ -19,7 +19,7 @@
 ///                           404 unknown or evicted
 ///
 /// Handlers run on the server thread and only touch the service's
-/// thread-safe surfaces (submit, status store, trace store).
+/// thread-safe surfaces (submit, the task table).
 #pragma once
 
 #include "dvfs/obs/promtext.h"

@@ -44,10 +44,8 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "dvfs/core/cost_model.h"
@@ -55,6 +53,7 @@
 #include "dvfs/obs/metrics.h"
 #include "dvfs/obs/reqtrace.h"
 #include "dvfs/svc/mpsc_ring.h"
+#include "dvfs/svc/task_table.h"
 
 namespace dvfs::obs {
 class Recorder;
@@ -86,29 +85,9 @@ struct Msg {
   /// event was already emitted on the first hop).
   std::uint64_t recv_ns = 0;
   /// 64-bit request-trace id assigned at ingress; preserved across
-  /// steal hops (0 when the origin's status entry was already evicted).
+  /// steal hops (0 when the origin's task record was already evicted).
   std::uint64_t trace = 0;
 };
-
-/// Where a task ended up, queryable via `status()` / GET /schedule/{id}.
-struct TaskStatus {
-  enum class State : std::uint8_t {
-    kQueued = 0,
-    kCompleted = 1,
-    kRunning = 2,  ///< virtual execution in progress (time_scale > 0)
-  };
-  State state = State::kQueued;
-  std::uint16_t shard = 0;
-  std::uint16_t core = 0;  ///< global core index
-  std::uint16_t rate_idx = 0;
-  bool stolen = false;  ///< placed after a work-steal migration
-  Cycles cycles = 0;
-  Money marginal = 0.0;  ///< exact queue-cost delta of the placement
-  std::uint64_t trace = 0;  ///< request-trace id assigned at ingress
-  double placed_s = 0.0;    ///< placement instant (steady s since start)
-};
-
-[[nodiscard]] const char* to_string(TaskStatus::State s);
 
 struct ServiceOptions {
   std::size_t shards = 2;
@@ -128,8 +107,9 @@ struct ServiceOptions {
   /// The rich shard must hold at least this many queued tasks before
   /// anyone bothers stealing from it.
   std::size_t steal_min_queue = 8;
-  /// Bound on remembered task decisions; oldest entries are evicted
-  /// first (a long-running daemon cannot keep every ticket forever).
+  /// Bound on remembered tasks, covering both the decision status and
+  /// the request timeline; oldest entries are evicted first (a
+  /// long-running daemon cannot keep every ticket forever).
   std::size_t status_capacity = std::size_t{1} << 20;
   /// Wall seconds per model second of *virtual execution*: > 0 lets each
   /// shard pop its queue fronts as their scaled durations elapse, so a
@@ -204,11 +184,10 @@ class SchedulingService {
   [[nodiscard]] Money shard_queue_cost(std::size_t shard) const;
   [[nodiscard]] std::size_t shard_queue_len(std::size_t shard) const;
 
-  /// Live per-task request timelines (always-on; bounded like the status
-  /// store). Backs `GET /tasks/{id}/trace`.
-  [[nodiscard]] const obs::reqtrace::TraceStore& traces() const {
-    return traces_;
-  }
+  /// The task table behind status() and the live per-task request
+  /// timelines (always on). `traces().get(id)` backs
+  /// `GET /tasks/{id}/trace`.
+  [[nodiscard]] const TaskTable& traces() const { return tasks_; }
   /// Per-histogram exemplar slots; pass to the two-argument
   /// `prometheus_text()` so `/metrics` links buckets to trace ids.
   [[nodiscard]] const obs::reqtrace::ExemplarStore& exemplars() const {
@@ -227,7 +206,6 @@ class SchedulingService {
   void virtual_execute(Shard& shard);
   void publish_gauges(Shard& shard);
   [[nodiscard]] double now_s() const;
-  void status_upsert(core::TaskId id, const TaskStatus& st);
 
   core::EnergyModel model_;
   core::CostParams params_;
@@ -243,20 +221,8 @@ class SchedulingService {
   std::atomic<std::uint64_t> inflight_submits_{0};
   std::chrono::steady_clock::time_point start_time_{};
 
-  // Status store, striped by the admission route so a stolen task is
-  // still found under its original stripe. Mutex-per-stripe: writes come
-  // from one shard thread at placement rate, reads from HTTP lookups.
-  struct StatusStripe {
-    mutable std::mutex mu;
-    std::unordered_map<core::TaskId, TaskStatus> by_id;
-    std::vector<core::TaskId> fifo;  ///< insertion order, for eviction
-    std::size_t evict_cursor = 0;
-  };
-  std::vector<std::unique_ptr<StatusStripe>> status_;
-
-  // Request tracing: id source, live timelines, per-bucket exemplars.
+  // Request tracing: id source and per-bucket exemplars.
   std::atomic<std::uint64_t> trace_seq_{0};
-  obs::reqtrace::TraceStore traces_;
   obs::reqtrace::ExemplarStore exemplars_;
 
   // svc.* instruments, resolved once.
@@ -266,12 +232,16 @@ class SchedulingService {
   obs::Counter& completed_;
   obs::Counter& stolen_;
   obs::Counter& steal_requests_;
-  obs::Counter& status_evicted_;
   obs::Histogram& admission_latency_us_;
   obs::Histogram& batch_size_;
   obs::Histogram& queue_wait_us_;
   obs::reqtrace::ExemplarSeries& admission_exemplars_;
   obs::reqtrace::ExemplarSeries& queue_wait_exemplars_;
+
+  // Per-task status and timeline, striped by the admission route so a
+  // stolen task is still found under its original stripe. Writes come
+  // from the shard threads, reads from HTTP lookups.
+  TaskTable tasks_;
 };
 
 }  // namespace dvfs::svc

@@ -145,7 +145,10 @@ Money DynamicSingleCoreScheduler::peek_marginal_insert_cost(
   DVFS_REQUIRE(cycles > 0, "tasks need a positive cycle count");
   const double w = static_cast<double>(cycles);
   const std::size_t n = tree_.size();
-  const std::size_t k = tree_.insertion_rank(w);
+  // One descent yields the rank and the mass ahead of it, so the
+  // in-range shift below needs only the prefix up to b.
+  const Tree::InsertionPoint at = tree_.insertion_point(w);
+  const std::size_t k = at.rank;
   const std::size_t i = range_index_of(k);
 
   // The newcomer itself at backward position k.
@@ -163,7 +166,8 @@ Money DynamicSingleCoreScheduler::peek_marginal_insert_cost(
         st.hi != ds::IntegerRange::kUnbounded && st.b == st.hi;
     double shifted_mass;
     if (r == i) {
-      shifted_mass = (k <= st.b && k <= n) ? tree_.range_sum(k, st.b) : 0.0;
+      shifted_mass =
+          (k <= st.b && k <= n) ? tree_.prefix(st.b).sum - at.prefix_sum : 0.0;
     } else {
       shifted_mass = st.x;
     }

@@ -504,6 +504,37 @@ std::size_t FlatRangeTree::insertion_rank(double weight) const {
   return r;
 }
 
+FlatRangeTree::InsertionPoint FlatRangeTree::insertion_point(
+    double weight) const {
+  InsertionPoint at;
+  if (root_ == kNil) return at;
+  std::size_t count = 0;
+  std::uint32_t idx = root_;
+  while (!node(idx).is_leaf) {
+    const Node& n = node(idx);
+    std::size_t i = 0;
+    // Absorb every child wholly ahead of the newcomer. When that takes
+    // the last child, prefix() would have returned here too, so stop
+    // rather than re-summing its subtree child by child.
+    while (n.u.inner.minw[i] >= weight) {
+      at.prefix_sum += n.u.inner.sum[i];
+      count += n.u.inner.cnt[i];
+      if (++i == n.num) {
+        at.rank = count + 1;
+        return at;
+      }
+    }
+    idx = n.u.inner.child[i];
+  }
+  const Node& l = node(idx);
+  for (std::size_t j = 0; j < l.num && l.u.leaf.weight[j] >= weight; ++j) {
+    at.prefix_sum += l.u.leaf.weight[j];
+    ++count;
+  }
+  at.rank = count + 1;
+  return at;
+}
+
 FlatRangeTree::Handle FlatRangeTree::predecessor(Handle h) const {
   const Location loc = locate(h);
   if (loc.pos > 0) return node(loc.leaf).u.leaf.slot[loc.pos - 1];

@@ -4,23 +4,11 @@
 #include <bit>
 #include <charconv>
 #include <cstdio>
+#include <unordered_map>
 
 #include "dvfs/common.h"
 
 namespace dvfs::obs::reqtrace {
-
-namespace {
-
-// SplitMix64 finalizer — same family the service uses for shard routing;
-// here it spreads task ids across stripes.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* to_string(Stage s) {
   switch (s) {
@@ -238,52 +226,6 @@ std::optional<std::uint64_t> parse_trace_id(std::string_view text) {
     return std::nullopt;
   }
   return v;
-}
-
-TraceStore::TraceStore(std::size_t capacity, std::size_t stripes)
-    : per_stripe_capacity_(std::max<std::size_t>(
-          1, capacity / std::max<std::size_t>(1, stripes))),
-      stripes_(std::max<std::size_t>(1, stripes)) {}
-
-TraceStore::Stripe& TraceStore::stripe_for(std::uint64_t task) const {
-  return stripes_[mix64(task) % stripes_.size()];
-}
-
-void TraceStore::append(std::uint64_t task, std::uint64_t trace_id,
-                        std::initializer_list<Step> steps) {
-  Stripe& st = stripe_for(task);
-  std::lock_guard lock(st.mu);
-  auto [it, inserted] = st.by_task.try_emplace(task);
-  if (inserted) {
-    st.fifo.push_back(task);
-    if (st.by_task.size() > per_stripe_capacity_) {
-      // Same rotating-cursor FIFO eviction as the service status store:
-      // the oldest remembered task makes room.
-      while (st.evict_cursor < st.fifo.size()) {
-        const std::uint64_t victim = st.fifo[st.evict_cursor++];
-        if (victim != task && st.by_task.erase(victim) > 0) {
-          evicted_.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-      }
-    }
-  }
-  Entry& e = it->second;
-  if (trace_id != 0) e.trace_id = trace_id;
-  e.steps.insert(e.steps.end(), steps.begin(), steps.end());
-}
-
-std::optional<Timeline> TraceStore::get(std::uint64_t task) const {
-  const Stripe& st = stripe_for(task);
-  std::lock_guard lock(st.mu);
-  const auto it = st.by_task.find(task);
-  if (it == st.by_task.end()) return std::nullopt;
-  Timeline tl;
-  tl.task = task;
-  tl.trace_id = it->second.trace_id;
-  tl.steps = it->second.steps;
-  sort_steps(tl.steps);
-  return tl;
 }
 
 void ExemplarSeries::observe(std::uint64_t value, std::uint64_t trace_id,

@@ -37,15 +37,6 @@ constexpr std::uint16_t kStealMaxTasks = 32;
 
 }  // namespace
 
-const char* to_string(TaskStatus::State s) {
-  switch (s) {
-    case TaskStatus::State::kQueued: return "queued";
-    case TaskStatus::State::kCompleted: return "completed";
-    case TaskStatus::State::kRunning: return "running";
-  }
-  return "?";
-}
-
 /// Everything one shard's worker thread owns. The LMC scheduler, the
 /// virtual-execution state and `queue_len` are thread-confined; the
 /// atomics are the published view peers and the drain coordinator read.
@@ -116,20 +107,20 @@ SchedulingService::SchedulingService(core::EnergyModel model,
       options_(options),
       registry_(options.registry != nullptr ? options.registry
                                             : &obs::Registry::global()),
-      traces_(options.status_capacity),
       submitted_(registry_->counter("svc.submitted")),
       rejected_(registry_->counter("svc.rejected")),
       placed_(registry_->counter("svc.placed")),
       completed_(registry_->counter("svc.completed")),
       stolen_(registry_->counter("svc.stolen_tasks")),
       steal_requests_(registry_->counter("svc.steal.requests")),
-      status_evicted_(registry_->counter("svc.status.evicted")),
       admission_latency_us_(
           registry_->histogram("svc.admission.latency_us")),
       batch_size_(registry_->histogram("svc.admission.batch")),
       queue_wait_us_(registry_->histogram("sim.task.queue_wait_us")),
       admission_exemplars_(exemplars_.series("svc.admission.latency_us")),
-      queue_wait_exemplars_(exemplars_.series("sim.task.queue_wait_us")) {
+      queue_wait_exemplars_(exemplars_.series("sim.task.queue_wait_us")),
+      tasks_(options.status_capacity, options.shards,
+             registry_->counter("svc.status.evicted")) {
   DVFS_REQUIRE(options_.shards >= 1, "service needs at least one shard");
   DVFS_REQUIRE(options_.cores >= options_.shards,
                "service needs at least one core per shard");
@@ -152,7 +143,6 @@ SchedulingService::SchedulingService(core::EnergyModel model,
         registry_->gauge("svc.shard.queue_len" + label),
         registry_->gauge("svc.ring.occupancy" + label),
         registry_->counter("svc.submit.rejected" + label)));
-    status_.push_back(std::make_unique<StatusStripe>());
   }
 }
 
@@ -282,36 +272,7 @@ void SchedulingService::drain() {
 }
 
 std::optional<TaskStatus> SchedulingService::status(core::TaskId id) const {
-  const StatusStripe& stripe = *status_[route(id, status_.size())];
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto it = stripe.by_id.find(id);
-  if (it == stripe.by_id.end()) return std::nullopt;
-  return it->second;
-}
-
-void SchedulingService::status_upsert(core::TaskId id,
-                                      const TaskStatus& st) {
-  StatusStripe& stripe = *status_[route(id, status_.size())];
-  const std::size_t cap =
-      std::max<std::size_t>(1, options_.status_capacity / status_.size());
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  const auto [it, inserted] = stripe.by_id.insert_or_assign(id, st);
-  (void)it;
-  if (!inserted) return;
-  stripe.fifo.push_back(id);
-  if (stripe.by_id.size() > cap &&
-      stripe.evict_cursor < stripe.fifo.size()) {
-    stripe.by_id.erase(stripe.fifo[stripe.evict_cursor++]);
-    status_evicted_.inc();
-    if (stripe.evict_cursor > (std::size_t{1} << 16) &&
-        stripe.evict_cursor * 2 > stripe.fifo.size()) {
-      // Compact the eviction log so it does not grow without bound.
-      stripe.fifo.erase(stripe.fifo.begin(),
-                        stripe.fifo.begin() +
-                            static_cast<std::ptrdiff_t>(stripe.evict_cursor));
-      stripe.evict_cursor = 0;
-    }
-  }
+  return tasks_.status(id);
 }
 
 double SchedulingService::now_s() const {
@@ -362,6 +323,9 @@ void SchedulingService::worker(Shard& shard) {
       batch_size_.observe(n);
       publish_gauges(shard);
       shard.idle_iters = 0;
+      // Sustained admission keeps the ring non-empty; execution must
+      // still advance between batches or no task would ever finish.
+      if (options_.time_scale > 0.0) virtual_execute(shard);
       continue;
     }
     if (options_.time_scale > 0.0) virtual_execute(shard);
@@ -409,7 +373,6 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
   st.marginal = placement.marginal;
   st.trace = msg.trace;
   st.placed_s = place_s;
-  status_upsert(msg.id, st);
 
   const double enqueue_s = static_cast<double>(msg.enqueue_ns) / 1e9;
   const double dequeue_s = static_cast<double>(dequeue_ns) / 1e9;
@@ -420,25 +383,16 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
 
   using obs::reqtrace::Stage;
   using obs::reqtrace::Step;
-  if (msg.stolen) {
-    // The ingress step was appended on the first hop; this hop starts at
-    // the steal forward.
-    traces_.append(
-        msg.id, msg.trace,
-        {Step{Stage::kStealHop, enqueue_s, msg.from_shard, shard_u32},
-         Step{Stage::kRingEnqueue, enqueue_s, shard_u32, 0},
-         Step{Stage::kRingDequeue, dequeue_s, shard_u32, 0},
-         Step{Stage::kPlacement, place_s, st.core, st.rate_idx},
-         Step{Stage::kShardQueue, place_s, st.core, depth}});
-  } else {
-    traces_.append(
-        msg.id, msg.trace,
-        {Step{Stage::kSubmitRecv, recv_s, 0, 0},
-         Step{Stage::kRingEnqueue, enqueue_s, shard_u32, 0},
-         Step{Stage::kRingDequeue, dequeue_s, shard_u32, 0},
-         Step{Stage::kPlacement, place_s, st.core, st.rate_idx},
-         Step{Stage::kShardQueue, place_s, st.core, depth}});
-  }
+  // A stolen task's ingress step was recorded on its first hop; this hop
+  // starts at the steal forward.
+  const Step steps[] = {
+      msg.stolen ? Step{Stage::kStealHop, enqueue_s, msg.from_shard, shard_u32}
+                 : Step{Stage::kSubmitRecv, recv_s, 0, 0},
+      Step{Stage::kRingEnqueue, enqueue_s, shard_u32, 0},
+      Step{Stage::kRingDequeue, dequeue_s, shard_u32, 0},
+      Step{Stage::kPlacement, place_s, st.core, st.rate_idx},
+      Step{Stage::kShardQueue, place_s, st.core, depth}};
+  tasks_.place(msg.id, st, steps);
 
   if (shard.channel != nullptr) {
     using obs::dfr::Event;
@@ -523,11 +477,9 @@ void SchedulingService::serve_steal(Shard& shard, const Msg& msg) {
     forward.id = dispatched->id;
     forward.cycles = dispatched->cycles;
     forward.enqueue_ns = now_ns_since(start_time_);
-    // The trace id lives in the status entry written at first placement
-    // (0 if it was already evicted: the hop still traces, unlinked).
-    if (const auto st = status(dispatched->id); st.has_value()) {
-      forward.trace = st->trace;
-    }
+    // The trace id lives in the record written at first placement (0 if
+    // it was already evicted: the hop still traces, unlinked).
+    forward.trace = tasks_.trace_of(dispatched->id);
     requester.enqueued.fetch_add(1, std::memory_order_seq_cst);
     // The requester's worker is live and consuming, so this push can
     // only stall while its ring is momentarily full.
@@ -596,16 +548,8 @@ void SchedulingService::virtual_execute(Shard& shard) {
     if (run.active && now >= run.finish_s) {
       run.active = false;
       completed_.inc();
-      {
-        StatusStripe& stripe = *status_[route(run.id, status_.size())];
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        const auto it = stripe.by_id.find(run.id);
-        if (it != stripe.by_id.end()) {
-          it->second.state = TaskStatus::State::kCompleted;
-        }
-      }
-      traces_.append(run.id, run.trace,
-                     {Step{Stage::kExecEnd, now, core, 0}});
+      tasks_.advance(run.id, TaskStatus::State::kCompleted,
+                     Step{Stage::kExecEnd, now, core, 0});
       if (shard.channel != nullptr) {
         obs::dfr::Event end;
         end.type = static_cast<std::uint8_t>(obs::dfr::EventType::kExecEnd);
@@ -627,24 +571,17 @@ void SchedulingService::virtual_execute(Shard& shard) {
       run.trace = 0;
       run.finish_s = now + model_.task_time(next->cycles, next->rate_idx) *
                                options_.time_scale;
-      {
-        // The placement wrote trace id and placement instant into the
-        // status entry; dispatching is where queue wait becomes known.
-        StatusStripe& stripe = *status_[route(next->id, status_.size())];
-        std::lock_guard<std::mutex> lock(stripe.mu);
-        const auto it = stripe.by_id.find(next->id);
-        if (it != stripe.by_id.end()) {
-          it->second.state = TaskStatus::State::kRunning;
-          run.trace = it->second.trace;
-          const double waited_s = now - it->second.placed_s;
-          const auto waited_us = static_cast<std::uint64_t>(
-              std::max(0.0, waited_s) * 1e6);
-          queue_wait_us_.observe(waited_us);
-          queue_wait_exemplars_.observe(waited_us, run.trace, now);
-        }
+      // The placement recorded trace id and placement instant;
+      // dispatching is where queue wait becomes known.
+      if (const auto st = tasks_.advance(next->id, TaskStatus::State::kRunning,
+                                         Step{Stage::kExecBegin, now, core, 0});
+          st.has_value()) {
+        run.trace = st->trace;
+        const auto waited_us = static_cast<std::uint64_t>(
+            std::max(0.0, now - st->placed_s) * 1e6);
+        queue_wait_us_.observe(waited_us);
+        queue_wait_exemplars_.observe(waited_us, run.trace, now);
       }
-      traces_.append(next->id, run.trace,
-                     {Step{Stage::kExecBegin, now, core, 0}});
       if (shard.channel != nullptr) {
         obs::dfr::Event begin;
         begin.type =

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -328,6 +330,120 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FlatRangeTreeDifferential,
                          ::testing::Values(0x1ull, 0x2ull, 0xDEADBEEFull,
                                            0x20140901ull, 0xC0FFEEull,
                                            0xB16B00B5ull));
+
+// ---------------------------------------------------------------------------
+// insertion_point: rank and prefix mass in one descent, bit for bit
+// ---------------------------------------------------------------------------
+
+// The Eq. 27 probe subtracts this sum from prefix(b).sum, and the
+// simulation's cost is checked bit for bit, so "close" is not enough:
+// compare bit patterns.
+::testing::AssertionResult point_matches(const FlatRangeTree& t, double w) {
+  const FlatRangeTree::InsertionPoint at = t.insertion_point(w);
+  const std::size_t rank = t.insertion_rank(w);
+  if (at.rank != rank) {
+    return ::testing::AssertionFailure()
+           << "weight " << w << ": rank " << at.rank << " != insertion_rank "
+           << rank;
+  }
+  const double want = t.prefix(rank - 1).sum;
+  if (std::bit_cast<std::uint64_t>(at.prefix_sum) !=
+      std::bit_cast<std::uint64_t>(want)) {
+    return ::testing::AssertionFailure()
+           << "weight " << w << " (rank " << rank << "): prefix_sum "
+           << at.prefix_sum << " != prefix(rank-1).sum " << want;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Probes every stored weight exactly (duplicates land after their run),
+// its two floating-point neighbours, and weights heavier and lighter than
+// every element.
+void expect_all_points_match(const FlatRangeTree& t) {
+  std::vector<double> probes{1e300, 1e-300, 0.5, -1.0};
+  for (auto h = t.first(); h != nullptr; h = t.successor(h)) {
+    const double w = FlatRangeTree::weight(h);
+    probes.push_back(w);
+    probes.push_back(std::nextafter(w, 0.0));
+    probes.push_back(std::nextafter(w, 1e308));
+  }
+  for (const double w : probes) {
+    ASSERT_TRUE(point_matches(t, w));
+  }
+}
+
+TEST(FlatRangeTreeInsertionPoint, EmptyTreeAndSingleLeafRoot) {
+  FlatRangeTree t;
+  const FlatRangeTree::InsertionPoint empty = t.insertion_point(5.0);
+  EXPECT_EQ(empty.rank, 1u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(empty.prefix_sum),
+            std::bit_cast<std::uint64_t>(0.0));
+  // Fewer than one leaf's worth: the root is a leaf. Duplicates included.
+  for (const double w : {0.1, 0.7, 0.7, 0.3, 0.7, 2.9, 0.1}) t.insert(w);
+  ASSERT_LE(t.size(), FlatRangeTree::kLeafCap);
+  expect_all_points_match(t);
+  EXPECT_EQ(t.insertion_point(0.7).rank, 5u);  // after 2.9 and three 0.7s
+}
+
+class FlatRangeTreeInsertionPointChurn
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Seeded trees of several shapes, under inserts and erases (erases leave
+// underfull and merged nodes behind), with weights drawn both from a small
+// integer set (long duplicate runs) and from a spread of magnitudes whose
+// sums round differently in every summation order.
+TEST_P(FlatRangeTreeInsertionPointChurn, MatchesRankAndPrefixBitForBit) {
+  proptest::SplitMix64 rng(GetParam());
+  for (const std::size_t size : {std::size_t{29}, std::size_t{450},
+                                 std::size_t{6000}}) {
+    FlatRangeTree t;
+    std::vector<FlatRangeTree::Handle> handles;
+    for (std::size_t i = 0; i < size; ++i) {
+      const double w =
+          rng.chance(0.5)
+              ? static_cast<double>(rng.uniform_u64(1, 12))
+              : rng.lognormalish(8.0, 3.0) * 1.0000001;
+      handles.push_back(t.insert(w, i));
+    }
+    for (std::size_t i = 0; i < size / 3; ++i) {
+      const std::size_t victim = rng.uniform_index(handles.size());
+      t.erase(handles[victim]);
+      handles[victim] = handles.back();
+      handles.pop_back();
+    }
+    ASSERT_TRUE(t.validate());
+    expect_all_points_match(t);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FlatRangeTreeInsertionPointChurn,
+                         ::testing::Values(0x1ull, 0x20140901ull,
+                                           0xDEADBEEFull));
+
+TEST(FlatRangeTreeInsertionPoint, DeepTreeAcrossArenaChunks) {
+  // 10^5 elements span many 64-node arena chunks and four inner levels
+  // (fanout 15 over ~5000 leaves), so absorption happens at every depth.
+  proptest::SplitMix64 rng(0x5EED);
+  FlatRangeTree t;
+  for (std::uint64_t i = 0; i < 100'000; ++i) {
+    t.insert(rng.chance(0.25) ? static_cast<double>(rng.uniform_u64(1, 64))
+                              : rng.uniform_real(1.0, 1e9),
+             i);
+  }
+  ASSERT_GE(t.arena_chunk_count(), 2u);
+  std::size_t checked = 0;
+  for (auto h = t.first(); h != nullptr; h = t.successor(h)) {
+    // Every 7th element plus its neighbours keeps the walk affordable
+    // under sanitizers while still probing every leaf.
+    if (++checked % 7 != 0) continue;
+    const double w = FlatRangeTree::weight(h);
+    ASSERT_TRUE(point_matches(t, w));
+    ASSERT_TRUE(point_matches(t, std::nextafter(w, 0.0)));
+    ASSERT_TRUE(point_matches(t, std::nextafter(w, 1e308)));
+  }
+  ASSERT_TRUE(point_matches(t, 1e300));
+  ASSERT_TRUE(point_matches(t, 0.5));
+}
 
 // The shrinker itself must converge on a known-bad predicate; drive it with
 // a synthetic failure (any script containing >= 3 erases "fails") and check

@@ -1,8 +1,9 @@
 /// Request-tracing tests: timeline reconstruction from synthetic and real
 /// `.dfr` v4 event streams, the telescoping-durations invariant (stage
 /// durations sum to end-to-end latency), the exactly-one-steal-hop gate
-/// for stolen tasks, the bounded live TraceStore, and per-bucket exemplar
-/// slots. The service integration tests run under TSan in CI.
+/// for stolen tasks, live timelines agreeing with recorded ones, and
+/// per-bucket exemplar slots. The service integration tests run under
+/// TSan in CI; the live store itself is tested in test_task_table.cpp.
 #include "dvfs/obs/reqtrace.h"
 
 #include <gtest/gtest.h>
@@ -227,35 +228,6 @@ TEST(ReqTrace, TraceIdHexRoundTrips) {
   EXPECT_FALSE(parse_trace_id("").has_value());
   EXPECT_FALSE(parse_trace_id("xyz").has_value());
   EXPECT_FALSE(parse_trace_id("00000000000000001").has_value());  // 17 digits
-}
-
-TEST(TraceStore, AppendsMergesAndSortsSteps) {
-  TraceStore store(100);
-  store.append(1, 42, {step(Stage::kRingEnqueue, 0.5, 0)});
-  store.append(1, 42, {step(Stage::kSubmitRecv, 0.25)});
-  store.append(1, 0, {step(Stage::kExecBegin, 1.0, 2)});  // 0 keeps the id
-  const auto t = store.get(1);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(t->trace_id, 42u);
-  ASSERT_EQ(t->steps.size(), 3u);
-  EXPECT_EQ(t->steps.front().stage, Stage::kSubmitRecv);
-  EXPECT_EQ(t->steps.back().stage, Stage::kExecBegin);
-  EXPECT_FALSE(store.get(2).has_value());
-  EXPECT_EQ(store.evicted(), 0u);
-}
-
-TEST(TraceStore, EvictsOldestPerStripeBeyondCapacity) {
-  TraceStore store(64, 4);  // 16 tasks per stripe
-  for (std::uint64_t task = 1; task <= 500; ++task) {
-    store.append(task, task, {step(Stage::kSubmitRecv, 0.0)});
-  }
-  std::size_t found = 0;
-  for (std::uint64_t task = 1; task <= 500; ++task) {
-    if (store.get(task).has_value()) ++found;
-  }
-  EXPECT_LE(found, 64u);
-  EXPECT_GT(found, 0u);
-  EXPECT_EQ(store.evicted(), 500u - found);
 }
 
 TEST(ExemplarSeries, TracksTheLatestSamplePerBucket) {

@@ -265,6 +265,35 @@ TEST(SchedulingService, VirtualExecutionCompletesQueuedTasks) {
   }
 }
 
+TEST(SchedulingService, VirtualExecutionAdvancesUnderSustainedAdmission) {
+  // A producer that outruns placement keeps the admission ring non-empty
+  // (64Ki slots cover any producer stall far below the run), so the
+  // worker never sees an empty pop; tasks must still start and finish
+  // between batches.
+  obs::Registry registry;
+  ServiceOptions opts = quiet_options(1, 2);
+  opts.time_scale = 1e-6;  // ~ns-to-µs virtual task durations
+  opts.status_capacity = 4096;
+  opts.registry = &registry;
+  SchedulingService svc(test_model(), kParams, opts);
+  svc.start();
+  core::TaskId id = 1;
+  while (svc.rejected() == 0) (void)svc.submit(id++, 1'000'000);
+  // The ring is full; from here on the producer keeps it that way.
+  const std::uint64_t completed_when_full = svc.completed();
+  std::uint64_t completed_while_busy = completed_when_full;
+  const auto stop_at =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < stop_at &&
+         completed_while_busy == completed_when_full) {
+    for (int i = 0; i < 256; ++i) (void)svc.submit(id++, 1'000'000);
+    completed_while_busy = svc.completed();
+  }
+  EXPECT_GT(completed_while_busy, completed_when_full)
+      << "no task finished while admission kept the ring busy";
+  svc.drain();
+}
+
 TEST(SchedulingService, RecordsArrivalAndPlacementPerShardChannel) {
   obs::Registry registry;
   ServiceOptions opts = quiet_options(2, 4);
@@ -329,7 +358,7 @@ TEST(SchedulingService, MintsTraceIdsAndPublishesRingOccupancy) {
     traces.push_back(ticket.trace);
   }
   svc.drain();
-  // Distinct ids, and the status store links each task to its ticket.
+  // Distinct ids, and the task table links each task to its ticket.
   std::sort(traces.begin(), traces.end());
   EXPECT_EQ(std::adjacent_find(traces.begin(), traces.end()), traces.end());
   for (core::TaskId id = 1; id <= 40; ++id) {

@@ -82,7 +82,8 @@ constexpr const char* kUsage =
     "                       0 starves the shards: the 503 test hook)\n"
     "  --steal-ratio R      steal when max/min shard queue cost exceeds\n"
     "                       R (4.0; 0 disables work stealing)\n"
-    "  --status-capacity N  remembered placements for /schedule (1M)\n"
+    "  --status-capacity N  remembered tasks for /schedule and\n"
+    "                       /tasks/{id}/trace, FIFO-evicted (1M)\n"
     "  --serve-seconds N    exit after N s (0 = until SIGINT/SIGTERM;\n"
     "                       both drain gracefully and flush outputs)\n";
 

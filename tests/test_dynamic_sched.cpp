@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstdint>
 #include <random>
 #include <vector>
 
@@ -216,12 +219,21 @@ TEST(DynamicSched, CostIsInsertionOrderIndependent) {
 // Property: under heavy random churn the cached cost, the invariants and
 // the range bookkeeping all match the O(N) recompute. Parameterized over
 // (seed, cost table flavor).
+//
+// ChurnParam has no printer, so gtest names each case by its raw object
+// bytes. The three bytes after `use_table2` used to be padding, which left
+// the names to whatever the stack held and made them change between runs;
+// `name_bytes` fills that gap explicitly so every case keeps one name.
 struct ChurnParam {
   std::uint32_t seed;
   bool use_table2;
+  std::array<std::uint8_t, 3> name_bytes;
   Money re;
   Money rt;
 };
+static_assert(sizeof(ChurnParam) == 24 &&
+                  offsetof(ChurnParam, re) == 8,
+              "ChurnParam must stay padding-free so its test names are stable");
 
 class DynamicSchedChurn : public ::testing::TestWithParam<ChurnParam> {};
 
@@ -269,12 +281,12 @@ TEST_P(DynamicSchedChurn, CachedCostAlwaysMatchesRecompute) {
 
 INSTANTIATE_TEST_SUITE_P(
     Mix, DynamicSchedChurn,
-    ::testing::Values(ChurnParam{1, true, 0.1, 0.4},
-                      ChurnParam{2, true, 0.4, 0.1},
-                      ChurnParam{3, true, 1.0, 1e-9},
-                      ChurnParam{4, false, 0.2, 0.8},
-                      ChurnParam{5, false, 2.0, 0.05},
-                      ChurnParam{6, true, 1e-3, 10.0}));
+    ::testing::Values(ChurnParam{1, true, {0x55, 0x00, 0x00}, 0.1, 0.4},
+                      ChurnParam{2, true, {0x55, 0x00, 0x00}, 0.4, 0.1},
+                      ChurnParam{3, true, {0x55, 0x00, 0x00}, 1.0, 1e-9},
+                      ChurnParam{4, false, {0xE0, 0x54, 0x07}, 0.2, 0.8},
+                      ChurnParam{5, false, {0x00, 0x00, 0x00}, 2.0, 0.05},
+                      ChurnParam{6, true, {0xFF, 0xFF, 0xFF}, 1e-3, 10.0}));
 
 }  // namespace
 }  // namespace dvfs::core

@@ -16,6 +16,7 @@
 /// or O(1) for cached small positions.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <memory>
 #include <span>
@@ -33,7 +34,9 @@ struct CostParams {
   Money re = 0.1;  ///< money per joule of energy consumed.
   Money rt = 0.4;  ///< money per second a user waits (turnaround).
 
-  [[nodiscard]] bool valid() const { return re > 0.0 && rt > 0.0; }
+  [[nodiscard]] bool valid() const {
+    return re > 0.0 && rt > 0.0 && std::isfinite(re) && std::isfinite(rt);
+  }
 
   friend bool operator==(const CostParams&, const CostParams&) = default;
 };

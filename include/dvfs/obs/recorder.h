@@ -23,9 +23,10 @@
 /// `write_file()` emits the `.dfr` format described in
 /// recorder_format.h, including a binary snapshot of the metrics
 /// registry so `dvfs_inspect replay` can reproduce `--metrics-out`
-/// byte-for-byte. `Recording::load()` + `replay_to_trace()` invert the
-/// pipeline: they rebuild the exact TraceWriter call sequence the live
-/// engine would have made.
+/// byte-for-byte. `replay_to_trace()` is the one way a Chrome trace is
+/// made: the tools drain a run's recording into it for `--trace-out`, and
+/// `dvfs_inspect replay` feeds it a loaded `.dfr` file, so both produce
+/// the same trace JSON.
 #pragma once
 
 #include <atomic>
@@ -178,8 +179,10 @@ struct Recording {
   [[nodiscard]] std::optional<dfr::Event> first_of(dfr::EventType t) const;
 };
 
-/// Rebuilds the Chrome-trace call sequence the live engine performs, so
-/// replaying a recording yields byte-identical trace JSON. `writer` must
+/// Turns recorded events into Chrome-trace calls: task spans per core,
+/// frequency-change and governor-decision instants, and the busy-core
+/// counter. The output depends only on the events, so an in-memory drain
+/// and the file written from it replay to identical JSON. `writer` must
 /// be empty.
 void replay_to_trace(const Recording& rec, TraceWriter& writer);
 

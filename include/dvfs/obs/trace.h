@@ -11,14 +11,14 @@
 ///   * counter events (ph "C") — busy-core count over time;
 ///   * metadata events (ph "M") — human-readable track names.
 ///
-/// Timestamps are microseconds, the unit the format specifies; the engine
-/// converts simulated seconds with a fixed 1e6 factor, so one trace
-/// second equals one simulated second in the viewer.
+/// Timestamps are microseconds, the unit the format specifies;
+/// `replay_to_trace` (recorder.h) converts recorded seconds with a fixed
+/// 1e6 factor, so one trace second equals one simulated second in the
+/// viewer.
 ///
 /// The writer buffers events in memory and serializes on demand. It is
-/// not thread-safe: one writer belongs to one engine (which is itself
-/// single-threaded per run). Attach with Engine::set_trace_writer —
-/// passing nullptr detaches, making tracing togglable at runtime.
+/// not thread-safe. Runs do not write it directly: they record into an
+/// obs::Recorder, and the trace is replayed from the recording afterwards.
 #pragma once
 
 #include <cstdint>

@@ -34,7 +34,6 @@
 
 namespace dvfs::obs {
 class RecorderChannel;
-class TraceWriter;
 }  // namespace dvfs::obs
 
 namespace dvfs::sim {
@@ -116,21 +115,15 @@ class Engine {
   [[nodiscard]] const TaskRecord& record(core::TaskId task) const;
 
   // ---------------------------------------------------------- observability
-  /// Attaches a Chrome-trace writer for subsequent runs; nullptr detaches
-  /// (tracing is togglable at runtime). The engine does not own the
-  /// writer, which must outlive any run it observes. Each run appends
-  /// task spans (per-core tracks), frequency-change instants, governor
-  /// decision instants, and a busy-core counter series.
-  void set_trace_writer(obs::TraceWriter* writer) { trace_ = writer; }
-  [[nodiscard]] obs::TraceWriter* trace_writer() const { return trace_; }
-
   /// Attaches a flight-recorder channel (see dvfs/obs/recorder.h);
-  /// nullptr detaches. The engine is the channel's single producer and
+  /// nullptr detaches. The recorder is the engine's only event sink: it
   /// pushes fixed-size events for the run boundary, task lifecycle,
-  /// frequency transitions, and governor-decision timing. Policies reach
-  /// the same channel through `recorder()` to append their candidate
-  /// vectors, so one recording interleaves mechanism and strategy in
-  /// decision order.
+  /// frequency transitions, and governor-decision timing, and
+  /// `obs::replay_to_trace` turns them into a Chrome trace (task spans
+  /// per core, frequency-change and decision instants, busy-core
+  /// counter). Policies reach the same channel through `recorder()` to
+  /// append their candidate vectors, so one recording interleaves
+  /// mechanism and strategy in decision order.
   void set_recorder(obs::RecorderChannel* channel) { recorder_ = channel; }
   [[nodiscard]] obs::RecorderChannel* recorder() const { return recorder_; }
 
@@ -169,11 +162,11 @@ class Engine {
     obs::Histogram& queue_wait_us;
   };
 
-  /// Charges the transition stall (and counts/traces the frequency
+  /// Charges the transition stall (and counts/records the frequency
   /// change) when `core`'s frequency differs from its last one.
   void charge_transition(std::size_t core, std::size_t new_rate);
 
-  /// Closes the trace span for `core`'s current task ending at now().
+  /// Records the end of `core`'s current execution span at now().
   void emit_task_span(std::size_t core, bool preempted);
 
   enum class EventKind : std::uint8_t { kArrival, kCompletion, kTimer };
@@ -209,7 +202,6 @@ class Engine {
   bool running_ = false;
 
   Stats stats_;
-  obs::TraceWriter* trace_ = nullptr;
   obs::RecorderChannel* recorder_ = nullptr;
 };
 

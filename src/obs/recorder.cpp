@@ -346,8 +346,7 @@ std::optional<dfr::Event> Recording::first_of(dfr::EventType t) const {
 void replay_to_trace(const Recording& rec, TraceWriter& writer) {
   DVFS_REQUIRE(writer.size() == 0, "replay needs an empty trace writer");
   // Chrome trace timestamps are microseconds; one trace second equals one
-  // recorded second — the same constant the live engine uses, applied to
-  // the same raw doubles, so the replayed JSON matches byte for byte.
+  // recorded (simulated or wall) second.
   constexpr double kUsPerSecond = 1e6;
   std::int64_t gov_tid = 0;
 

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <string>
 #include <vector>
 
 #include "dvfs/obs/recorder.h"
-#include "dvfs/obs/trace.h"
 #include "dvfs/sim/metrics.h"
 
 namespace dvfs::sim {
@@ -17,10 +15,6 @@ namespace {
 // progress integration can leave ulp-scale residue at the completion
 // event's exact timestamp).
 constexpr double kCompletionEpsilonCycles = 0.5;
-
-// Chrome trace_event timestamps are microseconds; one trace second maps
-// to one simulated second.
-constexpr double kUsPerSimSecond = 1e6;
 }  // namespace
 
 Engine::Stats::Stats()
@@ -141,13 +135,6 @@ void Engine::charge_transition(std::size_t core, std::size_t new_rate) {
   CoreState& c = cores_[core];
   if (c.last_rate != kNoRate && c.last_rate != new_rate) {
     stats_.freq_transitions.inc();
-    if (trace_ != nullptr) {
-      trace_->instant(
-          static_cast<std::int64_t>(core), "freq_change",
-          now_ * kUsPerSimSecond,
-          {{"rate_idx", obs::Json(static_cast<std::uint64_t>(new_rate))},
-           {"ghz", obs::Json(models_[core].rates()[new_rate])}});
-    }
     if (recorder_ != nullptr) {
       recorder_->record(
           {.type = static_cast<std::uint8_t>(obs::dfr::EventType::kFreqChange),
@@ -162,27 +149,16 @@ void Engine::charge_transition(std::size_t core, std::size_t new_rate) {
 }
 
 void Engine::emit_task_span(std::size_t core, bool preempted) {
+  if (recorder_ == nullptr) return;
   const CoreState& c = cores_[core];
-  const TaskRecord& rec = result_.tasks[c.record_idx];
-  if (recorder_ != nullptr) {
-    recorder_->record(
-        {.type = static_cast<std::uint8_t>(obs::dfr::EventType::kSpanEnd),
-         .flags = preempted ? obs::dfr::kFlagPreempted : std::uint8_t{0},
-         .core = static_cast<std::uint16_t>(core),
-         .rate_idx = static_cast<std::uint16_t>(c.rate_idx),
-         .time_s = now_,
-         .task = rec.id,
-         .f0 = c.span_start});
-  }
-  if (trace_ == nullptr) return;
-  obs::Json::Object args{
-      {"task", obs::Json(rec.id)},
-      {"rate_idx", obs::Json(static_cast<std::uint64_t>(c.rate_idx))}};
-  if (preempted) args.emplace("preempted", obs::Json(true));
-  trace_->complete(static_cast<std::int64_t>(core),
-                   "task " + std::to_string(rec.id),
-                   c.span_start * kUsPerSimSecond,
-                   (now_ - c.span_start) * kUsPerSimSecond, std::move(args));
+  recorder_->record(
+      {.type = static_cast<std::uint8_t>(obs::dfr::EventType::kSpanEnd),
+       .flags = preempted ? obs::dfr::kFlagPreempted : std::uint8_t{0},
+       .core = static_cast<std::uint16_t>(core),
+       .rate_idx = static_cast<std::uint16_t>(c.rate_idx),
+       .time_s = now_,
+       .task = result_.tasks[c.record_idx].id,
+       .f0 = c.span_start});
 }
 
 void Engine::check_core(std::size_t core) const {
@@ -380,15 +356,6 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
     events_.push(tick, Event{EventKind::kTimer, 0});
   }
 
-  // The governor gets its own trace track after the per-core ones.
-  const auto gov_tid = static_cast<std::int64_t>(num_cores());
-  if (trace_ != nullptr) {
-    for (std::size_t j = 0; j < num_cores(); ++j) {
-      trace_->thread_name(static_cast<std::int64_t>(j),
-                          "core " + std::to_string(j));
-    }
-    trace_->thread_name(gov_tid, "governor");
-  }
   if (recorder_ != nullptr) {
     recorder_->record(
         {.type = static_cast<std::uint8_t>(obs::dfr::EventType::kRunBegin),
@@ -404,13 +371,6 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
                              std::chrono::steady_clock::now() - t0)
                              .count();
     stats_.decision_ns.observe(static_cast<std::uint64_t>(wall_ns));
-    if (trace_ != nullptr) {
-      trace_->instant(gov_tid, obs::dfr::to_string(what),
-                      now_ * kUsPerSimSecond,
-                      {{"wall_ns", obs::Json(wall_ns)}});
-      trace_->counter("busy_cores", now_ * kUsPerSimSecond,
-                      static_cast<double>(busy_count_));
-    }
     if (recorder_ != nullptr) {
       recorder_->record(
           {.type = static_cast<std::uint8_t>(obs::dfr::EventType::kDecision),

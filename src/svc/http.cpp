@@ -1,6 +1,7 @@
 #include "dvfs/svc/http.h"
 
 #include <charconv>
+#include <cmath>
 #include <optional>
 #include <string>
 
@@ -27,6 +28,13 @@ std::optional<std::uint64_t> parse_u64(const std::string& text) {
   return v;
 }
 
+/// True iff `v` is an integer in [lo, 2^53]: JSON numbers arrive as
+/// doubles, and above 2^53 a double no longer holds every integer.
+bool exact_integer(double v, double lo) {
+  constexpr double kMaxExact = 9007199254740992.0;  // 2^53
+  return v >= lo && v <= kMaxExact && std::floor(v) == v;
+}
+
 /// One {"id":...,"cycles":...} object → submit. Throws PreconditionError
 /// on schema violations (mapped to 400 by the caller).
 SchedulingService::Ticket submit_one(SchedulingService& svc,
@@ -36,7 +44,9 @@ SchedulingService::Ticket submit_one(SchedulingService& svc,
                "task needs numeric \"id\" and \"cycles\" fields");
   const double id = task.at("id").as_double();
   const double cycles = task.at("cycles").as_double();
-  DVFS_REQUIRE(id >= 0.0 && cycles > 0.0, "id must be >= 0, cycles > 0");
+  DVFS_REQUIRE(exact_integer(id, 0.0) && exact_integer(cycles, 1.0),
+               "id and cycles must be integers in [0, 2^53] and "
+               "[1, 2^53]");
   return svc.submit(static_cast<core::TaskId>(id),
                     static_cast<Cycles>(cycles));
 }

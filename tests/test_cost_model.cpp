@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <tuple>
 
 namespace dvfs::core {
@@ -47,6 +48,11 @@ TEST(CostTable, InvalidParamsRejected) {
   EXPECT_THROW(CostTable(EnergyModel::icpp2014_table2(), CostParams{0.0, 1.0}),
                PreconditionError);
   EXPECT_THROW(CostTable(EnergyModel::icpp2014_table2(), CostParams{1.0, -1.0}),
+               PreconditionError);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(CostTable(EnergyModel::icpp2014_table2(), CostParams{kInf, 0.1}),
+               PreconditionError);
+  EXPECT_THROW(CostTable(EnergyModel::icpp2014_table2(), CostParams{0.4, kInf}),
                PreconditionError);
 }
 

@@ -155,6 +155,16 @@ TEST_F(ServiceHttpTest, BatchSubmitAndErrorStatuses) {
   EXPECT_NE(post(server_->port(), "/submit", "{\"id\":3}")
                 .find("HTTP/1.1 400"),
             std::string::npos);
+  // Ids and cycles must be integers a double holds exactly (<= 2^53).
+  for (const char* body :
+       {"{\"id\":1,\"cycles\":1e300}", "{\"id\":1e300,\"cycles\":1000}",
+        "{\"id\":9007199254740994,\"cycles\":1000}",
+        "{\"id\":4,\"cycles\":0.5}", "{\"id\":4.5,\"cycles\":1000}",
+        "{\"tasks\":[{\"id\":5,\"cycles\":1000.25}]}"}) {
+    EXPECT_NE(post(server_->port(), "/submit", body).find("HTTP/1.1 400"),
+              std::string::npos)
+        << body;
+  }
   EXPECT_NE(get(server_->port(), "/schedule/notanumber")
                 .find("HTTP/1.1 400"),
             std::string::npos);

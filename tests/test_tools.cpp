@@ -162,37 +162,61 @@ TEST_F(ToolsFixture, ExecuteRunsPlanOnRealThreads) {
             0);
 }
 
+/// Removes every `"wall_ns":<number>` from a trace: the decision
+/// instants' wall-clock latency is the one field that differs between
+/// two runs of the same simulation.
+std::string without_wall_ns(std::string json) {
+  const std::string key = "\"wall_ns\":";
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at)) {
+    std::size_t end = at + key.size();
+    while (end < json.size() && json[end] != ',' && json[end] != '}') ++end;
+    json.erase(at, end - at);
+  }
+  return json;
+}
+
 // The flight-recorder acceptance loop: a recorded simulation replayed
-// through dvfs_inspect must reproduce the live --trace-out/--metrics-out
-// files byte for byte. On failure the artifacts are preserved for CI
-// (DVFS_ARTIFACT_DIR) so the divergence can be audited offline.
+// through dvfs_inspect must reproduce the run's own --trace-out and
+// --metrics-out files byte for byte, and a --trace-out-only run (which
+// records in memory and writes no .dfr) must produce the same trace. On
+// failure the artifacts are preserved for CI (DVFS_ARTIFACT_DIR) so the
+// divergence can be audited offline.
 TEST_F(ToolsFixture, RecordedRunReplaysByteIdentical) {
   const std::string trace = dir_ + "/online.csv";
   ASSERT_EQ(run(tool("dvfs_trace_gen") +
                 " --kind judgegirl --seed 9 --duration 90 --submissions 25"
                 " --interactive 150 --out " + trace),
             0);
+  const std::string simulate =
+      tool("dvfs_simulate") + " --trace " + trace + " --policy lmc --cores 3";
+  ASSERT_EQ(run(simulate + " --trace-out " + dir_ + "/trace_only.json"), 0);
+  EXPECT_EQ(std::distance(fs::directory_iterator(dir_),
+                          fs::directory_iterator{}),
+            2)
+      << "a --trace-out-only run writes the trace and nothing else";
+
   const std::string dfr = dir_ + "/run.dfr";
-  ASSERT_EQ(run(tool("dvfs_simulate") + " --trace " + trace +
-                " --policy lmc --cores 3" +
-                " --trace-out " + dir_ + "/live_trace.json" +
-                " --metrics-out " + dir_ + "/live_metrics.json" +
+  ASSERT_EQ(run(simulate + " --trace-out " + dir_ + "/run_trace.json" +
+                " --metrics-out " + dir_ + "/run_metrics.json" +
                 " --record-out " + dfr),
             0);
   ASSERT_EQ(run(tool("dvfs_inspect") + " replay --in " + dfr +
                 " --trace-out " + dir_ + "/replay_trace.json" +
                 " --metrics-out " + dir_ + "/replay_metrics.json"),
             0);
-  EXPECT_EQ(slurp(dir_ + "/live_trace.json"),
+  EXPECT_EQ(slurp(dir_ + "/run_trace.json"),
             slurp(dir_ + "/replay_trace.json"));
-  EXPECT_EQ(slurp(dir_ + "/live_metrics.json"),
+  EXPECT_EQ(slurp(dir_ + "/run_metrics.json"),
             slurp(dir_ + "/replay_metrics.json"));
+  EXPECT_EQ(without_wall_ns(slurp(dir_ + "/trace_only.json")),
+            without_wall_ns(slurp(dir_ + "/run_trace.json")));
   if (HasFailure()) {
     if (const char* art = std::getenv("DVFS_ARTIFACT_DIR")) {
       fs::create_directories(art);
-      for (const char* leaf : {"run.dfr", "live_trace.json",
-                               "replay_trace.json", "live_metrics.json",
-                               "replay_metrics.json"}) {
+      for (const char* leaf : {"run.dfr", "run_trace.json",
+                               "replay_trace.json", "run_metrics.json",
+                               "replay_metrics.json", "trace_only.json"}) {
         fs::copy_file(dir_ + "/" + leaf, std::string(art) + "/" + leaf,
                       fs::copy_options::overwrite_existing);
       }
@@ -351,19 +375,45 @@ TEST_F(ToolsFixture, ExecuteHelpDocumentsTelemetryFlags) {
   }
 }
 
-TEST_F(ToolsFixture, ExecuteTraceOutRequiresRecordOut) {
-  const std::string batch = dir_ + "/tiny.csv";
-  {
-    std::ofstream os(batch);
-    os << "id,arrival,cycles,class,deadline\n0,0,1000000000,batch,\n";
+/// Writes a one-core plan of `tasks` tiny tasks, so a run's length is
+/// dominated by per-task bookkeeping rather than simulated work.
+std::string tiny_plan(const std::string& dir, int tasks) {
+  const std::string path = dir + "/plan.csv";
+  std::ofstream os(path);
+  os << "core,position,task_id,cycles,rate_idx\n";
+  for (int i = 1; i <= tasks; ++i) os << "0," << i << "," << i << ",1000,0\n";
+  return path;
+}
+
+// The trace is replayed from an in-memory recording, so --trace-out needs
+// no --record-out: the run writes a parseable trace of its one task.
+TEST_F(ToolsFixture, ExecuteTraceOutWorksWithoutRecordOut) {
+  const std::string chrome = dir_ + "/t.json";
+  int code = 0;
+  const std::string out = run_capture(
+      tool("dvfs_execute") + " --plan " + tiny_plan(dir_, 1) +
+          " --time-scale 1e-4 --trace-out " + chrome,
+      &code);
+  ASSERT_EQ(code, 0) << out;
+  const dvfs::obs::Json doc = dvfs::obs::Json::parse(slurp(chrome));
+  std::size_t spans = 0;
+  for (const dvfs::obs::Json& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() == "X") ++spans;
   }
-  const std::string plan_path = dir_ + "/plan.csv";
-  ASSERT_EQ(run(tool("dvfs_plan") + " --tasks " + batch +
-                " --cores 1 --out " + plan_path),
-            0);
-  EXPECT_NE(run(tool("dvfs_execute") + " --plan " + plan_path +
-                " --time-scale 1e-4 --trace-out " + dir_ + "/t.json"),
-            0);
+  EXPECT_EQ(spans, 1u);
+}
+
+// More events than a worker's ring holds (three per task, 2^16 slots):
+// the run still succeeds and says that its recording lost events.
+TEST_F(ToolsFixture, ExecuteWarnsWhenTheRecorderRingOverflows) {
+  int code = 0;
+  const std::string out = run_capture(
+      tool("dvfs_execute") + " --plan " + tiny_plan(dir_, 25000) +
+          " --time-scale 1e-6 --record-out " + dir_ + "/run.dfr",
+      &code);
+  ASSERT_EQ(code, 0) << out;
+  EXPECT_NE(out.find("warning: recorder ring overflowed"), std::string::npos)
+      << out;
 }
 
 /// Shared setup for the drift acceptance gates: plan a small batch, run it

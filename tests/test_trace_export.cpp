@@ -1,7 +1,9 @@
 /// Round-trip validation of the Chrome trace_event export: run a real
-/// policy on a real trace with a TraceWriter attached, write the JSON,
-/// parse it back, and assert the structural invariants a trace viewer
-/// relies on (track metadata, span containment, phase codes, timestamps).
+/// policy on a real trace with a flight recorder attached, replay the
+/// recording into a TraceWriter, write the JSON, parse it back, and
+/// assert the structural invariants a trace viewer relies on (track
+/// metadata, span containment, phase codes, timestamps) plus exact event
+/// counts against state the engine keeps apart from the recorder.
 #include "dvfs/obs/trace.h"
 
 #include <gtest/gtest.h>
@@ -13,6 +15,8 @@
 
 #include "dvfs/governors/lmc_policy.h"
 #include "dvfs/obs/json.h"
+#include "dvfs/obs/metrics.h"
+#include "dvfs/obs/recorder.h"
 #include "dvfs/sim/engine.h"
 #include "dvfs/workload/generators.h"
 
@@ -21,9 +25,26 @@ namespace {
 
 constexpr std::size_t kCores = 4;
 
+std::uint64_t counter_value(const char* name) {
+  return Registry::global().counter(name).value();
+}
+
+/// Drains `rec` and replays everything recorded so far into a trace.
+TraceWriter replay(Recorder& rec) {
+  rec.drain();
+  Recording recording;
+  recording.events = rec.events();
+  TraceWriter writer;
+  replay_to_trace(recording, writer);
+  return writer;
+}
+
 struct TracedRun {
   Json doc;
   sim::SimResult result;
+  // The run's deltas of the engine's own counters.
+  std::uint64_t freq_transitions = 0;
+  std::uint64_t policy_callbacks = 0;
 };
 
 TracedRun traced_lmc_run(const std::string& path) {
@@ -39,11 +60,23 @@ TracedRun traced_lmc_run(const std::string& path) {
       std::vector<core::CostTable>(kCores, core::CostTable(model, cp)));
   sim::Engine engine(std::vector<core::EnergyModel>(kCores, model),
                      sim::ContentionModel::none());
-  TraceWriter writer;
-  engine.set_trace_writer(&writer);
-  sim::SimResult result = engine.run(trace, policy);
-  writer.write_file(path);
-  return {read_json_file(path), std::move(result)};
+  Recorder rec(1, std::size_t{1} << 20);
+  engine.set_recorder(&rec.channel(0));
+  const auto callbacks = [] {
+    return counter_value("sim.events.arrival") +
+           counter_value("sim.events.completion") +
+           counter_value("sim.events.timer");
+  };
+  const std::uint64_t freq_before = counter_value("sim.freq_transitions");
+  const std::uint64_t callbacks_before = callbacks();
+  TracedRun run;
+  run.result = engine.run(trace, policy);
+  run.freq_transitions = counter_value("sim.freq_transitions") - freq_before;
+  run.policy_callbacks = callbacks() - callbacks_before;
+  EXPECT_EQ(rec.events_dropped(), 0u);
+  replay(rec).write_file(path);
+  run.doc = read_json_file(path);
+  return run;
 }
 
 TEST(TraceExport, WriterBuffersAndSerializes) {
@@ -88,14 +121,13 @@ TEST(TraceExport, EngineRoundTrip) {
   }
   EXPECT_EQ(names[static_cast<std::int64_t>(kCores)], "governor");
 
-  // Task spans: one per completed task, each on a valid core track, with
-  // sane timestamps and args; spans on one track never overlap (a core
-  // runs one task at a time).
+  // Task spans: each on a valid core track, with sane timestamps and
+  // args; spans on one track never overlap (a core runs one task at a
+  // time). Every completed task ends exactly one non-preempted span.
   std::map<std::int64_t, std::vector<std::pair<double, double>>> spans;
-  std::size_t num_spans = 0;
+  std::size_t finished_spans = 0;
   for (const Json& e : events) {
     if (e.at("ph").as_string() != "X") continue;
-    ++num_spans;
     const auto tid = static_cast<std::int64_t>(e.at("tid").as_double());
     ASSERT_GE(tid, 0);
     ASSERT_LT(tid, static_cast<std::int64_t>(kCores));
@@ -105,10 +137,10 @@ TEST(TraceExport, EngineRoundTrip) {
     EXPECT_GT(dur, 0.0);
     EXPECT_TRUE(e.at("args").contains("task"));
     EXPECT_TRUE(e.at("args").contains("rate_idx"));
+    if (!e.at("args").contains("preempted")) ++finished_spans;
     spans[tid].emplace_back(ts, ts + dur);
   }
-  // Completed tasks and preempted segments each produce a span.
-  EXPECT_GE(num_spans, run.result.tasks.size());
+  EXPECT_EQ(finished_spans, run.result.completed_count());
   for (auto& [tid, list] : spans) {
     std::sort(list.begin(), list.end());
     for (std::size_t i = 1; i < list.size(); ++i) {
@@ -117,8 +149,8 @@ TEST(TraceExport, EngineRoundTrip) {
     }
   }
 
-  // Frequency changes and governor decisions come through as instants;
-  // the busy-core counter series is present.
+  // One freq_change instant per frequency transition the engine counted,
+  // one governor instant and one busy-core sample per policy callback.
   std::size_t freq_changes = 0;
   std::size_t governor_marks = 0;
   std::size_t counter_samples = 0;
@@ -139,9 +171,11 @@ TEST(TraceExport, EngineRoundTrip) {
       EXPECT_EQ(e.at("name").as_string(), "busy_cores");
     }
   }
-  EXPECT_GT(freq_changes, 0u);
-  EXPECT_GT(governor_marks, 0u);
-  EXPECT_GT(counter_samples, 0u);
+  EXPECT_GT(run.freq_transitions, 0u);
+  EXPECT_EQ(freq_changes, run.freq_transitions);
+  EXPECT_GT(run.policy_callbacks, 0u);
+  EXPECT_EQ(governor_marks, run.policy_callbacks);
+  EXPECT_EQ(counter_samples, run.policy_callbacks);
 }
 
 // Degenerate inputs must still produce a document every trace viewer can
@@ -160,14 +194,14 @@ TEST(TraceExport, EmptyScheduleRunStillExportsParseableTrace) {
       kCores, core::CostTable(model, core::CostParams{0.4, 0.1})));
   sim::Engine engine(std::vector<core::EnergyModel>(kCores, model),
                      sim::ContentionModel::none());
-  TraceWriter writer;
-  engine.set_trace_writer(&writer);
+  Recorder rec(1, 64);
+  engine.set_recorder(&rec.channel(0));
   const sim::SimResult r = engine.run(workload::Trace{}, policy);
   EXPECT_EQ(r.completed_count(), 0u);
 
   // Zero tasks: the export still carries the track metadata (one name per
   // core plus the governor lane) and nothing else, and parses cleanly.
-  const Json doc = Json::parse(writer.to_json().dump());
+  const Json doc = Json::parse(replay(rec).to_json().dump());
   const Json::Array& events = doc.at("traceEvents").as_array();
   ASSERT_EQ(events.size(), kCores + 1);
   for (const Json& e : events) {
@@ -188,15 +222,16 @@ TEST(TraceExport, DetachStopsRecording) {
 
   sim::Engine engine(std::vector<core::EnergyModel>(kCores, model),
                      sim::ContentionModel::none());
-  TraceWriter writer;
-  engine.set_trace_writer(&writer);
+  Recorder rec(1, std::size_t{1} << 16);
+  engine.set_recorder(&rec.channel(0));
   engine.run(trace, policy);
-  const std::size_t after_first = writer.size();
+  const std::size_t after_first = replay(rec).size();
   EXPECT_GT(after_first, 0u);
 
-  engine.set_trace_writer(nullptr);  // runtime toggle off
+  engine.set_recorder(nullptr);  // runtime toggle off
   engine.run(trace, policy);
-  EXPECT_EQ(writer.size(), after_first);
+  EXPECT_EQ(replay(rec).size(), after_first);
+  EXPECT_EQ(rec.channel(0).recorded(), rec.events().size());
 }
 
 }  // namespace

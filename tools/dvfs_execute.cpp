@@ -20,22 +20,14 @@
 /// exemplars from the service's request-tracing layer.
 ///
 /// Flags: see kUsage below (also printed by --help).
-#include <charconv>
-#include <chrono>
-#include <csignal>
+#include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <set>
-#include <thread>
 
 #include "dvfs/core/plan_io.h"
 #include "dvfs/obs/build_info.h"
-#include "dvfs/obs/health.h"
 #include "dvfs/obs/hw_telemetry.h"
-#include "dvfs/obs/json.h"
 #include "dvfs/obs/promtext.h"
-#include "dvfs/obs/recorder.h"
-#include "dvfs/obs/trace.h"
 #include "dvfs/rt/executor.h"
 #include "dvfs/svc/http.h"
 #include "dvfs/svc/service.h"
@@ -60,6 +52,7 @@ constexpr const char* kUsage =
     "                       falling back to the thread timer / model\n"
     "                       with explicit source labels)\n"
     "  --trace-out PATH     Chrome trace_event JSON timeline of the run\n"
+    "                       (replayed from the run's recording)\n"
     "  --metrics-out PATH   metrics-registry JSON snapshot\n"
     "  --record-out PATH    .dfr flight recording (v2 when --hw is on;\n"
     "                       summarize drift with `dvfs_inspect drift`)\n"
@@ -87,12 +80,6 @@ constexpr const char* kUsage =
     "  --serve-seconds N    exit after N s (0 = until SIGINT/SIGTERM;\n"
     "                       both drain gracefully and flush outputs)\n";
 
-// Written by the signal handler, polled by the serve loop. sig_atomic_t
-// per the C standard; volatile so the poll is not hoisted.
-volatile std::sig_atomic_t g_signal = 0;
-
-void on_signal(int signum) { g_signal = signum; }
-
 int run_serve(const dvfs::util::Args& args) {
   using namespace dvfs;
   obs::register_build_info(obs::Registry::global());
@@ -111,28 +98,10 @@ int run_serve(const dvfs::util::Args& args) {
   opts.time_scale = args.get_double("time-scale", 0.0);
 
   svc::SchedulingService svc(model, params, opts);
-  obs::Recorder recorder(std::max<std::size_t>(1, opts.shards));
-  if (args.has("record-out")) svc.set_recorder(&recorder);
-
   // Serve mode keeps the sampling profiler always on so operators can
   // pull /debug/pprof/profile from a live daemon without a restart.
-  tools::ToolProfile prof = tools::start_tool_profiler(
-      args, args.has("record-out") ? &recorder : nullptr,
-      /*always_on=*/true);
-
-  std::unique_ptr<obs::health::HealthMonitor> monitor;
-  if (args.has("health-config") || args.has("health-period")) {
-    monitor = std::make_unique<obs::health::HealthMonitor>(
-        obs::Registry::global(),
-        obs::health::load_rules(args.get_string("health-config", "")),
-        obs::health::HealthMonitor::Options{
-            .period_s = args.get_double("health-period", 0.5)});
-    if (args.has("record-out")) {
-      monitor->set_channel(
-          &recorder.add_channel(obs::Recorder::kDefaultCapacity));
-    }
-    monitor->start();
-  }
+  tools::ToolRun run(args, std::max<std::size_t>(1, opts.shards));
+  if (run.recorder() != nullptr) svc.set_recorder(run.recorder());
   svc.start();
 
   // /metrics serves exemplar-bearing histograms: the service's trace
@@ -144,41 +113,19 @@ int run_serve(const dvfs::util::Args& args) {
                                     &s->exemplars());
       });
   svc::register_service_routes(server, svc);
-  obs::prof::register_pprof_route(server, *prof.profiler);
-  if (monitor != nullptr) {
-    obs::health::HealthMonitor* m = monitor.get();
-    server.add_route("/healthz", [m] {
-      return obs::MetricsHttpServer::Response{
-          .status = m->healthy() ? 200 : 503,
-          .content_type = "application/json; charset=utf-8",
-          .body = m->status_json().dump(2) + "\n"};
-    });
-  }
+  obs::prof::register_pprof_route(server, *run.profiler());
+  run.add_health_route(server);
   server.start();
   std::printf("serving scheduling API on port %u: POST /submit, "
               "GET /schedule/{id}, GET /tasks/{id}/trace, "
               "/metrics%s (%zu shards x %zu cores)\n",
-              server.port(),
-              monitor != nullptr ? ", /healthz" : "", opts.shards,
-              opts.cores / opts.shards);
+              server.port(), run.health_on() ? ", /healthz" : "",
+              opts.shards, opts.cores / opts.shards);
   std::fflush(stdout);
-
-  std::signal(SIGINT, on_signal);
-  std::signal(SIGTERM, on_signal);
-  const std::uint64_t serve_s = args.get_u64("serve-seconds", 0);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(serve_s);
-  while (g_signal == 0 &&
-         (serve_s == 0 || std::chrono::steady_clock::now() < deadline)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
-  if (g_signal != 0) {
-    std::printf("caught signal %d, shutting down\n",
-                static_cast<int>(g_signal));
-  }
+  run.wait_for_exit();
   // Graceful order: close the API first (no new admissions), drain the
-  // shards (every accepted ticket reaches a placement), settle health,
-  // then flush the outputs — so the recording carries the final state.
+  // shards (every accepted ticket reaches a placement), then finish the
+  // run's outputs — so the recording carries the final state.
   server.stop();
   svc.drain();
   std::printf("drained: %llu submitted, %llu placed, %llu rejected, "
@@ -188,29 +135,7 @@ int run_serve(const dvfs::util::Args& args) {
               static_cast<unsigned long long>(svc.rejected()),
               static_cast<unsigned long long>(svc.stolen()),
               static_cast<unsigned long long>(svc.completed()));
-  if (monitor != nullptr) {
-    monitor->settle();
-    monitor->stop();
-    std::printf("health: %zu alert(s) firing after %llu ticks\n",
-                monitor->firing_count(),
-                static_cast<unsigned long long>(monitor->ticks()));
-  }
-  // Profiler before the recorder drain: its channel events and symbol
-  // table must be in place when the .dfr file is written.
-  tools::finish_tool_profiler(prof, args, &recorder);
-  if (args.has("record-out")) {
-    recorder.drain();
-    recorder.capture_metrics(obs::Registry::global());
-    const std::string path = args.get_string("record-out");
-    recorder.write_file(path);
-    std::printf("wrote %zu recorded events to %s\n",
-                recorder.events().size(), path.c_str());
-  }
-  if (args.has("metrics-out")) {
-    const std::string path = args.get_string("metrics-out");
-    obs::write_json_file(path, obs::Registry::global().to_json());
-    std::printf("wrote metrics snapshot to %s\n", path.c_str());
-  }
+  run.finish();
   return 0;
 }
 
@@ -259,64 +184,10 @@ int main(int argc, char** argv) {
       std::printf("hardware telemetry: %s\n", hw->describe().c_str());
     }
     // One SPSC channel per worker thread (the executor requires it).
-    obs::Recorder recorder(std::max<std::size_t>(1, plan.num_cores()));
-    if (args.has("record-out")) exec.set_recorder(&recorder);
-    tools::ToolProfile prof = tools::start_tool_profiler(
-        args, args.has("record-out") ? &recorder : nullptr);
-    std::unique_ptr<obs::health::HealthMonitor> monitor;
-    if (args.has("health-config") || args.has("health-period")) {
-      monitor = std::make_unique<obs::health::HealthMonitor>(
-          obs::Registry::global(),
-          obs::health::load_rules(args.get_string("health-config", "")),
-          obs::health::HealthMonitor::Options{
-              .period_s = args.get_double("health-period", 0.5)});
-      if (args.has("record-out")) {
-        // Own ring: health events must survive worker rings overflowing.
-        monitor->set_channel(
-            &recorder.add_channel(obs::Recorder::kDefaultCapacity));
-      }
-      monitor->start();
-    }
+    tools::ToolRun run(args, std::max<std::size_t>(1, plan.num_cores()));
+    if (run.recorder() != nullptr) exec.set_recorder(run.recorder());
     const rt::RtResult r = exec.execute(plan);
-    if (monitor != nullptr) {
-      // Settle and take the final tick before the drain below, so the
-      // recording and the snapshot carry the alerts' end state.
-      monitor->settle();
-      monitor->stop();
-      std::printf("health: %zu alert(s) firing after %llu ticks\n",
-                  monitor->firing_count(),
-                  static_cast<unsigned long long>(monitor->ticks()));
-    }
-    tools::finish_tool_profiler(prof, args, &recorder);
-    if (args.has("record-out")) {
-      recorder.drain();
-      recorder.capture_metrics(obs::Registry::global());
-      const std::string path = args.get_string("record-out");
-      recorder.write_file(path);
-      std::printf("wrote %zu recorded events to %s\n",
-                  recorder.events().size(), path.c_str());
-    }
-    if (args.has("trace-out")) {
-      // The executor records rather than traces directly; the recording
-      // replays into the same trace JSON a live tracer would have
-      // produced (dvfs_inspect replay does the identical transform).
-      DVFS_REQUIRE(args.has("record-out"),
-                   "--trace-out needs --record-out (the trace is replayed "
-                   "from the recording)");
-      obs::TraceWriter writer;
-      obs::Recording recording;
-      recording.events = recorder.events();
-      obs::replay_to_trace(recording, writer);
-      const std::string path = args.get_string("trace-out");
-      writer.write_file(path);
-      std::printf("wrote %zu trace events to %s (open in ui.perfetto.dev)\n",
-                  writer.size(), path.c_str());
-    }
-    if (args.has("metrics-out")) {
-      const std::string path = args.get_string("metrics-out");
-      obs::write_json_file(path, obs::Registry::global().to_json());
-      std::printf("wrote metrics snapshot to %s\n", path.c_str());
-    }
+    run.finish();
 
     std::printf("done: %zu tasks, wall makespan %.3f s "
                 "(model: %.3f s, drift %+.2f%%)\n",

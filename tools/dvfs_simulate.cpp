@@ -13,6 +13,7 @@
 ///   --model       table2 | cubic:<n>                   (default table2)
 ///   --contention  co-run slowdown alpha                (default 0)
 ///   --trace-out   write a Chrome trace_event JSON timeline here
+///                 (replayed from the run's recording)
 ///   --metrics-out write a metrics-registry JSON snapshot here
 ///   --record-out  write a .dfr flight recording here (replay/explain/
 ///                 audit it later with dvfs_inspect)
@@ -28,16 +29,11 @@
 ///                 serve until interrupted)
 ///
 /// SIGINT/SIGTERM while serving exits gracefully: the health monitor is
-/// settled and stopped, then --trace-out/--record-out/--metrics-out are
+/// settled and stopped, then --record-out/--trace-out/--metrics-out are
 /// flushed (the recording gets its metrics epilogue), then exit 0.
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <memory>
-#include <set>
-#include <thread>
 #include <vector>
 
 #include "dvfs/core/plan_io.h"
@@ -45,11 +41,8 @@
 #include "dvfs/governors/lmc_policy.h"
 #include "dvfs/governors/planned_policy.h"
 #include "dvfs/obs/build_info.h"
-#include "dvfs/obs/health.h"
 #include "dvfs/obs/metrics.h"
 #include "dvfs/obs/promtext.h"
-#include "dvfs/obs/recorder.h"
-#include "dvfs/obs/trace.h"
 #include "dvfs/sim/engine.h"
 #include "dvfs/workload/trace.h"
 #include "tool_common.h"
@@ -66,6 +59,7 @@ constexpr const char* kUsage =
     "  --model SPEC         table2 | cubic:<n>                (table2)\n"
     "  --contention A       co-run slowdown alpha             (0)\n"
     "  --trace-out PATH     Chrome trace_event JSON timeline\n"
+    "                       (replayed from the run's recording)\n"
     "  --metrics-out PATH   metrics-registry JSON snapshot\n"
     "  --record-out PATH    .dfr flight recording (dvfs_inspect replays\n"
     "                       it into the two files above byte-for-byte)\n"
@@ -81,12 +75,6 @@ constexpr const char* kUsage =
     "  --profile-out PATH   gzipped pprof CPU profile of this process\n"
     "                       (enables the sampling profiler for the run)\n"
     "  --profile-hz N       profiler sampling rate per thread    (100)\n";
-
-// Written by the signal handler, polled by the serve loop. sig_atomic_t
-// per the C standard; volatile so the poll is not hoisted.
-volatile std::sig_atomic_t g_signal = 0;
-
-void on_signal(int signum) { g_signal = signum; }
 
 }  // namespace
 
@@ -143,42 +131,21 @@ int main(int argc, char** argv) {
 
     sim::Engine engine(std::vector<core::EnergyModel>(cores, model),
                        contention);
-    obs::TraceWriter tracer;
-    if (args.has("trace-out")) engine.set_trace_writer(&tracer);
     // Ring sized so a normal run never drops: every task costs at most
-    // ~16 events plus up to two candidate/decision events per core.
-    const std::size_t auto_capacity = std::clamp<std::size_t>(
-        trace.size() * (16 + 2 * cores), std::size_t{1} << 16,
-        std::size_t{1} << 22);
-    obs::Recorder recorder(
-        /*num_channels=*/1,
-        args.has("record-capacity") ? args.get_u64("record-capacity")
-                                    : auto_capacity);
-    if (args.has("record-out")) engine.set_recorder(&recorder.channel(0));
-
-    // The simulator is single-threaded, so the main-thread guard inside
-    // the profile handle is what makes `--profile-out` produce samples.
-    tools::ToolProfile prof = tools::start_tool_profiler(
-        args, args.has("record-out") ? &recorder : nullptr);
-
-    std::unique_ptr<obs::health::HealthMonitor> monitor;
-    if (args.has("health-config") || args.has("health-period")) {
-      monitor = std::make_unique<obs::health::HealthMonitor>(
-          obs::Registry::global(),
-          obs::health::load_rules(args.get_string("health-config", "")),
-          obs::health::HealthMonitor::Options{
-              .period_s = args.get_double("health-period", 0.5)});
-      if (args.has("record-out")) {
-        // The monitor gets its own ring: the main ring overflowing is one
-        // of the conditions it alerts on, so its events must survive it.
-        monitor->set_channel(
-            &recorder.add_channel(obs::Recorder::kDefaultCapacity));
-      }
-      monitor->start();
+    // ~16 events plus up to two candidate/decision events per core. The
+    // 2^22 ceiling bounds a recording's memory; a trace is only as
+    // complete as its recording, so --trace-out lifts it.
+    const std::size_t wanted = trace.size() * (16 + 2 * cores);
+    const std::size_t auto_capacity =
+        args.has("trace-out")
+            ? std::max(wanted, obs::Recorder::kDefaultCapacity)
+            : std::clamp<std::size_t>(wanted, obs::Recorder::kDefaultCapacity,
+                                      std::size_t{1} << 22);
+    tools::ToolRun run(args, /*channels=*/1,
+                       args.get_u64("record-capacity", auto_capacity));
+    if (run.recorder() != nullptr) {
+      engine.set_recorder(&run.recorder()->channel(0));
     }
-
-    std::signal(SIGINT, on_signal);
-    std::signal(SIGTERM, on_signal);
 
     const sim::SimResult r = engine.run(trace, *policy);
 
@@ -209,77 +176,18 @@ int main(int argc, char** argv) {
       obs::MetricsHttpServer server(
           obs::parse_listen(args.get_string("listen")),
           [] { return obs::prometheus_text(obs::Registry::global()); });
-      if (monitor != nullptr) {
-        obs::health::HealthMonitor* m = monitor.get();
-        server.add_route("/healthz", [m] {
-          return obs::MetricsHttpServer::Response{
-              .status = m->healthy() ? 200 : 503,
-              .content_type = "application/json; charset=utf-8",
-              .body = m->status_json().dump(2) + "\n"};
-        });
-      }
+      run.add_health_route(server);
       server.start();
       std::printf("serving Prometheus metrics on port %u at /metrics%s\n",
                   server.port(),
-                  monitor != nullptr ? " (health at /healthz)" : "");
+                  run.health_on() ? " (health at /healthz)" : "");
       std::fflush(stdout);
-      const std::uint64_t serve_s = args.get_u64("serve-seconds", 0);
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::seconds(serve_s);
-      while (g_signal == 0 &&
-             (serve_s == 0 || std::chrono::steady_clock::now() < deadline)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-      }
+      run.wait_for_exit();
       server.stop();
-      if (g_signal != 0) {
-        std::printf("caught signal %d, shutting down\n",
-                    static_cast<int>(g_signal));
-      }
     }
-
-    if (monitor != nullptr) {
-      // Let pending alerts reach a terminal state, take the final tick,
-      // and join — so the gauges and the recording show the end state.
-      monitor->settle();
-      monitor->stop();
-      std::printf("health: %zu alert(s) firing after %llu ticks\n",
-                  monitor->firing_count(),
-                  static_cast<unsigned long long>(monitor->ticks()));
-    }
-
-    // Profiler before the recorder drain below: its channel events and
-    // symbol table must be in place when the .dfr file is written.
-    tools::finish_tool_profiler(prof, args, &recorder);
-
     // Outputs flush last so a signal-interrupted serve still produces a
     // finalized recording (epilogue included) and a final snapshot.
-    if (args.has("trace-out")) {
-      const std::string path = args.get_string("trace-out");
-      tracer.write_file(path);
-      std::printf("wrote %zu trace events to %s (open in ui.perfetto.dev)\n",
-                  tracer.size(), path.c_str());
-    }
-    if (args.has("record-out")) {
-      recorder.drain();
-      recorder.capture_metrics(obs::Registry::global());
-      const std::string path = args.get_string("record-out");
-      recorder.write_file(path);
-      std::printf("wrote %zu recorded events to %s (inspect with "
-                  "dvfs_inspect)\n",
-                  recorder.events().size(), path.c_str());
-      if (recorder.events_dropped() > 0) {
-        std::fprintf(stderr,
-                     "warning: recorder ring overflowed, %llu events "
-                     "dropped (raise --record-capacity)\n",
-                     static_cast<unsigned long long>(
-                         recorder.events_dropped()));
-      }
-    }
-    if (args.has("metrics-out")) {
-      const std::string path = args.get_string("metrics-out");
-      obs::write_json_file(path, obs::Registry::global().to_json());
-      std::printf("wrote metrics snapshot to %s\n", path.c_str());
-    }
+    run.finish();
     return 0;
   });
 }

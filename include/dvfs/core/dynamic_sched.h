@@ -50,6 +50,11 @@ class DynamicSingleCoreScheduler {
   /// Queues a task (Algorithm 5). O(|P-hat| + log N).
   TaskRef insert(Cycles cycles, TaskId id);
 
+  /// insert() at `at`, this queue's tree's insertion point for `cycles`:
+  /// skips the descent and takes the task's backward position from
+  /// `at.rank`. Throws PreconditionError if the queue changed since.
+  TaskRef insert(Cycles cycles, TaskId id, const Tree::InsertionPoint& at);
+
   /// Removes a queued task (Algorithm 6). O(|P-hat| + log N).
   void erase(TaskRef ref);
 
@@ -71,6 +76,15 @@ class DynamicSingleCoreScheduler {
   /// cycle; the boundary element of each full range crosses into the next
   /// range's rate). O(|P-hat| + log N), const, allocation-free.
   [[nodiscard]] Money peek_marginal_insert_cost(Cycles cycles) const;
+
+  /// The same from `at`, this queue's tree's insertion point for
+  /// `cycles` (e.g. one of FlatRangeTree::insertion_points()), so the
+  /// peek itself does not descend. Bit-identical to the form above.
+  [[nodiscard]] Money peek_marginal_insert_cost(
+      Cycles cycles, const Tree::InsertionPoint& at) const;
+
+  /// The queue's tree, for descending several queues together.
+  [[nodiscard]] const Tree& tree() const { return tree_; }
 
   /// Running total cost C of the queued tasks (Eq. 32). Theta(1).
   [[nodiscard]] Money total_cost() const { return cost_; }

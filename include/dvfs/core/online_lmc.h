@@ -46,6 +46,9 @@ class LmcScheduler {
     std::size_t core = 0;
     DynamicSingleCoreScheduler::TaskRef ref = nullptr;
     Money marginal = 0.0;
+    /// The task's backward position right after placement, so its rate
+    /// is queue(core).table().best_rate(rank) without a rank climb.
+    std::size_t rank = 0;
   };
 
   /// Places a non-interactive task on the least-marginal-cost core and
@@ -133,6 +136,8 @@ class LmcScheduler {
   // nothing after the first call.
   mutable std::vector<Money> scan_;
   mutable std::vector<double> waiting_;
+  std::vector<const DynamicSingleCoreScheduler::Tree*> trees_;
+  std::vector<DynamicSingleCoreScheduler::Tree::InsertionPoint> points_;
 };
 
 }  // namespace dvfs::core

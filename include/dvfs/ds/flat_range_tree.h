@@ -23,8 +23,17 @@
 ///  * Interior nodes store *per-child* aggregate arrays (count, sum, wsum,
 ///    min weight), so a root-to-leaf descent reads exactly one node per
 ///    level — there is no need to touch a child to decide against it.
-///  * Fanout 15 / leaf capacity 28 keeps the tree 3 levels deep up to
-///    ~10^5 elements (vs ~17 expected pointer hops for a treap at 10^5).
+///  * Fanout 15 / leaf capacity 28 keeps the tree shallow, though not as
+///    shallow as full nodes would: three levels hold at most
+///    15*15*28 = 6,300 elements, and splits leave nodes about two thirds
+///    full. The BM_PlaceNonInteractive queues measure 1 level at depth 16,
+///    2 at 256, 4 at 4096, and 5 at both 65,536 and 262,144 (vs ~17
+///    expected pointer hops for a treap at 10^5).
+///  * Deep-queue placement overlaps its cache misses: insertion_points()
+///    descends several trees one level at a time, prefetching each next
+///    node, and insert_at() inserts at a point already found, skipping
+///    the second descent. Once a tree holds 2 MiB of nodes, further arena
+///    chunks are carved from 2 MiB-aligned blocks advised for huge pages.
 ///
 /// Handles are stable pointers into a separate slot arena; a slot stores
 /// the element's weight, payload and owning leaf, so `weight(h)` and
@@ -107,6 +116,9 @@ class FlatRangeTree {
   /// Aggregates of the first k elements. O(log N); k == 0 gives zeros.
   [[nodiscard]] PrefixStats prefix(std::size_t k) const;
 
+  /// prefix(k).sum, bit for bit, without accumulating wsum. O(log N).
+  [[nodiscard]] double prefix_sum(std::size_t k) const;
+
   /// xi([a,b]): sum of weights at ranks a..b (inclusive). Empty if a > b.
   [[nodiscard]] double range_sum(std::size_t a, std::size_t b) const;
 
@@ -118,10 +130,14 @@ class FlatRangeTree {
   [[nodiscard]] std::size_t insertion_rank(double weight) const;
 
   /// Where a new element of `weight` would land, and the weight mass
-  /// ahead of it.
+  /// ahead of it. The leaf, position and version let insert_at() place
+  /// the element there without descending again.
   struct InsertionPoint {
     std::size_t rank = 1;     ///< == insertion_rank(weight)
     double prefix_sum = 0.0;  ///< == prefix(rank - 1).sum, bit for bit
+    std::uint32_t leaf = 0xFFFFFFFFu;  ///< arena index; none if empty
+    std::uint32_t pos = 0;             ///< index inside that leaf
+    std::uint64_t version = 0;         ///< tree version when taken
   };
 
   /// insertion_rank() and the prefix sum before that rank in one
@@ -129,6 +145,29 @@ class FlatRangeTree {
   /// subtree sums in exactly the order prefix() absorbs them, so the
   /// sum is bit-identical to prefix(rank - 1).sum. O(log N).
   [[nodiscard]] InsertionPoint insertion_point(double weight) const;
+
+  /// insertion_point(weight) on each of `n` trees, written to out[0..n).
+  /// The trees are descended in lockstep groups, one level at a time,
+  /// with each tree's next node prefetched before the group moves on, so
+  /// their cache misses overlap instead of queueing. Each tree's own
+  /// arithmetic runs in insertion_point()'s order: every result is bit
+  /// for bit what insertion_point() returns (it is the n == 1 case).
+  static void insertion_points(const FlatRangeTree* const* trees,
+                               std::size_t n, double weight,
+                               InsertionPoint* out);
+
+  /// Trees descended together by insertion_points(); larger sets run in
+  /// successive groups.
+  static constexpr std::size_t kLockstep = 8;
+
+  /// insert() at a point this tree returned for `weight`, skipping the
+  /// descent; the resulting order and aggregates are insert()'s. Throws
+  /// PreconditionError if the tree changed since the point was taken or
+  /// `weight` does not belong at that position.
+  Handle insert_at(double weight, Payload payload, const InsertionPoint& at);
+
+  /// Bumped by every insert, erase and clear.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
 
   /// In-order neighbors (nullptr at the ends). O(1) amortized: one leaf
   /// scan, stepping through the doubly linked leaf list at boundaries.
@@ -157,6 +196,10 @@ class FlatRangeTree {
   [[nodiscard]] std::size_t arena_chunk_count() const {
     return node_chunks_.size();
   }
+  /// 2 MiB blocks backing node chunks past the first 2 MiB of nodes.
+  [[nodiscard]] std::size_t arena_block_count() const {
+    return node_blocks_.size();
+  }
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
@@ -169,12 +212,15 @@ class FlatRangeTree {
     std::uint32_t next;  ///< leaf holding the next-lighter run (kNil at tail)
     std::uint32_t prev;
   };
+  // Field order follows a descent's reads (minw, then sum and cnt of the
+  // children it absorbs, then child), so a descent touches the node's
+  // first six cache lines and never wsum's.
   struct InnerData {
-    double sum[kInnerCap];   ///< per-child subtree weight sums
-    double wsum[kInnerCap];  ///< per-child local position-weighted sums
     double minw[kInnerCap];  ///< per-child minimum (= last) weight
-    std::uint32_t child[kInnerCap];
+    double sum[kInnerCap];   ///< per-child subtree weight sums
     std::uint32_t cnt[kInnerCap];  ///< per-child subtree element counts
+    std::uint32_t child[kInnerCap];
+    double wsum[kInnerCap];  ///< per-child local position-weighted sums
   };
 
   struct alignas(64) Node {
@@ -188,6 +234,10 @@ class FlatRangeTree {
     } u;
   };
   static_assert(sizeof(Node) == 512, "node must fill whole cache lines");
+  /// Cache lines of a node a descent reads: a leaf's weights, or an
+  /// inner node's minw/sum/cnt/child arrays.
+  static constexpr std::size_t kDescentLines =
+      (offsetof(Node, u) + offsetof(InnerData, wsum) + 63) / 64;
 
   [[nodiscard]] Node& node(std::uint32_t idx) {
     return node_chunks_[idx / kNodesPerChunk][idx % kNodesPerChunk];
@@ -243,11 +293,17 @@ class FlatRangeTree {
   };
   [[nodiscard]] Location locate(Handle h) const;
 
+  /// prefix() and prefix_sum(): one walk, wsum accumulated only if asked.
+  template <bool kWsum>
+  [[nodiscard]] PrefixStats prefix_walk(std::size_t k) const;
+
   void leaf_remove(std::uint32_t leaf_idx, std::size_t pos);
   void try_merge(std::uint32_t leaf_idx);
 
   void swap(FlatRangeTree& other) noexcept {
     node_chunks_.swap(other.node_chunks_);
+    node_heap_.swap(other.node_heap_);
+    node_blocks_.swap(other.node_blocks_);
     slot_chunks_.swap(other.slot_chunks_);
     free_nodes_.swap(other.free_nodes_);
     free_slots_.swap(other.free_slots_);
@@ -257,11 +313,21 @@ class FlatRangeTree {
     std::swap(head_leaf_, other.head_leaf_);
     std::swap(tail_leaf_, other.tail_leaf_);
     std::swap(size_, other.size_);
+    std::swap(version_, other.version_);
   }
 
+  /// Unmaps a 2 MiB node block.
+  struct BlockUnmap {
+    void operator()(Node* block) const noexcept;
+  };
+
   // Bump arenas: chunked so node addresses and slot addresses are stable
-  // across growth; freed entries recycle through freelists.
-  std::vector<std::unique_ptr<Node[]>> node_chunks_;
+  // across growth; freed entries recycle through freelists. The first
+  // 2 MiB of node chunks come from the heap (node_heap_); later ones are
+  // carved from 2 MiB blocks (node_blocks_). node_chunks_ indexes both.
+  std::vector<Node*> node_chunks_;
+  std::vector<std::unique_ptr<Node[]>> node_heap_;
+  std::vector<std::unique_ptr<Node, BlockUnmap>> node_blocks_;
   std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
   std::vector<std::uint32_t> free_nodes_;
   std::vector<Slot*> free_slots_;
@@ -272,6 +338,7 @@ class FlatRangeTree {
   std::uint32_t head_leaf_ = kNil;  ///< leaf with rank 1 (heaviest)
   std::uint32_t tail_leaf_ = kNil;  ///< leaf with rank N (lightest)
   std::size_t size_ = 0;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace dvfs::ds

@@ -49,10 +49,15 @@ void DynamicSingleCoreScheduler::refresh_cost() {
 
 DynamicSingleCoreScheduler::TaskRef DynamicSingleCoreScheduler::insert(
     Cycles cycles, TaskId id) {
+  return insert(cycles, id, tree_.insertion_point(static_cast<double>(cycles)));
+}
+
+DynamicSingleCoreScheduler::TaskRef DynamicSingleCoreScheduler::insert(
+    Cycles cycles, TaskId id, const Tree::InsertionPoint& at) {
   DVFS_REQUIRE(cycles > 0, "tasks need a positive cycle count");
   const double w = static_cast<double>(cycles);
-  const TaskRef node = tree_.insert(w, id);
-  const std::size_t k = tree_.rank(node);
+  const TaskRef node = tree_.insert_at(w, id, at);
+  const std::size_t k = at.rank;  // the new element's backward position
   std::size_t i = range_index_of(k);
   RangeState* r = &ranges_[i];
 
@@ -142,12 +147,19 @@ void DynamicSingleCoreScheduler::erase(TaskRef ref) {
 
 Money DynamicSingleCoreScheduler::peek_marginal_insert_cost(
     Cycles cycles) const {
-  DVFS_REQUIRE(cycles > 0, "tasks need a positive cycle count");
-  const double w = static_cast<double>(cycles);
-  const std::size_t n = tree_.size();
   // One descent yields the rank and the mass ahead of it, so the
   // in-range shift below needs only the prefix up to b.
-  const Tree::InsertionPoint at = tree_.insertion_point(w);
+  return peek_marginal_insert_cost(
+      cycles, tree_.insertion_point(static_cast<double>(cycles)));
+}
+
+Money DynamicSingleCoreScheduler::peek_marginal_insert_cost(
+    Cycles cycles, const Tree::InsertionPoint& at) const {
+  DVFS_REQUIRE(cycles > 0, "tasks need a positive cycle count");
+  DVFS_REQUIRE(at.version == tree_.version(),
+               "insertion point is stale: the queue changed since");
+  const double w = static_cast<double>(cycles);
+  const std::size_t n = tree_.size();
   const std::size_t k = at.rank;
   const std::size_t i = range_index_of(k);
 
@@ -167,7 +179,7 @@ Money DynamicSingleCoreScheduler::peek_marginal_insert_cost(
     double shifted_mass;
     if (r == i) {
       shifted_mass =
-          (k <= st.b && k <= n) ? tree_.prefix(st.b).sum - at.prefix_sum : 0.0;
+          (k <= st.b && k <= n) ? tree_.prefix_sum(st.b) - at.prefix_sum : 0.0;
     } else {
       shifted_mass = st.x;
     }

@@ -46,11 +46,18 @@ LmcScheduler::Placement LmcScheduler::place_non_interactive(
   // Evaluate every core's exact marginal cost analytically (no structure
   // mutation) into the reusable candidate vector, then take the argmin in
   // a separate branch-free pass; ties keep the lowest core index so runs
-  // are deterministic.
+  // are deterministic. Every core's tree is descended in lockstep, so in
+  // deep queues the cores' cache misses overlap, and the winner's
+  // insert reuses its descent.
   const std::size_t n = queues_.size();
+  trees_.resize(n);
+  points_.resize(n);
   scan_.resize(n);
+  for (std::size_t j = 0; j < n; ++j) trees_[j] = &queues_[j].tree();
+  DynamicSingleCoreScheduler::Tree::insertion_points(
+      trees_.data(), n, static_cast<double>(cycles), points_.data());
   for (std::size_t j = 0; j < n; ++j) {
-    scan_[j] = queues_[j].peek_marginal_insert_cost(cycles);
+    scan_[j] = queues_[j].peek_marginal_insert_cost(cycles, points_[j]);
   }
   if (!extra_cost.empty()) {
     for (std::size_t j = 0; j < n; ++j) scan_[j] += extra_cost[j];
@@ -63,8 +70,9 @@ LmcScheduler::Placement LmcScheduler::place_non_interactive(
   if (probed_marginals != nullptr) {
     probed_marginals->assign(scan_.begin(), scan_.end());
   }
-  const auto ref = queues_[best_core].insert(cycles, id);
-  return Placement{best_core, ref, best_marginal};
+  const auto& at = points_[best_core];
+  const auto ref = queues_[best_core].insert(cycles, id, at);
+  return Placement{best_core, ref, best_marginal, at.rank};
 }
 
 std::size_t LmcScheduler::choose_interactive_core(

@@ -1,11 +1,47 @@
 #include "dvfs/ds/flat_range_tree.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cstdint>
+#include <new>
 
 namespace dvfs::ds {
 
 // ---------------------------------------------------------------------------
 // Arena plumbing.
+
+namespace {
+
+constexpr std::size_t kBlockBytes = std::size_t{2} << 20;
+
+// A 2 MiB-aligned, 2 MiB anonymous mapping advised MADV_HUGEPAGE, so a
+// deep tree's nodes sit on one TLB entry per block where transparent huge
+// pages are enabled (the advice is a no-op where they are off). Maps one
+// block more than needed and trims the misaligned ends.
+void* map_block() {
+  void* raw = ::mmap(nullptr, 2 * kBlockBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  const auto lo = reinterpret_cast<std::uintptr_t>(raw);
+  const std::uintptr_t start = (lo + kBlockBytes - 1) & ~(kBlockBytes - 1);
+  if (start > lo) ::munmap(raw, start - lo);
+  const std::uintptr_t end = start + kBlockBytes;
+  if (lo + 2 * kBlockBytes > end) {
+    ::munmap(reinterpret_cast<void*>(end), lo + 2 * kBlockBytes - end);
+  }
+  void* block = reinterpret_cast<void*>(start);
+#ifdef MADV_HUGEPAGE
+  (void)::madvise(block, kBlockBytes, MADV_HUGEPAGE);
+#endif
+  return block;
+}
+
+}  // namespace
+
+void FlatRangeTree::BlockUnmap::operator()(Node* block) const noexcept {
+  ::munmap(block, kBlockBytes);
+}
 
 std::uint32_t FlatRangeTree::alloc_node(bool leaf) {
   std::uint32_t idx;
@@ -14,7 +50,24 @@ std::uint32_t FlatRangeTree::alloc_node(bool leaf) {
     free_nodes_.pop_back();
   } else {
     if (bump_nodes_ == node_chunks_.size() * kNodesPerChunk) {
-      node_chunks_.emplace_back(new Node[kNodesPerChunk]);
+      // The first 2 MiB of chunks come from the heap, so small trees
+      // allocate exactly as before; past that, chunks are carved from
+      // 2 MiB blocks.
+      constexpr std::size_t kChunksPerBlock =
+          kBlockBytes / (kNodesPerChunk * sizeof(Node));
+      static_assert(kChunksPerBlock * kNodesPerChunk * sizeof(Node) ==
+                    kBlockBytes);
+      const std::size_t c = node_chunks_.size();
+      if (c < kChunksPerBlock) {
+        node_heap_.emplace_back(new Node[kNodesPerChunk]);
+        node_chunks_.push_back(node_heap_.back().get());
+      } else {
+        if (c % kChunksPerBlock == 0) {
+          node_blocks_.emplace_back(static_cast<Node*>(map_block()));
+        }
+        node_chunks_.push_back(node_blocks_.back().get() +
+                               (c % kChunksPerBlock) * kNodesPerChunk);
+      }
     }
     idx = static_cast<std::uint32_t>(bump_nodes_++);
   }
@@ -221,10 +274,39 @@ void FlatRangeTree::unlink_child(std::uint32_t parent_idx, std::size_t pos) {
 // Insert.
 
 FlatRangeTree::Handle FlatRangeTree::insert(double weight, Payload payload) {
+  return insert_at(weight, payload, insertion_point(weight));
+}
+
+FlatRangeTree::Handle FlatRangeTree::insert_at(double weight, Payload payload,
+                                               const InsertionPoint& at) {
+  DVFS_REQUIRE(at.version == version_,
+               "insertion point is stale: the tree changed since it was taken");
+  if (root_ != kNil) {
+    // The point must be where insert() would put `weight`: every element
+    // before it at least as heavy (ties stay in front, keeping insertion
+    // order stable), every element after it lighter. A point at a leaf's
+    // end is only ever the tail.
+    DVFS_REQUIRE(at.leaf < bump_nodes_ && node(at.leaf).is_leaf &&
+                     at.pos <= node(at.leaf).num,
+                 "insertion point does not name a leaf position");
+    const Node& l = node(at.leaf);
+    const std::uint32_t pv = l.u.leaf.prev;
+    const bool after_heavier =
+        at.pos > 0 ? l.u.leaf.weight[at.pos - 1] >= weight
+                   : pv == kNil ||
+                         node(pv).u.leaf.weight[node(pv).num - 1] >= weight;
+    const bool before_lighter = at.pos < l.num
+                                    ? l.u.leaf.weight[at.pos] < weight
+                                    : at.leaf == tail_leaf_;
+    DVFS_REQUIRE(after_heavier && before_lighter,
+                 "weight does not belong at the insertion point");
+  }
+
   Slot* s = alloc_slot();
   s->weight = weight;
   s->payload = payload;
   ++size_;
+  ++version_;
 
   if (root_ == kNil) {
     root_ = alloc_node(/*leaf=*/true);
@@ -237,22 +319,8 @@ FlatRangeTree::Handle FlatRangeTree::insert(double weight, Payload payload) {
     return s;
   }
 
-  // Descend to the first subtree whose lightest element is lighter than the
-  // newcomer (ties stay in front of it, keeping insertion order stable).
-  std::uint32_t idx = root_;
-  while (!node(idx).is_leaf) {
-    const Node& n = node(idx);
-    std::size_t i = 0;
-    while (i + 1 < n.num && n.u.inner.minw[i] >= weight) ++i;
-    idx = n.u.inner.child[i];
-  }
-
-  std::size_t j = 0;
-  {
-    const Node& l = node(idx);
-    while (j < l.num && l.u.leaf.weight[j] >= weight) ++j;
-  }
-
+  const std::uint32_t idx = at.leaf;
+  std::size_t j = at.pos;
   std::uint32_t target = idx;
   std::uint32_t split_sibling = kNil;
   if (node(idx).num == kLeafCap) {
@@ -403,6 +471,7 @@ void FlatRangeTree::erase(Handle h) {
   leaf_remove(loc.leaf, loc.pos);
   free_slot(h);
   --size_;
+  ++version_;
 }
 
 // ---------------------------------------------------------------------------
@@ -440,6 +509,15 @@ FlatRangeTree::Handle FlatRangeTree::select(std::size_t k) const {
 }
 
 PrefixStats FlatRangeTree::prefix(std::size_t k) const {
+  return prefix_walk<true>(k);
+}
+
+double FlatRangeTree::prefix_sum(std::size_t k) const {
+  return prefix_walk<false>(k).sum;
+}
+
+template <bool kWsum>
+PrefixStats FlatRangeTree::prefix_walk(std::size_t k) const {
   DVFS_REQUIRE(k <= size_, "prefix length out of range");
   PrefixStats acc;
   if (k == 0) return acc;
@@ -450,8 +528,10 @@ PrefixStats FlatRangeTree::prefix(std::size_t k) const {
     while (acc.count + n.u.inner.cnt[i] <= k) {
       // Absorb the whole child subtree; its local positions shift by the
       // elements already counted before it.
-      acc.wsum += n.u.inner.wsum[i] +
-                  static_cast<double>(acc.count) * n.u.inner.sum[i];
+      if constexpr (kWsum) {
+        acc.wsum += n.u.inner.wsum[i] +
+                    static_cast<double>(acc.count) * n.u.inner.sum[i];
+      }
       acc.sum += n.u.inner.sum[i];
       acc.count += n.u.inner.cnt[i];
       if (acc.count == k) return acc;
@@ -464,7 +544,7 @@ PrefixStats FlatRangeTree::prefix(std::size_t k) const {
   for (std::size_t j = 0; acc.count < k; ++j) {
     const double w = l.u.leaf.weight[j];
     acc.sum += w;
-    acc.wsum += static_cast<double>(acc.count + 1) * w;
+    if constexpr (kWsum) acc.wsum += static_cast<double>(acc.count + 1) * w;
     ++acc.count;
   }
   return acc;
@@ -473,7 +553,7 @@ PrefixStats FlatRangeTree::prefix(std::size_t k) const {
 double FlatRangeTree::range_sum(std::size_t a, std::size_t b) const {
   if (a > b) return 0.0;
   DVFS_REQUIRE(a >= 1 && b <= size_, "range out of bounds");
-  return prefix(b).sum - prefix(a - 1).sum;
+  return prefix_sum(b) - prefix_sum(a - 1);
 }
 
 double FlatRangeTree::range_wsum(std::size_t a, std::size_t b) const {
@@ -506,33 +586,82 @@ std::size_t FlatRangeTree::insertion_rank(double weight) const {
 
 FlatRangeTree::InsertionPoint FlatRangeTree::insertion_point(
     double weight) const {
+  const FlatRangeTree* self = this;
   InsertionPoint at;
-  if (root_ == kNil) return at;
-  std::size_t count = 0;
-  std::uint32_t idx = root_;
-  while (!node(idx).is_leaf) {
-    const Node& n = node(idx);
-    std::size_t i = 0;
-    // Absorb every child wholly ahead of the newcomer. When that takes
-    // the last child, prefix() would have returned here too, so stop
-    // rather than re-summing its subtree child by child.
-    while (n.u.inner.minw[i] >= weight) {
-      at.prefix_sum += n.u.inner.sum[i];
-      count += n.u.inner.cnt[i];
-      if (++i == n.num) {
-        at.rank = count + 1;
-        return at;
+  insertion_points(&self, 1, weight, &at);
+  return at;
+}
+
+void FlatRangeTree::insertion_points(const FlatRangeTree* const* trees,
+                                     std::size_t n, double weight,
+                                     InsertionPoint* out) {
+  for (std::size_t base = 0; base < n; base += kLockstep) {
+    const std::size_t m = std::min(kLockstep, n - base);
+    // Per-tree descent state; a null node marks a finished descent.
+    const Node* cur[kLockstep] = {};
+    std::uint32_t cur_idx[kLockstep] = {};
+    std::size_t count[kLockstep] = {};
+    std::size_t active = 0;
+    for (std::size_t g = 0; g < m; ++g) {
+      const FlatRangeTree& t = *trees[base + g];
+      InsertionPoint& at = out[base + g];
+      at = InsertionPoint{};
+      at.version = t.version_;
+      if (t.root_ == kNil) continue;
+      cur_idx[g] = t.root_;
+      cur[g] = &t.node(t.root_);
+      ++active;
+    }
+    // One level of every unfinished tree per pass: each pass reads the
+    // nodes the previous pass prefetched.
+    while (active > 0) {
+      for (std::size_t g = 0; g < m; ++g) {
+        if (cur[g] == nullptr) continue;
+        const FlatRangeTree& t = *trees[base + g];
+        InsertionPoint& at = out[base + g];
+        const Node& nd = *cur[g];
+        if (nd.is_leaf) {
+          std::size_t j = 0;
+          while (j < nd.num && nd.u.leaf.weight[j] >= weight) {
+            at.prefix_sum += nd.u.leaf.weight[j];
+            ++j;
+          }
+          at.rank = count[g] + j + 1;
+          at.leaf = cur_idx[g];
+          at.pos = static_cast<std::uint32_t>(j);
+          cur[g] = nullptr;
+          --active;
+          continue;
+        }
+        std::size_t i = 0;
+        // Absorb every child wholly ahead of the newcomer. When that
+        // takes the last child, prefix() would have returned here too,
+        // so stop rather than re-summing its subtree child by child.
+        // Only the root can end this way (a descent enters a child only
+        // if that child holds a lighter element), and then the
+        // newcomer goes after the tail.
+        while (nd.u.inner.minw[i] >= weight) {
+          at.prefix_sum += nd.u.inner.sum[i];
+          count[g] += nd.u.inner.cnt[i];
+          if (++i == nd.num) break;
+        }
+        if (i == nd.num) {
+          at.rank = count[g] + 1;
+          at.leaf = t.tail_leaf_;
+          at.pos = t.node(t.tail_leaf_).num;
+          cur[g] = nullptr;
+          --active;
+          continue;
+        }
+        cur_idx[g] = nd.u.inner.child[i];
+        cur[g] = &t.node(cur_idx[g]);
+        const char* line = reinterpret_cast<const char*>(cur[g]);
+        for (std::size_t l = 0; l < kDescentLines; ++l) {
+          __builtin_prefetch(line + 64 * l);
+        }
       }
     }
-    idx = n.u.inner.child[i];
   }
-  const Node& l = node(idx);
-  for (std::size_t j = 0; j < l.num && l.u.leaf.weight[j] >= weight; ++j) {
-    at.prefix_sum += l.u.leaf.weight[j];
-    ++count;
-  }
-  at.rank = count + 1;
-  return at;
 }
 
 FlatRangeTree::Handle FlatRangeTree::predecessor(Handle h) const {
@@ -566,12 +695,15 @@ FlatRangeTree::Handle FlatRangeTree::last() const {
 
 void FlatRangeTree::clear() {
   node_chunks_.clear();
+  node_heap_.clear();
+  node_blocks_.clear();
   slot_chunks_.clear();
   free_nodes_.clear();
   free_slots_.clear();
   bump_nodes_ = bump_slots_ = 0;
   root_ = head_leaf_ = tail_leaf_ = kNil;
   size_ = 0;
+  ++version_;
 }
 
 // ---------------------------------------------------------------------------

@@ -367,7 +367,7 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
   st.core =
       static_cast<std::uint16_t>(shard.base_core + placement.core);
   st.rate_idx = static_cast<std::uint16_t>(
-      shard.lmc.queue(placement.core).rate_of(placement.ref));
+      shard.lmc.queue(placement.core).table().best_rate(placement.rank));
   st.stolen = msg.stolen;
   st.cycles = msg.cycles;
   st.marginal = placement.marginal;

@@ -443,6 +443,172 @@ TEST(FlatRangeTreeInsertionPoint, DeepTreeAcrossArenaChunks) {
   }
   ASSERT_TRUE(point_matches(t, 1e300));
   ASSERT_TRUE(point_matches(t, 0.5));
+  // ~5400 nodes: past the 2 MiB mark, so the last chunks live in blocks.
+  EXPECT_GE(t.arena_block_count(), 1u);
+  EXPECT_TRUE(t.validate());
+}
+
+// ---------------------------------------------------------------------------
+// insertion_points (lockstep) and insert_at (insert at the descent)
+// ---------------------------------------------------------------------------
+
+::testing::AssertionResult same_point(const FlatRangeTree::InsertionPoint& a,
+                                      const FlatRangeTree::InsertionPoint& b) {
+  if (a.rank != b.rank || a.leaf != b.leaf || a.pos != b.pos ||
+      a.version != b.version ||
+      std::bit_cast<std::uint64_t>(a.prefix_sum) !=
+          std::bit_cast<std::uint64_t>(b.prefix_sum)) {
+    return ::testing::AssertionFailure()
+           << "lockstep {rank " << a.rank << ", sum " << a.prefix_sum
+           << ", leaf " << a.leaf << ", pos " << a.pos << ", version "
+           << a.version << "} != single {rank " << b.rank << ", sum "
+           << b.prefix_sum << ", leaf " << b.leaf << ", pos " << b.pos
+           << ", version " << b.version << "}";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Trees of every shape in one set: empty, a single leaf, all-equal weights
+// (ties), and seeded trees with churn of up to 10^5 elements, so the group
+// mixes descents that finish at different depths.
+std::vector<FlatRangeTree> mixed_trees(std::size_t count, std::uint64_t seed) {
+  proptest::SplitMix64 rng(seed);
+  std::vector<FlatRangeTree> trees;
+  for (std::size_t k = 0; k < count; ++k) {
+    FlatRangeTree t;
+    std::size_t size = 0;
+    switch (k % 6) {
+      case 0: break;                                     // empty
+      case 1: size = rng.uniform_u64(1, 20); break;      // one leaf
+      case 2: size = 300; break;                         // ties only
+      case 3: size = rng.uniform_u64(29, 6000); break;
+      case 4: size = rng.uniform_u64(6000, 40'000); break;
+      default: size = k < 6 ? 100'000 : 20'000; break;  // 10^5 once
+    }
+    std::vector<FlatRangeTree::Handle> handles;
+    for (std::size_t i = 0; i < size; ++i) {
+      const double w = k % 6 == 2 ? 7.0
+                       : rng.chance(0.3)
+                           ? static_cast<double>(rng.uniform_u64(1, 12))
+                           : rng.lognormalish(8.0, 3.0) * 1.0000001;
+      handles.push_back(t.insert(w, i));
+    }
+    for (std::size_t i = 0; i < size / 4 && k % 6 != 2; ++i) {
+      const std::size_t victim = rng.uniform_index(handles.size());
+      t.erase(handles[victim]);
+      handles[victim] = handles.back();
+      handles.pop_back();
+    }
+    trees.push_back(std::move(t));
+  }
+  return trees;
+}
+
+TEST(FlatRangeTreeInsertionPoint, LockstepMatchesPerTreeBitForBit) {
+  // More trees than one lockstep group holds, so groups run back to back.
+  const std::size_t count = 2 * FlatRangeTree::kLockstep + 3;
+  const std::vector<FlatRangeTree> trees = mixed_trees(count, 0x10C4);
+  std::vector<const FlatRangeTree*> ptrs;
+  for (const FlatRangeTree& t : trees) ptrs.push_back(&t);
+  ASSERT_EQ(trees[5].size(), 100'000u - 25'000u);
+
+  // Probe weights: every tree's own stored weights (exact ties), their
+  // neighbours, and weights beyond both ends.
+  proptest::SplitMix64 rng(0xF00D);
+  std::vector<double> probes{1e300, 1e-300, 7.0, std::nextafter(7.0, 0.0),
+                             std::nextafter(7.0, 1e308), 0.5};
+  for (const FlatRangeTree& t : trees) {
+    for (int i = 0; i < 40 && !t.empty(); ++i) {
+      const double w =
+          FlatRangeTree::weight(t.select(1 + rng.uniform_index(t.size())));
+      probes.push_back(w);
+      probes.push_back(std::nextafter(w, 0.0));
+      probes.push_back(std::nextafter(w, 1e308));
+    }
+  }
+  std::vector<FlatRangeTree::InsertionPoint> out(count);
+  for (const double w : probes) {
+    // Every group size from one tree up to the whole set.
+    for (const std::size_t n : {std::size_t{1}, std::size_t{3}, count}) {
+      FlatRangeTree::insertion_points(ptrs.data(), n, w, out.data());
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_TRUE(same_point(out[k], trees[k].insertion_point(w)))
+            << "tree " << k << " (size " << trees[k].size() << "), weight "
+            << w << ", group " << n;
+        ASSERT_TRUE(point_matches(trees[k], w));
+      }
+    }
+  }
+}
+
+TEST(FlatRangeTreeInsertionPoint, InsertAtMatchesInsert) {
+  // Two trees fed the same stream, one through insert(), one through
+  // insert_at() at a fresh point: identical order, payloads and aggregates
+  // after every kind of leaf split, erase and merge.
+  proptest::SplitMix64 rng(0x1A5E);
+  FlatRangeTree plain;
+  FlatRangeTree hinted;
+  std::vector<std::pair<FlatRangeTree::Handle, FlatRangeTree::Handle>> live;
+  for (std::uint64_t i = 0; i < 30'000; ++i) {
+    if (!live.empty() && rng.chance(0.3)) {
+      const std::size_t victim = rng.uniform_index(live.size());
+      plain.erase(live[victim].first);
+      hinted.erase(live[victim].second);
+      live[victim] = live.back();
+      live.pop_back();
+      continue;
+    }
+    const double w = rng.chance(0.4)
+                         ? static_cast<double>(rng.uniform_u64(1, 16))
+                         : rng.uniform_real(1.0, 1e6);
+    const auto at = hinted.insertion_point(w);
+    const auto h = hinted.insert_at(w, i, at);
+    live.emplace_back(plain.insert(w, i), h);
+    ASSERT_EQ(hinted.rank(h), at.rank);
+  }
+  ASSERT_TRUE(plain.validate());
+  ASSERT_TRUE(hinted.validate());
+  ASSERT_EQ(plain.size(), hinted.size());
+  for (auto a = plain.first(), b = hinted.first(); a != nullptr;
+       a = plain.successor(a), b = hinted.successor(b)) {
+    ASSERT_NE(b, nullptr);
+    ASSERT_EQ(FlatRangeTree::payload(a), FlatRangeTree::payload(b));
+  }
+  for (std::size_t k = 0; k <= plain.size(); k += 97) {
+    const PrefixStats x = plain.prefix(k);
+    const PrefixStats y = hinted.prefix(k);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(x.sum),
+              std::bit_cast<std::uint64_t>(y.sum));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(x.wsum),
+              std::bit_cast<std::uint64_t>(y.wsum));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(x.sum), std::bit_cast<std::uint64_t>(
+                                                       plain.prefix_sum(k)));
+  }
+}
+
+TEST(FlatRangeTreeInsertionPoint, InsertAtRejectsStaleOrMisfitPoints) {
+  FlatRangeTree t;
+  const auto empty_at = t.insertion_point(3.0);
+  t.insert_at(3.0, 1, empty_at);
+  // The tree changed since the point was taken.
+  EXPECT_THROW(t.insert_at(3.0, 2, empty_at), PreconditionError);
+  for (const double w : {9.0, 5.0, 5.0, 1.0}) t.insert(w);
+  const auto at = t.insertion_point(5.0);  // after both 5.0s, before 3.0
+  ASSERT_EQ(at.rank, 4u);
+  // Weights that do not belong there: heavier than the element ahead,
+  // lighter than (or tied with) the element behind.
+  EXPECT_THROW(t.insert_at(6.0, 3, at), PreconditionError);
+  EXPECT_THROW(t.insert_at(3.0, 3, at), PreconditionError);
+  EXPECT_THROW(t.insert_at(2.0, 3, at), PreconditionError);
+  EXPECT_EQ(t.size(), 5u);  // a rejected insert changes nothing
+  EXPECT_EQ(t.version(), at.version);
+  t.insert_at(4.0, 3, at);  // any weight in (3.0, 5.0] fits
+  EXPECT_TRUE(t.validate());
+  // Erase invalidates points too.
+  const auto tail_at = t.insertion_point(0.5);
+  t.erase(t.first());
+  EXPECT_THROW(t.insert_at(0.5, 4, tail_at), PreconditionError);
+  EXPECT_TRUE(t.validate());
 }
 
 // The shrinker itself must converge on a known-bad predicate; drive it with

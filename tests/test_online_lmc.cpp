@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <random>
 #include <vector>
 
@@ -186,6 +189,60 @@ TEST_P(LmcGreedyProperty, PlacementIsArgminOfProbes) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LmcGreedyProperty,
                          ::testing::Values(2u, 4u, 6u, 8u));
+
+// Deep queues, as a saturated daemon shard builds them: the lockstep
+// probe and the insert at the winner's descent must decide exactly what
+// the scalar per-core probe and a plain insert decide, bit for bit, in
+// trees past the depth where node chunks come from 2 MiB blocks.
+TEST(Lmc, DeepQueuePlacementMatchesScalarProbes) {
+  constexpr std::size_t kCores = 4;
+  constexpr TaskId kTasks = 440'000;
+  LmcScheduler subject = make_homogeneous(kCores);
+  LmcScheduler mirror = make_homogeneous(kCores);
+  std::mt19937_64 rng(0xDEE9);
+  std::lognormal_distribution<double> cyc(std::log(4e8), 1.0);
+  std::vector<Money> probes(kCores);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (TaskId id = 0; id < kTasks; ++id) {
+    const Cycles c = std::max<Cycles>(1, static_cast<Cycles>(cyc(rng)));
+    for (std::size_t j = 0; j < kCores; ++j) {
+      probes[j] = mirror.queue(j).peek_marginal_insert_cost(c);
+    }
+    std::size_t best = 0;
+    for (std::size_t j = 1; j < kCores; ++j) {
+      best = probes[j] < probes[best] ? j : best;
+    }
+    const auto p = subject.place_non_interactive(c, id);
+    const auto ref = mirror.queue(best).insert(c, id);
+    ASSERT_EQ(p.core, best) << "task " << id;
+    ASSERT_EQ(bits(p.marginal), bits(probes[best])) << "task " << id;
+    ASSERT_EQ(p.rank, mirror.queue(best).backward_position(ref));
+    ASSERT_EQ(bits(subject.total_queue_cost()), bits(mirror.total_queue_cost()))
+        << "task " << id;
+    if (id % 20 == 19) {
+      // Dispatch from the cores in turn, so erases interleave with the
+      // hinted inserts.
+      const std::size_t core = (id / 20) % kCores;
+      const auto a = subject.pop_next(core);
+      const auto b = mirror.pop_next(core);
+      ASSERT_TRUE(a.has_value() && b.has_value());
+      ASSERT_EQ(a->id, b->id);
+      ASSERT_EQ(a->rate_idx, b->rate_idx);
+    }
+    if (id % 110'000 == 109'999) {
+      for (std::size_t j = 0; j < kCores; ++j) {
+        ASSERT_TRUE(subject.queue(j).validate()) << "core " << j;
+        ASSERT_TRUE(subject.queue(j).tree().validate()) << "core " << j;
+      }
+    }
+  }
+  for (std::size_t j = 0; j < kCores; ++j) {
+    EXPECT_GE(subject.queue(j).size(), 100'000u) << "core " << j;
+    EXPECT_GE(subject.queue(j).tree().arena_block_count(), 1u)
+        << "core " << j << " never reached the 2 MiB blocks";
+    EXPECT_EQ(subject.queue(j).size(), mirror.queue(j).size());
+  }
+}
 
 // LMC places greedily without migration, so its queued cost can never
 // beat the Theorem 5 optimum for the same task multiset — a lower-bound

@@ -29,12 +29,13 @@ regression are gated differently:
     so ANY increase beyond --quality-tolerance (relative) fails. These catch
     "the scheduler silently got worse" bugs that timing never would.
 
-Rows present only in the baseline fail (coverage loss); rows present only
-in the candidate are reported but pass (new benchmarks need a baseline
-refresh, not a red build). The same asymmetry applies per field: a quality
-field with no baseline value is noted and skipped, while one that vanishes
-from the candidate fails. Exit status: 0 clean, 1 regression, 2 usage or
-I/O error.
+Rows present only in the baseline fail (coverage loss), and so do rows
+(or whole suites) present only in the candidate: a benchmark without a
+baseline is not gated at all, so it must get one in the same change that
+adds it. Per field the asymmetry remains: a quality field with no
+baseline value is noted and skipped, while one that vanishes from the
+candidate fails. Exit status: 0 clean, 1 regression, 2 usage or I/O
+error.
 """
 
 import argparse
@@ -154,7 +155,13 @@ def compare_reports(base_doc, cand_doc, suite, opts, failures, notes,
 
     for key in cand:
         if key not in base:
-            notes.append(f"{suite}:{key[0]} {key[1]}: new row (no baseline)")
+            label = f"{suite}:{key[0]} {key[1]}"
+            failures.append(f"{label}: row has no baseline (add one to "
+                            f"the baseline report)")
+            if table is not None:
+                table.append({"label": label, "bwall": None,
+                              "cwall": float(cand[key].get("wall_ns", 0.0)),
+                              "quality": "no baseline", "ok": False})
 
 
 def merge_min(docs):
@@ -244,7 +251,9 @@ def run_compare(opts):
         compare_reports(load_report(bpath), cand_doc, suite, opts,
                         failures, notes, table)
     for suite in sorted(set(cand_files) - set(base_files)):
-        notes.append(f"{suite}: new suite (no baseline)")
+        failures.append(f"{suite}: suite has no baseline report")
+        table.append({"label": suite, "bwall": None, "cwall": None,
+                      "quality": "no baseline", "ok": False})
 
     if opts.markdown_out:
         with open(opts.markdown_out, "w") as f:
@@ -347,8 +356,15 @@ def self_test():
     missing = copy.deepcopy(base)[:2]
     check("dropped row fails", base, missing, 1)
 
-    extra = copy.deepcopy(base) + [_mk_row("new")]
-    check("new row passes with a note", base, extra, 0)
+    # A row without a baseline is not gated at all; it fails until the
+    # change that adds it also adds its baseline, even in one run of
+    # several.
+    extra = copy.deepcopy(base) + [_mk_row("new", wall_ns=5e6)]
+    check("row without a baseline fails", base, extra, 1)
+    check("row without a baseline in one of two runs fails", base,
+          [copy.deepcopy(base), copy.deepcopy(extra)], 1)
+    check("row with its baseline added passes", extra, copy.deepcopy(extra),
+          0)
 
     # A bench that just started reporting a quality field must not be
     # gated against an implicit 0.0 baseline.
@@ -400,7 +416,29 @@ def self_test():
         assert "**FAIL** — 1 regression(s)" in text, text
         assert "❌" in text and "### Regressions" in text, text
         assert "+100.0%" in text, text
+
+        check("markdown summary lists a row without a baseline", base,
+              extra, 1, argv_extra=("--markdown-out", md))
+        with open(md) as f:
+            text = f.read()
+        assert "`t:new {}`" in text and "no baseline" in text, text
         print("self-test ok: markdown summaries")
+
+    # A whole suite without a baseline report fails the same way.
+    with tempfile.TemporaryDirectory() as tmp:
+        bdir = os.path.join(tmp, "base")
+        cdir = os.path.join(tmp, "cand")
+        os.mkdir(bdir)
+        os.mkdir(cdir)
+        for d in (bdir, cdir):
+            with open(os.path.join(d, "t.json"), "w") as f:
+                json.dump(_mk_report(base), f)
+        with open(os.path.join(cdir, "u.json"), "w") as f:
+            json.dump(_mk_report(base), f)
+        got = run_compare(parse_args(["--baseline", bdir,
+                                      "--candidate", cdir]))
+        assert got == 1, f"suite without a baseline: exit {got}, wanted 1"
+        print("self-test ok: suite without a baseline fails")
 
     print("self-test: all cases passed")
     return 0

@@ -7,8 +7,8 @@
 /// choice.
 /// Also measures the flight recorder riding along: the raw SPSC record()
 /// hot path, and a full placement with the per-core candidate vector
-/// captured — the exact extra work LmcPolicy does when `--record-out` is
-/// active. The recorded variant must stay within the wall-time gate of
+/// written by obs::record_decision — the writer Engine::decide runs for
+/// LmcPolicy when `--record-out` is active. The recorded variant must stay within the wall-time gate of
 /// the bare one; "cheap enough to leave on" is a gated claim, not a hope.
 #include <benchmark/benchmark.h>
 
@@ -63,7 +63,7 @@ void BM_RecorderRecord(benchmark::State& state) {
   obs::Recorder rec(1, obs::Recorder::kDefaultCapacity);
   obs::RecorderChannel& ch = rec.channel(0);
   obs::dfr::Event e{
-      .type = static_cast<std::uint8_t>(obs::dfr::EventType::kCandidate),
+      .type = static_cast<std::uint8_t>(obs::dfr::EventType::kTaskArrival),
       .core = 2,
       .task = 42,
       .f0 = 1.5};
@@ -94,21 +94,15 @@ void BM_PlaceNonInteractiveRecorded(benchmark::State& state) {
   std::vector<Money> probed;
   std::size_t pending = 0;
   for (auto _ : state) {
-    const auto p = lmc.place_non_interactive(cyc(rng), id++, {}, &probed);
-    for (std::size_t j = 0; j < probed.size(); ++j) {
-      ch.record({.type = static_cast<std::uint8_t>(
-                     obs::dfr::EventType::kCandidate),
-                 .flags = j == p.core ? obs::dfr::kFlagChosen
-                                      : std::uint8_t{0},
-                 .core = static_cast<std::uint16_t>(j),
-                 .task = id,
-                 .f0 = probed[j]});
-    }
-    ch.record({.type = static_cast<std::uint8_t>(
-                   obs::dfr::EventType::kPlacement),
-               .core = static_cast<std::uint16_t>(p.core),
-               .task = id,
-               .f0 = p.marginal});
+    const Cycles cycles = cyc(rng);
+    const auto p = lmc.place_non_interactive(cycles, id, {}, &probed);
+    obs::record_decision(ch,
+                         {.task = id++,
+                          .core = p.core,
+                          .cycles = cycles,
+                          .cost = probed[p.core],
+                          .f1 = lmc.total_queue_cost()},
+                         probed);
     lmc.erase(p.core, p.ref);
     pending += probed.size() + 1;
     if (pending >= ch.capacity() - (cores + 1)) {

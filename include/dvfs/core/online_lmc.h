@@ -52,25 +52,15 @@ class LmcScheduler {
   };
 
   /// Places a non-interactive task on the least-marginal-cost core and
-  /// returns where it went. O(R * (|P-hat| + log N)).
-  Placement place_non_interactive(Cycles cycles, TaskId id);
-
-  /// Like place_non_interactive, but adds `extra_cost[j]` to core j's
-  /// probed marginal before taking the argmin. An executor uses this to
-  /// charge work the queues cannot see — e.g. Rt times the remaining
-  /// seconds of the task currently running on core j, which delays
-  /// everything queued behind it.
-  Placement place_non_interactive(Cycles cycles, TaskId id,
-                                  std::span<const Money> extra_cost);
-
-  /// Same, additionally exposing the full candidate vector: when
-  /// `probed_marginals` is non-null it is resized to num_cores() and
-  /// filled with every core's probed marginal (extra_cost included) —
-  /// the rejected alternatives the flight recorder persists alongside
-  /// the decision. Passing nullptr costs nothing extra.
-  Placement place_non_interactive(Cycles cycles, TaskId id,
-                                  std::span<const Money> extra_cost,
-                                  std::vector<Money>* probed_marginals);
+  /// returns where it went. O(R * (|P-hat| + log N)). `extra_cost[j]`
+  /// (optional) is added to core j's probed marginal before the argmin:
+  /// an executor charges work the queues cannot see with it, e.g. Rt
+  /// times the remaining seconds of the task running on core j. When
+  /// `probed_marginals` is non-null it receives every core's probed
+  /// marginal (extra_cost included) — the decision's candidate vector.
+  Placement place_non_interactive(
+      Cycles cycles, TaskId id, std::span<const Money> extra_cost = {},
+      std::vector<Money>* probed_marginals = nullptr);
 
   /// Chooses the core for an interactive task per Eq. 27. `extra_waiting`
   /// optionally adds per-core waiting work the queues do not know about

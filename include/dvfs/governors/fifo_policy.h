@@ -23,7 +23,6 @@
 #include <deque>
 #include <vector>
 
-#include "dvfs/governors/cost_margin.h"
 #include "dvfs/sim/engine.h"
 
 namespace dvfs::governors {
@@ -86,7 +85,9 @@ class FifoPolicy final : public sim::Policy {
     Seconds busy_sample = 0.0;      // cumulative busy at last tick
   };
 
-  [[nodiscard]] std::size_t choose_core(const sim::Engine& engine,
+  /// Places `task` and records the decision with every core's drain
+  /// time as its candidates.
+  [[nodiscard]] std::size_t choose_core(sim::Engine& engine,
                                         const core::Task& task);
   [[nodiscard]] std::size_t start_rate(std::size_t core) const;
   void start_next(sim::Engine& engine, std::size_t core);
@@ -95,7 +96,7 @@ class FifoPolicy final : public sim::Policy {
   std::vector<CoreQueues> per_core_;
   std::size_t cap_ = 0;        // resolved rate cap
   std::size_t rr_next_ = 0;    // round-robin cursor
-  CostMarginTracker margin_;   // realized vs best drain time per placement
+  std::vector<double> drain_;  // per-arrival scratch: drain time per core
 };
 
 }  // namespace dvfs::governors

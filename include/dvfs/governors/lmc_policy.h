@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "dvfs/core/online_lmc.h"
-#include "dvfs/governors/cost_margin.h"
 #include "dvfs/sim/engine.h"
 
 namespace dvfs::governors {
@@ -77,13 +76,12 @@ class LmcPolicy final : public sim::Policy {
   std::vector<CoreState> per_core_;
   Estimator estimator_;
   std::function<void(core::TaskId, Cycles)> on_completion_;
-  CostMarginTracker margin_;  // zero by construction (argmin placement)
   // Per-arrival scratch, reused so the placement hot path stops
   // allocating: Eq. 27 extra-waiting counts, busy-core Rt offsets, and the
-  // probed candidate vector handed to the flight recorder.
+  // per-core candidate costs handed to Engine::decide.
   std::vector<std::size_t> extra_scratch_;
   std::vector<Money> offsets_scratch_;
-  std::vector<Money> probed_scratch_;
+  std::vector<Money> candidates_scratch_;
 };
 
 }  // namespace dvfs::governors

@@ -29,7 +29,6 @@
 
 #include "dvfs/core/batch_multi.h"
 #include "dvfs/core/cost_model.h"
-#include "dvfs/governors/cost_margin.h"
 #include "dvfs/sim/engine.h"
 
 namespace dvfs::governors {
@@ -68,9 +67,7 @@ class WbgRebalancePolicy final : public sim::Policy {
   void replan(sim::Engine& engine, const std::vector<core::Task>& extra);
   void start_next(sim::Engine& engine, std::size_t core);
   void adjust_running_rate(sim::Engine& engine, std::size_t core);
-  [[nodiscard]] std::size_t choose_interactive_core(Cycles cycles) const;
-  /// Eq. 27-style marginal cost of running an interactive task on core j
-  /// (shared by the argmin and the flight recorder's candidate dump).
+  /// Eq. 27-style marginal cost of running an interactive task on core j.
   [[nodiscard]] Money interactive_cost(std::size_t core, Cycles cycles) const;
 
   std::vector<core::CostTable> tables_;
@@ -79,7 +76,7 @@ class WbgRebalancePolicy final : public sim::Policy {
   std::unordered_map<core::TaskId, QueuedTask> queued_;
   std::size_t migrations_ = 0;
   std::size_t replans_ = 0;
-  CostMarginTracker margin_;  // zero by construction (argmin placement)
+  std::vector<Money> costs_;  // per-arrival scratch: interactive_cost per core
 };
 
 }  // namespace dvfs::governors

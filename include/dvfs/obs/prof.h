@@ -15,9 +15,9 @@
 ///  * **Signal safety.** The SIGPROF handler does nothing but walk frame
 ///    pointers from the interrupted context (bounds-checked against the
 ///    thread's stack, captured at registration) and push one fixed-size
-///    `Sample` into that thread's lock-free SPSC ring — the recorder-ring
-///    idiom: release-store publish, tail-drop on full with an exact
-///    relaxed drop counter. No allocation, no locks, no registry lookups
+///    `Sample` into that thread's `SpscRing` (spsc_ring.h, the ring under
+///    every recorder channel): release-store publish, tail-drop on full
+///    with an exact relaxed drop counter. No allocation, no locks, no registry lookups
 ///    (the handler may interrupt a thread mid-`record()` on a shared
 ///    channel, which is exactly why it gets its own rings). A collector
 ///    thread drains the rings every few milliseconds.

@@ -12,12 +12,11 @@
 ///
 /// Concurrency model: one `RecorderChannel` per producer thread (the sim
 /// engine is single-threaded and uses channel 0; the rt executor gives
-/// each worker its own channel). Each channel is a classic single-
-/// producer/single-consumer ring — the producer publishes with a
-/// release store of the tail, the consumer acquires it — so the hot path
-/// is wait-free and lock-free. When a ring fills, events are tail-dropped
-/// (the oldest prefix survives, so a recording always starts at the run
-/// boundary) and a relaxed atomic drop counter keeps an exact count.
+/// each worker its own channel). Each channel is an `SpscRing`
+/// (spsc_ring.h), so the hot path is wait-free and lock-free. When a
+/// ring fills, events are tail-dropped (the oldest prefix survives, so a
+/// recording always starts at the run boundary) and the ring keeps an
+/// exact drop count.
 ///
 /// `Recorder::drain()` moves ring contents into an in-memory log;
 /// `write_file()` emits the `.dfr` format described in
@@ -33,22 +32,24 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "dvfs/obs/metrics.h"
 #include "dvfs/obs/recorder_format.h"
+#include "dvfs/obs/spsc_ring.h"
 
 namespace dvfs::obs {
 
 class TraceWriter;
 
-/// One single-producer/single-consumer event ring. Producers call
-/// `record()`; only `Recorder::drain()` consumes. Capacity is rounded up
-/// to a power of two.
+/// One producer's event ring (an SpscRing). Producers call `record()`;
+/// only `Recorder::drain()` consumes. Capacity is rounded up to a power
+/// of two.
 class RecorderChannel {
  public:
-  explicit RecorderChannel(std::size_t capacity);
+  explicit RecorderChannel(std::size_t capacity) : ring_(capacity) {}
 
   RecorderChannel(const RecorderChannel&) = delete;
   RecorderChannel& operator=(const RecorderChannel&) = delete;
@@ -59,29 +60,21 @@ class RecorderChannel {
   bool record(const dfr::Event& e) noexcept;
 
   [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return dropped_.load(std::memory_order_relaxed);
+    return ring_.dropped();
   }
   /// Events that made it into the ring (recorded + dropped = attempts).
   /// Survives drain(), so it feeds the v4 per-channel summary table.
   [[nodiscard]] std::uint64_t recorded() const noexcept {
     return recorded_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return ring_.capacity();
+  }
 
  private:
   friend class Recorder;
 
-  /// Consumer side: moves everything currently published into `out`.
-  void drain_into(std::vector<dfr::Event>& out);
-
-  std::vector<dfr::Event> slots_;
-  std::size_t mask_ = 0;
-  // head_ = next slot to consume, tail_ = next slot to fill. Producer
-  // writes the slot, then publishes with a release store of tail_; the
-  // consumer's acquire load of tail_ makes the slot contents visible.
-  std::atomic<std::uint64_t> head_{0};
-  std::atomic<std::uint64_t> tail_{0};
-  std::atomic<std::uint64_t> dropped_{0};
+  SpscRing<dfr::Event> ring_;
   std::atomic<std::uint64_t> recorded_{0};
 };
 
@@ -147,6 +140,28 @@ class Recorder {
   std::optional<MetricsSnapshot> metrics_;
   std::vector<std::pair<std::uint64_t, std::string>> symbols_;
 };
+
+/// One placement decision: its kPlacement fields (recorder_format.h).
+struct Decision {
+  double time_s = 0.0;
+  dfr::DecisionScope scope = dfr::DecisionScope::kNonInteractive;
+  std::uint64_t task = 0;
+  std::size_t core = 0;      ///< the chosen core
+  std::uint64_t cycles = 0;  ///< u0: the (estimated) cycles priced
+  std::size_t rate_idx = 0;
+  std::uint8_t flags = 0;    ///< e.g. kFlagStolen
+  double cost = 0.0;         ///< f0: the chosen core's cost
+  double f1 = 0.0;
+};
+
+/// Writes a kCandidate per entry of `candidates` (core = index, the
+/// chosen one flagged kFlagChosen), then the kPlacement. With
+/// record_params() the only writer of these event types.
+void record_decision(RecorderChannel& channel, const Decision& d,
+                     std::span<const double> candidates = {});
+void record_params(RecorderChannel& channel, double time_s,
+                   dfr::PolicyKind kind, std::size_t cores, double re = 0.0,
+                   double rt = 0.0);
 
 /// A `.dfr` file loaded back into memory.
 struct Recording {

@@ -84,11 +84,14 @@ enum class EventType : std::uint8_t {
   /// One evaluated alternative of a placement decision. core = the
   /// candidate core, f0 = its marginal cost (Eq. 27 for interactive
   /// arrivals, the exact queue-cost delta for non-interactive ones,
-  /// drain seconds for the OLB baseline); kFlagChosen marks the winner.
+  /// drain seconds for the OLB and round-robin baselines); kFlagChosen
+  /// marks the winner (round robin's pick, not always the cheapest).
   kCandidate = 9,
   /// The decision itself. aux = DecisionScope, core = chosen core,
-  /// f0 = chosen marginal cost, f1 = total queue cost after placement
-  /// (LMC non-interactive only; 0 elsewhere), u0 = estimated cycles.
+  /// f0 = chosen marginal cost (the chosen kCandidate's f0, bit for bit,
+  /// wherever the decision has candidates), f1 = total queue cost after
+  /// placement (LMC non-interactive only; 0 elsewhere), u0 = estimated
+  /// cycles.
   kPlacement = 10,
   /// A WBG full replan. u0 = tasks replanned, aux = migrations caused.
   kReplan = 11,

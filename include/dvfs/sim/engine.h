@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "dvfs/core/task.h"
 #include "dvfs/ds/indexed_heap.h"
 #include "dvfs/obs/metrics.h"
+#include "dvfs/obs/recorder_format.h"
 #include "dvfs/sim/contention.h"
 #include "dvfs/sim/metrics.h"
 #include "dvfs/workload/trace.h"
@@ -39,6 +41,9 @@ class RecorderChannel;
 namespace dvfs::sim {
 
 class Engine;
+
+/// Index of the cheapest cost; the lowest index wins ties.
+[[nodiscard]] std::size_t argmin(std::span<const double> costs);
 
 /// Scheduling strategy driven by the engine's events.
 class Policy {
@@ -121,11 +126,25 @@ class Engine {
   /// frequency transitions, and governor-decision timing, and
   /// `obs::replay_to_trace` turns them into a Chrome trace (task spans
   /// per core, frequency-change and decision instants, busy-core
-  /// counter). Policies reach the same channel through `recorder()` to
-  /// append their candidate vectors, so one recording interleaves
-  /// mechanism and strategy in decision order.
+  /// counter). Policies record their parameters and placement decisions
+  /// through `record_params()` and `decide()`, so one recording
+  /// interleaves mechanism and strategy in decision order.
   void set_recorder(obs::RecorderChannel* channel) { recorder_ = channel; }
   [[nodiscard]] obs::RecorderChannel* recorder() const { return recorder_; }
+
+  /// A placement: `task`, priced at `cycles`, goes to `core`;
+  /// `candidates[j]` is core j's cost (empty for a precomputed plan).
+  /// Sets the gauge `governor.cost.margin_ratio` to this run's
+  /// (sum(chosen) - sum(best)) / sum(chosen), and records the decision
+  /// (obs::record_decision, f0 = candidates[core]) when recording.
+  void decide(obs::dfr::DecisionScope scope, core::TaskId task,
+              std::size_t core, Cycles cycles,
+              std::span<const double> candidates, double f1 = 0.0,
+              std::size_t rate_idx = 0);
+
+  /// Records the policy's kind and cost weights (from Policy::attach()).
+  void record_params(obs::dfr::PolicyKind kind, double re = 0.0,
+                     double rt = 0.0);
 
   // ---------------------------------------------------------------- running
   /// Simulates `trace` to completion under `policy` and returns the
@@ -160,6 +179,7 @@ class Engine {
     obs::Histogram& queue_depth;
     obs::Histogram& decision_ns;
     obs::Histogram& queue_wait_us;
+    obs::Gauge& margin_ratio;
   };
 
   /// Charges the transition stall (and counts/records the frequency
@@ -200,6 +220,10 @@ class Engine {
   SimResult result_;
   std::unordered_map<core::TaskId, std::size_t> record_of_;
   bool running_ = false;
+
+  // Chosen and best candidate costs summed over this run's decisions.
+  double chosen_sum_ = 0.0;
+  double best_sum_ = 0.0;
 
   Stats stats_;
   obs::RecorderChannel* recorder_ = nullptr;

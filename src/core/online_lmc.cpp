@@ -27,16 +27,6 @@ LmcScheduler::LmcScheduler(std::vector<CostTable> tables) {
   }
 }
 
-LmcScheduler::Placement LmcScheduler::place_non_interactive(Cycles cycles,
-                                                            TaskId id) {
-  return place_non_interactive(cycles, id, {});
-}
-
-LmcScheduler::Placement LmcScheduler::place_non_interactive(
-    Cycles cycles, TaskId id, std::span<const Money> extra_cost) {
-  return place_non_interactive(cycles, id, extra_cost, nullptr);
-}
-
 LmcScheduler::Placement LmcScheduler::place_non_interactive(
     Cycles cycles, TaskId id, std::span<const Money> extra_cost,
     std::vector<Money>* probed_marginals) {

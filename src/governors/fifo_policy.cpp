@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "dvfs/obs/metrics.h"
-#include "dvfs/obs/recorder.h"
 
 namespace dvfs::governors {
 
@@ -24,7 +23,6 @@ FifoStats& fifo_stats() {
 void FifoPolicy::attach(sim::Engine& engine) {
   per_core_.assign(engine.num_cores(), CoreQueues{});
   rr_next_ = 0;
-  margin_.reset();
   // Resolve the cap against each core's model; heterogeneous cores may
   // have different rate counts, so clamp per core at use. The stored cap
   // is validated against the smallest model.
@@ -46,84 +44,31 @@ void FifoPolicy::attach(sim::Engine& engine) {
                "conservative band must satisfy 0 <= down < up threshold");
   DVFS_REQUIRE(config_.sample_interval > 0.0,
                "sample interval must be positive");
-  if (obs::RecorderChannel* rc = engine.recorder()) {
-    rc->record(
-        {.type = static_cast<std::uint8_t>(obs::dfr::EventType::kParams),
-         .core = static_cast<std::uint16_t>(engine.num_cores()),
-         .aux = static_cast<std::uint16_t>(obs::dfr::PolicyKind::kFifo),
-         .time_s = engine.now()});
-  }
+  engine.record_params(obs::dfr::PolicyKind::kFifo);
 }
 
-std::size_t FifoPolicy::choose_core(const sim::Engine& engine,
+std::size_t FifoPolicy::choose_core(sim::Engine& engine,
                                     const core::Task& task) {
-  obs::RecorderChannel* rc = engine.recorder();
-  if (config_.placement == Placement::kRoundRobin) {
-    const std::size_t core = rr_next_;
-    rr_next_ = (rr_next_ + 1) % per_core_.size();
-    // Round-robin ignores the queues, so price the decision it actually
-    // made against the best one available: drain time (seconds of pending
-    // work at the cap rate) of the chosen core vs the least-loaded one.
-    double chosen_drain = 0.0;
-    double best_drain = std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < per_core_.size(); ++j) {
-      const double drain =
-          per_core_[j].backlog_cycles * engine.model(j).time_per_cycle(cap_);
-      if (j == core) chosen_drain = drain;
-      best_drain = std::min(best_drain, drain);
-    }
-    margin_.observe(chosen_drain, best_drain);
-    if (rc != nullptr) {
-      rc->record({.type = static_cast<std::uint8_t>(
-                      obs::dfr::EventType::kPlacement),
-                  .core = static_cast<std::uint16_t>(core),
-                  .aux = static_cast<std::uint16_t>(
-                      obs::dfr::DecisionScope::kFifo),
-                  .time_s = engine.now(),
-                  .task = task.id,
-                  .u0 = task.cycles});
-    }
-    return core;
-  }
-  // Earliest ready-to-execute time: pending work divided by the core's
-  // cap-rate speed (OLB keeps frequencies maximal, so this is the true
-  // drain time on a homogeneous platform and a faithful proxy otherwise).
-  std::size_t best = 0;
-  double best_ready = std::numeric_limits<double>::infinity();
+  // Every core's drain time: pending work divided by its cap-rate speed
+  // (OLB keeps frequencies maximal, so this is the true ready-to-execute
+  // time on a homogeneous platform and a faithful proxy otherwise).
+  drain_.resize(per_core_.size());
   for (std::size_t j = 0; j < per_core_.size(); ++j) {
-    const double ready =
+    drain_[j] =
         per_core_[j].backlog_cycles * engine.model(j).time_per_cycle(cap_);
-    if (ready < best_ready) {
-      best_ready = ready;
-      best = j;
-    }
   }
-  margin_.observe(best_ready, best_ready);  // argmin: zero margin
-  if (rc != nullptr) {
-    // The candidate vector for OLB placement is each core's drain time.
-    for (std::size_t j = 0; j < per_core_.size(); ++j) {
-      rc->record({.type = static_cast<std::uint8_t>(
-                      obs::dfr::EventType::kCandidate),
-                  .flags = j == best ? obs::dfr::kFlagChosen : std::uint8_t{0},
-                  .core = static_cast<std::uint16_t>(j),
-                  .aux = static_cast<std::uint16_t>(
-                      obs::dfr::DecisionScope::kFifo),
-                  .time_s = engine.now(),
-                  .task = task.id,
-                  .f0 = per_core_[j].backlog_cycles *
-                        engine.model(j).time_per_cycle(cap_)});
-    }
-    rc->record({.type = static_cast<std::uint8_t>(
-                    obs::dfr::EventType::kPlacement),
-                .core = static_cast<std::uint16_t>(best),
-                .aux = static_cast<std::uint16_t>(
-                    obs::dfr::DecisionScope::kFifo),
-                .time_s = engine.now(),
-                .task = task.id,
-                .u0 = task.cycles,
-                .f0 = best_ready});
+  std::size_t core = 0;
+  if (config_.placement == Placement::kRoundRobin) {
+    // Round robin ignores the drain times; the engine still prices the
+    // choice against the least-loaded core (the cost-margin gauge).
+    core = rr_next_;
+    rr_next_ = (rr_next_ + 1) % per_core_.size();
+  } else {
+    core = sim::argmin(drain_);  // earliest ready-to-execute time
   }
-  return best;
+  engine.decide(obs::dfr::DecisionScope::kFifo, task.id, core, task.cycles,
+                drain_);
+  return core;
 }
 
 std::size_t FifoPolicy::start_rate(std::size_t core) const {

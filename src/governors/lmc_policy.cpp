@@ -1,7 +1,6 @@
 #include "dvfs/governors/lmc_policy.h"
 
 #include "dvfs/obs/metrics.h"
-#include "dvfs/obs/recorder.h"
 
 namespace dvfs::governors {
 
@@ -43,17 +42,8 @@ void LmcPolicy::attach(sim::Engine& engine) {
         "cost table and engine model disagree on the rate set");
   }
   per_core_.assign(engine.num_cores(), CoreState{});
-  margin_.reset();
-  if (obs::RecorderChannel* rc = engine.recorder()) {
-    const core::CostParams& p = lmc_.queue(0).table().params();
-    rc->record(
-        {.type = static_cast<std::uint8_t>(obs::dfr::EventType::kParams),
-         .core = static_cast<std::uint16_t>(engine.num_cores()),
-         .aux = static_cast<std::uint16_t>(obs::dfr::PolicyKind::kLmc),
-         .time_s = engine.now(),
-         .f0 = p.re,
-         .f1 = p.rt});
-  }
+  const core::CostParams& p = lmc_.queue(0).table().params();
+  engine.record_params(obs::dfr::PolicyKind::kLmc, p.re, p.rt);
 }
 
 std::size_t LmcPolicy::running_rate(std::size_t core) const {
@@ -107,43 +97,13 @@ void LmcPolicy::on_arrival(sim::Engine& engine, const core::Task& task) {
       extra[j] =
           per_core_[j].pending_interactive.size() + per_core_[j].preempted.size();
     }
-    // Eq. 27 evaluates the interactive-cost expression on every core.
+    // Eq. 27 evaluates the interactive-cost expression on every core;
+    // the argmin's own cost vector is the decision's candidate vector.
     lmc_stats().interactive_evals.add(per_core_.size());
-    const std::size_t core = lmc_.choose_interactive_core(estimate, extra);
-    // The argmin choice realizes the best candidate; account it so the
-    // margin gauge reflects this policy (ratio stays 0 by construction).
-    const Money chosen_cost = lmc_.interactive_marginal_cost(
-        core, estimate, lmc_.queue(core).size() + extra[core]);
-    margin_.observe(chosen_cost, chosen_cost);
-    if (obs::RecorderChannel* rc = engine.recorder()) {
-      // Persist the full candidate vector (every core's Eq. 27 cost, the
-      // winner flagged) so `dvfs_inspect explain` can show why the
-      // alternatives lost.
-      for (std::size_t j = 0; j < per_core_.size(); ++j) {
-        const Money c = lmc_.interactive_marginal_cost(
-            j, estimate, lmc_.queue(j).size() + extra[j]);
-        rc->record({.type = static_cast<std::uint8_t>(
-                        obs::dfr::EventType::kCandidate),
-                    .flags = j == core ? obs::dfr::kFlagChosen
-                                       : std::uint8_t{0},
-                    .core = static_cast<std::uint16_t>(j),
-                    .aux = static_cast<std::uint16_t>(
-                        obs::dfr::DecisionScope::kInteractive),
-                    .time_s = engine.now(),
-                    .task = task.id,
-                    .f0 = c});
-      }
-      rc->record({.type = static_cast<std::uint8_t>(
-                      obs::dfr::EventType::kPlacement),
-                  .core = static_cast<std::uint16_t>(core),
-                  .aux = static_cast<std::uint16_t>(
-                      obs::dfr::DecisionScope::kInteractive),
-                  .time_s = engine.now(),
-                  .task = task.id,
-                  .u0 = estimate,
-                  .f0 = lmc_.interactive_marginal_cost(
-                      core, estimate, lmc_.queue(core).size() + extra[core])});
-    }
+    std::vector<Money>& costs = candidates_scratch_;
+    const std::size_t core = lmc_.interactive_scan(estimate, extra, costs);
+    engine.decide(obs::dfr::DecisionScope::kInteractive, task.id, core,
+                  estimate, costs);
     CoreState& st = per_core_[core];
     const std::size_t pm =
         lmc_.queue(core).table().model().rates().highest_index();
@@ -183,37 +143,13 @@ void LmcPolicy::on_arrival(sim::Engine& engine, const core::Task& task) {
   // One marginal-cost probe per core, then one placement.
   lmc_stats().marginal_evals.add(per_core_.size());
   lmc_stats().placements.inc();
-  obs::RecorderChannel* rc = engine.recorder();
-  std::vector<Money>& probed = probed_scratch_;
-  const auto placement = lmc_.place_non_interactive(
-      estimate, task.id, offsets, rc != nullptr ? &probed : nullptr);
-  margin_.observe(placement.marginal, placement.marginal);  // argmin
-  if (rc != nullptr) {
-    for (std::size_t j = 0; j < probed.size(); ++j) {
-      rc->record({.type = static_cast<std::uint8_t>(
-                      obs::dfr::EventType::kCandidate),
-                  .flags = j == placement.core ? obs::dfr::kFlagChosen
-                                               : std::uint8_t{0},
-                  .core = static_cast<std::uint16_t>(j),
-                  .aux = static_cast<std::uint16_t>(
-                      obs::dfr::DecisionScope::kNonInteractive),
-                  .time_s = engine.now(),
-                  .task = task.id,
-                  .f0 = probed[j]});
-    }
-    // f1 carries the total queue cost *after* the insertion — the audit
-    // baseline an offline replan is compared against.
-    rc->record({.type = static_cast<std::uint8_t>(
-                    obs::dfr::EventType::kPlacement),
-                .core = static_cast<std::uint16_t>(placement.core),
-                .aux = static_cast<std::uint16_t>(
-                    obs::dfr::DecisionScope::kNonInteractive),
-                .time_s = engine.now(),
-                .task = task.id,
-                .u0 = estimate,
-                .f0 = placement.marginal,
-                .f1 = lmc_.total_queue_cost()});
-  }
+  std::vector<Money>& probed = candidates_scratch_;
+  const auto placement =
+      lmc_.place_non_interactive(estimate, task.id, offsets, &probed);
+  // f1 carries the total queue cost *after* the insertion — the audit
+  // baseline an offline replan is compared against.
+  engine.decide(obs::dfr::DecisionScope::kNonInteractive, task.id,
+                placement.core, estimate, probed, lmc_.total_queue_cost());
   if (!engine.busy(placement.core)) {
     start_next(engine, placement.core);
   } else {

@@ -1,7 +1,6 @@
 #include "dvfs/governors/planned_policy.h"
 
 #include "dvfs/obs/metrics.h"
-#include "dvfs/obs/recorder.h"
 
 namespace dvfs::governors {
 
@@ -26,14 +25,7 @@ void PlannedBatchPolicy::attach(sim::Engine& engine) {
   }
   next_index_.assign(plan_.cores.size(), 0);
   arrived_.clear();
-  if (obs::RecorderChannel* rc = engine.recorder()) {
-    rc->record(
-        {.type = static_cast<std::uint8_t>(obs::dfr::EventType::kParams),
-         .core = static_cast<std::uint16_t>(engine.num_cores()),
-         .aux = static_cast<std::uint16_t>(
-             obs::dfr::PolicyKind::kPlannedBatch),
-         .time_s = engine.now()});
-  }
+  engine.record_params(obs::dfr::PolicyKind::kPlannedBatch);
 }
 
 void PlannedBatchPolicy::try_start(sim::Engine& engine, std::size_t core) {
@@ -47,19 +39,10 @@ void PlannedBatchPolicy::try_start(sim::Engine& engine, std::size_t core) {
   static obs::Counter& dispatches =
       obs::Registry::global().counter("governor.planned.dispatches");
   dispatches.inc();
-  if (obs::RecorderChannel* rc = engine.recorder()) {
-    // The plan pre-determined the placement; record it (no candidate
-    // vector — the alternatives were weighed offline at plan time).
-    rc->record({.type = static_cast<std::uint8_t>(
-                    obs::dfr::EventType::kPlacement),
-                .core = static_cast<std::uint16_t>(core),
-                .rate_idx = static_cast<std::uint16_t>(st.rate_idx),
-                .aux = static_cast<std::uint16_t>(
-                    obs::dfr::DecisionScope::kPlanned),
-                .time_s = engine.now(),
-                .task = st.task_id,
-                .u0 = st.cycles});
-  }
+  // The plan pre-determined the placement: no candidates (the
+  // alternatives were weighed offline at plan time).
+  engine.decide(obs::dfr::DecisionScope::kPlanned, st.task_id, core,
+                st.cycles, {}, 0.0, st.rate_idx);
   engine.start(core, st.task_id, static_cast<double>(st.cycles), st.rate_idx);
 }
 

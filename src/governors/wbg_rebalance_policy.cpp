@@ -1,7 +1,5 @@
 #include "dvfs/governors/wbg_rebalance_policy.h"
 
-#include <limits>
-
 #include "dvfs/obs/metrics.h"
 #include "dvfs/obs/recorder.h"
 
@@ -38,18 +36,8 @@ void WbgRebalancePolicy::attach(sim::Engine& engine) {
   queued_.clear();
   migrations_ = 0;
   replans_ = 0;
-  margin_.reset();
-  if (obs::RecorderChannel* rc = engine.recorder()) {
-    const core::CostParams& p = tables_[0].params();
-    rc->record(
-        {.type = static_cast<std::uint8_t>(obs::dfr::EventType::kParams),
-         .core = static_cast<std::uint16_t>(engine.num_cores()),
-         .aux = static_cast<std::uint16_t>(
-             obs::dfr::PolicyKind::kWbgRebalance),
-         .time_s = engine.now(),
-         .f0 = p.re,
-         .f1 = p.rt});
-  }
+  const core::CostParams& p = tables_[0].params();
+  engine.record_params(obs::dfr::PolicyKind::kWbgRebalance, p.re, p.rt);
 }
 
 void WbgRebalancePolicy::replan(sim::Engine& engine,
@@ -110,19 +98,6 @@ Money WbgRebalancePolicy::interactive_cost(std::size_t core,
              static_cast<double>(1 + waiting);
 }
 
-std::size_t WbgRebalancePolicy::choose_interactive_core(Cycles cycles) const {
-  std::size_t best = 0;
-  Money best_cost = std::numeric_limits<Money>::infinity();
-  for (std::size_t j = 0; j < per_core_.size(); ++j) {
-    const Money c = interactive_cost(j, cycles);
-    if (c < best_cost) {
-      best_cost = c;
-      best = j;
-    }
-  }
-  return best;
-}
-
 void WbgRebalancePolicy::adjust_running_rate(sim::Engine& engine,
                                              std::size_t core) {
   if (!engine.busy(core)) return;
@@ -164,32 +139,13 @@ void WbgRebalancePolicy::start_next(sim::Engine& engine, std::size_t core) {
 void WbgRebalancePolicy::on_arrival(sim::Engine& engine,
                                     const core::Task& task) {
   if (task.klass == core::TaskClass::kInteractive) {
-    const std::size_t core = choose_interactive_core(task.cycles);
-    const Money chosen_cost = interactive_cost(core, task.cycles);
-    margin_.observe(chosen_cost, chosen_cost);  // argmin: zero margin
-    if (obs::RecorderChannel* rc = engine.recorder()) {
-      for (std::size_t j = 0; j < per_core_.size(); ++j) {
-        rc->record({.type = static_cast<std::uint8_t>(
-                        obs::dfr::EventType::kCandidate),
-                    .flags = j == core ? obs::dfr::kFlagChosen
-                                       : std::uint8_t{0},
-                    .core = static_cast<std::uint16_t>(j),
-                    .aux = static_cast<std::uint16_t>(
-                        obs::dfr::DecisionScope::kInteractive),
-                    .time_s = engine.now(),
-                    .task = task.id,
-                    .f0 = interactive_cost(j, task.cycles)});
-      }
-      rc->record({.type = static_cast<std::uint8_t>(
-                      obs::dfr::EventType::kPlacement),
-                  .core = static_cast<std::uint16_t>(core),
-                  .aux = static_cast<std::uint16_t>(
-                      obs::dfr::DecisionScope::kInteractive),
-                  .time_s = engine.now(),
-                  .task = task.id,
-                  .u0 = task.cycles,
-                  .f0 = interactive_cost(core, task.cycles)});
+    costs_.resize(per_core_.size());
+    for (std::size_t j = 0; j < per_core_.size(); ++j) {
+      costs_[j] = interactive_cost(j, task.cycles);
     }
+    const std::size_t core = sim::argmin(costs_);
+    engine.decide(obs::dfr::DecisionScope::kInteractive, task.id, core,
+                  task.cycles, costs_);
     CoreState& st = per_core_[core];
     const std::size_t pm = tables_[core].model().rates().highest_index();
     if (!engine.busy(core)) {

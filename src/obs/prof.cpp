@@ -28,6 +28,7 @@
 #include "dvfs/obs/metrics.h"
 #include "dvfs/obs/promtext.h"
 #include "dvfs/obs/recorder.h"
+#include "dvfs/obs/spsc_ring.h"
 
 // Older glibc keeps the SIGEV_THREAD_ID member behind an internal name.
 #ifndef sigev_notify_thread_id
@@ -59,12 +60,12 @@ const char* to_string(Stage s) {
 namespace {
 
 constexpr std::size_t kMaxThreads = 64;
-constexpr std::size_t kRingSlots = 512;  // power of two
-static_assert((kRingSlots & (kRingSlots - 1)) == 0);
+constexpr std::size_t kRingSlots = 512;
 
 /// One profiled thread's slot: identity, timer, stack bounds, and the
-/// SPSC sample ring the signal handler produces into. The pool is
-/// process-static so a ThreadGuard can safely outlive any CpuProfiler.
+/// sample ring the signal handler (always on this thread) produces into
+/// and the collector consumes. The pool is process-static so a
+/// ThreadGuard can safely outlive any CpuProfiler.
 struct ThreadState {
   enum : int { kFree = 0, kActive = 1, kReleased = 2 };
   std::atomic<int> state{kFree};
@@ -74,13 +75,10 @@ struct ThreadState {
   bool has_timer = false;
   std::uintptr_t stack_lo = 0;
   std::uintptr_t stack_hi = 0;
-  // SPSC ring: the signal handler (always on this thread) produces, the
-  // collector consumes. Same publish protocol as RecorderChannel.
-  std::atomic<std::uint64_t> head{0};
-  std::atomic<std::uint64_t> tail{0};
-  std::atomic<std::uint64_t> dropped{0};
+  /// Made at the slot's first claim and never freed, so a late SIGPROF
+  /// during process exit still finds it.
+  SpscRing<Sample>* ring = nullptr;
   std::uint64_t dropped_consumed = 0;  ///< collector-owned watermark
-  Sample slots[kRingSlots];
 };
 
 ThreadState g_pool[kMaxThreads];
@@ -98,28 +96,6 @@ std::int64_t mono_ns() {
   timespec ts{};
   ::clock_gettime(CLOCK_MONOTONIC, &ts);
   return static_cast<std::int64_t>(ts.tv_sec) * 1000000000LL + ts.tv_nsec;
-}
-
-/// Async-signal-safe producer push: tail-drop on full with exact count.
-bool ring_push(ThreadState& st, const Sample& s) noexcept {
-  const std::uint64_t t = st.tail.load(std::memory_order_relaxed);
-  const std::uint64_t h = st.head.load(std::memory_order_acquire);
-  if (t - h == kRingSlots) {
-    st.dropped.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  st.slots[static_cast<std::size_t>(t) & (kRingSlots - 1)] = s;
-  st.tail.store(t + 1, std::memory_order_release);
-  return true;
-}
-
-void ring_drain(ThreadState& st, std::vector<Sample>& out) {
-  const std::uint64_t h = st.head.load(std::memory_order_relaxed);
-  const std::uint64_t t = st.tail.load(std::memory_order_acquire);
-  for (std::uint64_t i = h; i != t; ++i) {
-    out.push_back(st.slots[static_cast<std::size_t>(i) & (kRingSlots - 1)]);
-  }
-  st.head.store(t, std::memory_order_release);
 }
 
 /// Frame-pointer walk from the interrupted context. Every dereference is
@@ -170,7 +146,7 @@ extern "C" void dvfs_sigprof_handler(int, siginfo_t*, void* ucv) {
   s.shard = detail::tls_shard;
   s.stage = detail::tls_stage;
   s.num_frames = walk_stack(ucv, *st, s.frames);
-  ring_push(*st, s);
+  st->ring->try_push(s);
   errno = saved_errno;
 }
 
@@ -216,9 +192,8 @@ void disarm_timer(ThreadState& st) {
 }
 
 void reset_slot(ThreadState& st) {
-  st.head.store(0, std::memory_order_relaxed);
-  st.tail.store(0, std::memory_order_relaxed);
-  st.dropped.store(0, std::memory_order_relaxed);
+  if (st.ring == nullptr) st.ring = new SpscRing<Sample>(kRingSlots);
+  st.ring->reset();
   st.dropped_consumed = 0;
   st.has_timer = false;
 }
@@ -292,7 +267,7 @@ bool inject_sample(const Sample& s) {
   DVFS_REQUIRE(st != nullptr,
                "inject_sample needs a thread registered via "
                "profile_current_thread()");
-  return ring_push(*st, s);
+  return st->ring->try_push(s);
 }
 
 // ------------------------------------------------------- CpuProfiler
@@ -413,8 +388,8 @@ void CpuProfiler::collect_now() {
     for (auto& st : g_pool) {
       const int state = st.state.load(std::memory_order_relaxed);
       if (state == ThreadState::kFree) continue;
-      ring_drain(st, raw);
-      const std::uint64_t d = st.dropped.load(std::memory_order_relaxed);
+      st.ring->drain(raw);
+      const std::uint64_t d = st.ring->dropped();
       drop_delta += d - st.dropped_consumed;
       st.dropped_consumed = d;
       if (state == ThreadState::kReleased) {

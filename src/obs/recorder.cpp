@@ -1,7 +1,6 @@
 #include "dvfs/obs/recorder.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -13,10 +12,6 @@
 namespace dvfs::obs {
 
 namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  return std::bit_ceil(std::max<std::size_t>(n, 2));
-}
 
 // Recorder-health counters live in the global registry like every other
 // metric. They are bumped on the producer side, so a post-run
@@ -33,34 +28,50 @@ Counter& dropped_counter() {
 
 }  // namespace
 
-RecorderChannel::RecorderChannel(std::size_t capacity)
-    : slots_(round_up_pow2(capacity)), mask_(slots_.size() - 1) {}
-
 bool RecorderChannel::record(const dfr::Event& e) noexcept {
-  const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-  const std::uint64_t h = head_.load(std::memory_order_acquire);
-  if (t - h == slots_.size()) {
-    // Full: tail-drop so the recorded prefix (which includes the run
-    // header events) stays intact and replayable.
-    dropped_.fetch_add(1, std::memory_order_relaxed);
+  if (!ring_.try_push(e)) {
     dropped_counter().inc();
     return false;
   }
-  slots_[static_cast<std::size_t>(t) & mask_] = e;
-  tail_.store(t + 1, std::memory_order_release);
   recorded_.fetch_add(1, std::memory_order_relaxed);
   recorded_counter().inc();
   return true;
 }
 
-void RecorderChannel::drain_into(std::vector<dfr::Event>& out) {
-  const std::uint64_t h = head_.load(std::memory_order_relaxed);
-  const std::uint64_t t = tail_.load(std::memory_order_acquire);
-  out.reserve(out.size() + static_cast<std::size_t>(t - h));
-  for (std::uint64_t i = h; i != t; ++i) {
-    out.push_back(slots_[static_cast<std::size_t>(i) & mask_]);
+void record_decision(RecorderChannel& channel, const Decision& d,
+                     std::span<const double> candidates) {
+  const auto scope = static_cast<std::uint16_t>(d.scope);
+  for (std::size_t j = 0; j < candidates.size(); ++j) {
+    channel.record(
+        {.type = static_cast<std::uint8_t>(dfr::EventType::kCandidate),
+         .flags = j == d.core ? dfr::kFlagChosen : std::uint8_t{0},
+         .core = static_cast<std::uint16_t>(j),
+         .aux = scope,
+         .time_s = d.time_s,
+         .task = d.task,
+         .f0 = candidates[j]});
   }
-  head_.store(t, std::memory_order_release);
+  channel.record({.type = static_cast<std::uint8_t>(dfr::EventType::kPlacement),
+                  .flags = d.flags,
+                  .core = static_cast<std::uint16_t>(d.core),
+                  .rate_idx = static_cast<std::uint16_t>(d.rate_idx),
+                  .aux = scope,
+                  .time_s = d.time_s,
+                  .task = d.task,
+                  .u0 = d.cycles,
+                  .f0 = d.cost,
+                  .f1 = d.f1});
+}
+
+void record_params(RecorderChannel& channel, double time_s,
+                   dfr::PolicyKind kind, std::size_t cores, double re,
+                   double rt) {
+  channel.record({.type = static_cast<std::uint8_t>(dfr::EventType::kParams),
+                  .core = static_cast<std::uint16_t>(cores),
+                  .aux = static_cast<std::uint16_t>(kind),
+                  .time_s = time_s,
+                  .f0 = re,
+                  .f1 = rt});
 }
 
 Recorder::Recorder(std::size_t num_channels, std::size_t capacity_per_channel) {
@@ -83,7 +94,7 @@ RecorderChannel& Recorder::add_channel(std::size_t capacity) {
 
 void Recorder::drain() {
   std::vector<dfr::Event> batch;
-  for (auto& ch : channels_) ch->drain_into(batch);
+  for (auto& ch : channels_) ch->ring_.drain(batch);
   if (channels_.size() > 1) {
     // Merge producers by timestamp. Stable, so same-time events keep
     // channel order; a single-channel (simulator) drain is already

@@ -28,7 +28,18 @@ Engine::Stats::Stats()
       decision_ns(
           obs::Registry::global().histogram("sim.governor.decision_ns")),
       queue_wait_us(
-          obs::Registry::global().histogram("sim.task.queue_wait_us")) {}
+          obs::Registry::global().histogram("sim.task.queue_wait_us")),
+      margin_ratio(
+          obs::Registry::global().gauge("governor.cost.margin_ratio")) {}
+
+std::size_t argmin(std::span<const double> costs) {
+  DVFS_REQUIRE(!costs.empty(), "argmin of no costs");
+  std::size_t best = 0;
+  for (std::size_t j = 1; j < costs.size(); ++j) {
+    best = costs[j] < costs[best] ? j : best;
+  }
+  return best;
+}
 
 Seconds SimResult::busy_seconds(std::size_t core) const {
   DVFS_REQUIRE(core < rate_residency.size(), "core index out of range");
@@ -330,6 +341,41 @@ void Engine::set_rate(std::size_t core, std::size_t rate_idx) {
   reschedule_completions();
 }
 
+void Engine::decide(obs::dfr::DecisionScope scope, core::TaskId task,
+                    std::size_t core, Cycles cycles,
+                    std::span<const double> candidates, double f1,
+                    std::size_t rate_idx) {
+  check_core(core);
+  double cost = 0.0;
+  if (!candidates.empty()) {
+    DVFS_REQUIRE(candidates.size() == num_cores(),
+                 "one candidate cost per core required");
+    cost = candidates[core];
+    chosen_sum_ += cost;
+    best_sum_ += candidates[argmin(candidates)];
+    stats_.margin_ratio.set(
+        chosen_sum_ > 0.0 ? (chosen_sum_ - best_sum_) / chosen_sum_ : 0.0);
+  }
+  if (recorder_ != nullptr) {
+    obs::record_decision(*recorder_,
+                         {.time_s = now_,
+                          .scope = scope,
+                          .task = task,
+                          .core = core,
+                          .cycles = cycles,
+                          .rate_idx = rate_idx,
+                          .cost = cost,
+                          .f1 = f1},
+                         candidates);
+  }
+}
+
+void Engine::record_params(obs::dfr::PolicyKind kind, double re, double rt) {
+  if (recorder_ != nullptr) {
+    obs::record_params(*recorder_, now_, kind, num_cores(), re, rt);
+  }
+}
+
 SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
   DVFS_REQUIRE(!running_, "engine is already running");
   // Reset per-run state.
@@ -343,6 +389,9 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
   for (CoreState& c : cores_) c = CoreState{};
   busy_count_ = 0;
   now_ = 0.0;
+  chosen_sum_ = 0.0;
+  best_sum_ = 0.0;
+  stats_.margin_ratio.set(0.0);
   running_ = true;
 
   for (std::size_t i = 0; i < trace.size(); ++i) {

@@ -168,14 +168,8 @@ void SchedulingService::start() {
       begin.type = static_cast<std::uint8_t>(obs::dfr::EventType::kRunBegin);
       begin.core = static_cast<std::uint16_t>(s->num_cores);
       s->channel->record(begin);
-      obs::dfr::Event params;
-      params.type = static_cast<std::uint8_t>(obs::dfr::EventType::kParams);
-      params.aux =
-          static_cast<std::uint16_t>(obs::dfr::PolicyKind::kLmc);
-      params.core = static_cast<std::uint16_t>(s->num_cores);
-      params.f0 = params_.re;
-      params.f1 = params_.rt;
-      s->channel->record(params);
+      obs::record_params(*s->channel, 0.0, obs::dfr::PolicyKind::kLmc,
+                         s->num_cores, params_.re, params_.rt);
     }
   }
   for (auto& s : shards_) {
@@ -428,19 +422,17 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
     arrival.aux = static_cast<std::uint16_t>(core::TaskClass::kBatch);
     arrival.f0 = kNoDeadline;
     shard.channel->record(arrival);
-    Event place;
-    place.type = static_cast<std::uint8_t>(EventType::kPlacement);
-    place.time_s = place_s;
-    place.task = msg.id;
-    place.core = st.core;
-    place.rate_idx = st.rate_idx;
-    place.aux =
-        static_cast<std::uint16_t>(obs::dfr::DecisionScope::kNonInteractive);
-    place.flags = msg.stolen ? obs::dfr::kFlagStolen : 0;
-    place.u0 = msg.cycles;
-    place.f0 = placement.marginal;
-    place.f1 = shard.lmc.total_queue_cost();
-    shard.channel->record(place);
+    obs::record_decision(
+        *shard.channel,
+        {.time_s = place_s,
+         .scope = obs::dfr::DecisionScope::kNonInteractive,
+         .task = msg.id,
+         .core = st.core,
+         .cycles = msg.cycles,
+         .rate_idx = st.rate_idx,
+         .flags = msg.stolen ? obs::dfr::kFlagStolen : std::uint8_t{0},
+         .cost = placement.marginal,
+         .f1 = shard.lmc.total_queue_cost()});
 
     Event shardq = span(EventType::kShardQueue, place_s);
     shardq.core = st.core;

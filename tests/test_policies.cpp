@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <ostream>
+#include <string>
 #include <vector>
 
+#include "dvfs/core/batch_multi.h"
 #include "dvfs/governors/fifo_policy.h"
 #include "dvfs/governors/lmc_policy.h"
 #include "dvfs/governors/planned_policy.h"
+#include "dvfs/governors/wbg_rebalance_policy.h"
+#include "dvfs/obs/recorder.h"
 #include "dvfs/sim/engine.h"
 #include "dvfs/workload/generators.h"
 
@@ -409,6 +419,220 @@ TEST(PlannedPolicy, ExecutesSequencesInOrder) {
   EXPECT_NEAR(r.tasks[0].finish, 0.33, 1e-6);
   EXPECT_NEAR(r.tasks[1].finish, 0.33 + 0.625, 1e-6);
   EXPECT_TRUE(policy.idle());
+}
+
+// ------------------------------------------------------ decision streams
+
+namespace dfr = obs::dfr;
+
+constexpr std::size_t kDecisionCores = 3;
+
+workload::Trace decision_trace() {
+  workload::JudgegirlConfig cfg;
+  cfg.duration = 40.0;
+  cfg.non_interactive_tasks = 30;
+  cfg.interactive_tasks = 120;
+  return workload::generate_judgegirl(cfg, 11);
+}
+
+std::vector<dfr::Event> record_run(const workload::Trace& trace,
+                                   sim::Policy& policy) {
+  Engine eng(homogeneous(kDecisionCores), ContentionModel::none());
+  obs::Recorder rec(1, std::size_t{1} << 20);
+  eng.set_recorder(&rec.channel(0));
+  const SimResult r = eng.run(trace, policy);
+  EXPECT_EQ(r.completed_count(), trace.size());
+  rec.drain();
+  EXPECT_EQ(rec.events_dropped(), 0u);
+  return rec.events();
+}
+
+bool is(const dfr::Event& e, dfr::EventType t) {
+  return e.type == static_cast<std::uint8_t>(t);
+}
+
+struct DecisionCase {
+  const char* name;
+  std::unique_ptr<sim::Policy> (*make)(const workload::Trace&);
+  dfr::PolicyKind kind;
+  double re;
+  double rt;
+
+  friend void PrintTo(const DecisionCase& c, std::ostream* os) {
+    *os << c.name;
+  }
+};
+
+std::unique_ptr<sim::Policy> make_fifo(FifoPolicy::Placement placement,
+                                       FifoPolicy::FreqMode freq,
+                                       std::size_t rate_cap) {
+  return std::make_unique<FifoPolicy>(FifoPolicy::Config{
+      .placement = placement, .freq = freq, .rate_cap = rate_cap});
+}
+
+const DecisionCase kDecisionCases[] = {
+    {"lmc",
+     [](const workload::Trace&) -> std::unique_ptr<sim::Policy> {
+       return std::make_unique<LmcPolicy>(online_tables(kDecisionCores));
+     },
+     dfr::PolicyKind::kLmc, 0.4, 0.1},
+    {"olb",
+     [](const workload::Trace&) {
+       return make_fifo(FifoPolicy::Placement::kEarliestReady,
+                        FifoPolicy::FreqMode::kMax,
+                        static_cast<std::size_t>(-1));
+     },
+     dfr::PolicyKind::kFifo, 0.0, 0.0},
+    {"od",
+     [](const workload::Trace&) {
+       return make_fifo(FifoPolicy::Placement::kRoundRobin,
+                        FifoPolicy::FreqMode::kOndemand,
+                        static_cast<std::size_t>(-1));
+     },
+     dfr::PolicyKind::kFifo, 0.0, 0.0},
+    {"ps",
+     [](const workload::Trace&) {
+       const std::size_t rates =
+           core::EnergyModel::icpp2014_table2().num_rates();
+       return make_fifo(FifoPolicy::Placement::kEarliestReady,
+                        FifoPolicy::FreqMode::kOndemand, (rates + 1) / 2 - 1);
+     },
+     dfr::PolicyKind::kFifo, 0.0, 0.0},
+    {"planned",
+     [](const workload::Trace& trace) -> std::unique_ptr<sim::Policy> {
+       // Plan the trace's tasks as one batch; the policy then dispatches
+       // each one as it arrives.
+       std::vector<core::Task> batch = trace.tasks();
+       for (core::Task& t : batch) t.arrival = 0.0;
+       return std::make_unique<PlannedBatchPolicy>(core::workload_based_greedy(
+           batch, online_tables(kDecisionCores)));
+     },
+     dfr::PolicyKind::kPlannedBatch, 0.0, 0.0},
+    {"wbg",
+     [](const workload::Trace&) -> std::unique_ptr<sim::Policy> {
+       return std::make_unique<WbgRebalancePolicy>(
+           online_tables(kDecisionCores));
+     },
+     dfr::PolicyKind::kWbgRebalance, 0.4, 0.1},
+};
+
+class DecisionStream : public ::testing::TestWithParam<DecisionCase> {};
+
+// Every placement decision is recorded the same way: a run of one
+// kCandidate per core (the winner flagged) immediately followed by its
+// kPlacement, whose f0 is the winner's candidate cost bit for bit. A
+// planned dispatch has no candidates (the plan weighed them offline).
+TEST_P(DecisionStream, EveryPlacementCarriesItsCandidateRun) {
+  const DecisionCase& c = GetParam();
+  const workload::Trace trace = decision_trace();
+  ASSERT_GT(trace.count(core::TaskClass::kInteractive), 0u);
+  ASSERT_GT(trace.count(core::TaskClass::kNonInteractive), 0u);
+  const auto policy = c.make(trace);
+  const std::vector<dfr::Event> events = record_run(trace, *policy);
+
+  std::size_t params = 0;
+  std::size_t placements = 0;
+  std::size_t replans = 0;
+  std::vector<dfr::Event> run;
+  for (const dfr::Event& e : events) {
+    if (is(e, dfr::EventType::kCandidate)) {
+      run.push_back(e);
+      continue;
+    }
+    if (is(e, dfr::EventType::kParams)) {
+      ++params;
+      EXPECT_EQ(e.aux, static_cast<std::uint16_t>(c.kind));
+      EXPECT_EQ(e.core, kDecisionCores);
+      EXPECT_EQ(e.f0, c.re);
+      EXPECT_EQ(e.f1, c.rt);
+    }
+    if (is(e, dfr::EventType::kReplan)) ++replans;
+    if (!is(e, dfr::EventType::kPlacement)) {
+      ASSERT_TRUE(run.empty()) << "candidates not followed by a placement";
+      continue;
+    }
+    ++placements;
+    if (e.aux == static_cast<std::uint16_t>(dfr::DecisionScope::kPlanned)) {
+      EXPECT_TRUE(run.empty());
+      continue;
+    }
+    ASSERT_EQ(run.size(), kDecisionCores) << "task " << e.task;
+    std::size_t chosen = 0;
+    for (std::size_t j = 0; j < run.size(); ++j) {
+      const dfr::Event& cand = run[j];
+      EXPECT_EQ(cand.task, e.task);
+      EXPECT_EQ(cand.aux, e.aux);
+      EXPECT_EQ(cand.core, j);
+      if ((cand.flags & dfr::kFlagChosen) == 0) continue;
+      ++chosen;
+      EXPECT_EQ(cand.core, e.core);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(cand.f0),
+                std::bit_cast<std::uint64_t>(e.f0));
+    }
+    EXPECT_EQ(chosen, 1u) << "task " << e.task;
+    run.clear();
+  }
+  EXPECT_TRUE(run.empty());
+  EXPECT_EQ(params, 1u);
+  // One decision per arrival: a placement, or (WBG's non-interactive
+  // arrivals) a full replan.
+  EXPECT_EQ(placements + replans, trace.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Governors, DecisionStream, ::testing::ValuesIn(kDecisionCases),
+    [](const ::testing::TestParamInfo<DecisionCase>& info) {
+      return std::string(info.param.name);
+    });
+
+double margin_gauge() {
+  return obs::Registry::global().gauge("governor.cost.margin_ratio").value();
+}
+
+// Round robin ignores load, so on a trace where every third task is huge
+// it keeps piling work onto one core: the margin gauge must be positive
+// and must be exactly what the recorded candidate runs say it is.
+TEST(DecisionStream, RoundRobinMarginIsRecomputableFromTheRecording) {
+  std::vector<core::Task> tasks;
+  for (core::TaskId i = 0; i < 60; ++i) {
+    tasks.push_back(core::Task{
+        .id = i,
+        .cycles = i % kDecisionCores == 0 ? Cycles{20'000'000'000}
+                                           : Cycles{50'000'000},
+        .arrival = 0.05 * static_cast<double>(i),
+        .klass = core::TaskClass::kNonInteractive});
+  }
+  const workload::Trace trace(std::move(tasks));
+  FifoPolicy od({.placement = FifoPolicy::Placement::kRoundRobin,
+                 .freq = FifoPolicy::FreqMode::kOndemand});
+  const std::vector<dfr::Event> events = record_run(trace, od);
+  const double gauge = margin_gauge();
+
+  double chosen_sum = 0.0;
+  double best_sum = 0.0;
+  double chosen = 0.0;
+  double best = std::numeric_limits<double>::infinity();
+  for (const dfr::Event& e : events) {
+    if (is(e, dfr::EventType::kCandidate)) {
+      if ((e.flags & dfr::kFlagChosen) != 0) chosen = e.f0;
+      best = std::min(best, e.f0);
+    } else if (is(e, dfr::EventType::kPlacement)) {
+      chosen_sum += chosen;
+      best_sum += best;
+      best = std::numeric_limits<double>::infinity();
+    }
+  }
+  ASSERT_GT(chosen_sum, 0.0);
+  const double expected = (chosen_sum - best_sum) / chosen_sum;
+  EXPECT_GT(gauge, 0.0);
+  EXPECT_NEAR(gauge, expected, 1e-12 * expected);
+}
+
+TEST(DecisionStream, ArgminPolicyMarginStaysExactlyZero) {
+  const workload::Trace trace = decision_trace();
+  LmcPolicy lmc(online_tables(kDecisionCores));
+  (void)record_run(trace, lmc);
+  EXPECT_EQ(margin_gauge(), 0.0);
 }
 
 }  // namespace

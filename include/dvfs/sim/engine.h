@@ -149,6 +149,14 @@ class Engine {
   // ---------------------------------------------------------------- running
   /// Simulates `trace` to completion under `policy` and returns the
   /// metrics. The engine is reusable: each run starts from idle cores.
+  ///
+  /// Event order: arrivals are delivered in trace order (the trace is
+  /// sorted by arrival, then id), and an arrival wins a tie with a
+  /// completion or timer at the same instant. Completions and timers
+  /// among themselves fire in time order, equal times in push order (a
+  /// re-keyed completion keeps its place). Arrivals are read from the
+  /// trace as they come due, so the event heap holds at most
+  /// num_cores() + 1 events: one completion per busy core and the timer.
   SimResult run(const workload::Trace& trace, Policy& policy);
 
  private:

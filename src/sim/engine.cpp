@@ -384,7 +384,9 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
   for (std::size_t j = 0; j < models_.size(); ++j) {
     result_.rate_residency[j].assign(models_[j].num_rates(), 0.0);
   }
+  result_.tasks.reserve(trace.size());
   record_of_.clear();
+  record_of_.reserve(trace.size());
   events_.clear();
   for (CoreState& c : cores_) c = CoreState{};
   busy_count_ = 0;
@@ -394,10 +396,9 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
   stats_.margin_ratio.set(0.0);
   running_ = true;
 
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    events_.push(trace[i].arrival, Event{EventKind::kArrival, i});
-  }
-  std::size_t arrivals_pending = trace.size();
+  // Arrivals stream from the sorted trace; events_ holds only completions
+  // and the timer (see the event-order contract in engine.h).
+  std::size_t next_arrival = 0;
 
   const Seconds tick = policy.timer_interval();
   DVFS_REQUIRE(tick >= 0.0, "timer interval cannot be negative");
@@ -432,10 +433,18 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
 
   policy.attach(*this);
 
-  while (!events_.empty()) {
-    const Seconds t = events_.top_key();
-    const Event ev = events_.pop();
-    stats_.queue_depth.observe(static_cast<std::uint64_t>(events_.size()) + 1);
+  while (next_arrival < trace.size() || !events_.empty()) {
+    const std::size_t arrivals_pending = trace.size() - next_arrival;
+    stats_.queue_depth.observe(
+        static_cast<std::uint64_t>(events_.size() + arrivals_pending));
+    // An arrival wins a tie with a completion or timer (engine.h).
+    const bool arrival =
+        arrivals_pending > 0 &&
+        (events_.empty() || trace[next_arrival].arrival <= events_.top_key());
+    const Seconds t =
+        arrival ? trace[next_arrival].arrival : events_.top_key();
+    const Event ev = arrival ? Event{EventKind::kArrival, next_arrival++}
+                             : events_.pop();
     sync_to(t);
 
     switch (ev.kind) {
@@ -449,7 +458,6 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
                                            .cycles = task.cycles,
                                            .arrival = task.arrival,
                                            .deadline = task.deadline});
-        --arrivals_pending;
         stats_.arrivals.inc();
         if (recorder_ != nullptr) {
           recorder_->record(
@@ -498,8 +506,8 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
         stats_.timers.inc();
         timed_call(obs::dfr::DecisionKind::kOnTimer,
                    [&] { policy.on_timer(*this); });
-        const bool work_left =
-            arrivals_pending > 0 || busy_count_ > 0 || !policy.idle();
+        const bool work_left = next_arrival < trace.size() ||
+                               busy_count_ > 0 || !policy.idle();
         if (work_left) {
           events_.push(now_ + tick, Event{EventKind::kTimer, 0});
         }

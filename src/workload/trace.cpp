@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -17,14 +18,17 @@ core::TaskClass parse_class(std::string_view s) {
   return core::TaskClass::kBatch;  // unreachable
 }
 
-std::vector<std::string_view> split(std::string_view line, char sep) {
-  std::vector<std::string_view> out;
+// Splits `line` into `out` (cleared first; reused across rows so a row
+// costs no allocation once the vector has grown).
+void split(std::string_view line, char sep,
+           std::vector<std::string_view>& out) {
+  out.clear();
   std::size_t start = 0;
   while (true) {
     const std::size_t pos = line.find(sep, start);
     if (pos == std::string_view::npos) {
       out.push_back(line.substr(start));
-      return out;
+      return;
     }
     out.push_back(line.substr(start, pos - start));
     start = pos + 1;
@@ -32,8 +36,17 @@ std::vector<std::string_view> split(std::string_view line, char sep) {
 }
 
 double parse_double(std::string_view s, const char* what) {
-  // std::from_chars<double> handles "inf" inconsistently across libcs;
-  // route through stod with full-consumption checking instead.
+  // Fast path: a from_chars parse that consumes the whole field and is a
+  // normal number equals stod's (both round correctly). Everything else
+  // (zero, subnormals, inf/nan, a '+' or space prefix, hex, out-of-range,
+  // junk) takes the stod path, which defines what the format accepts and
+  // how it fails; from_chars also handles "inf" inconsistently across
+  // libcs.
+  double fast = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), fast);
+  if (ec == std::errc{} && ptr == s.data() + s.size() && std::isnormal(fast)) {
+    return fast;
+  }
   try {
     std::size_t used = 0;
     const double v = std::stod(std::string(s), &used);
@@ -61,11 +74,14 @@ Trace::Trace(std::vector<core::Task> tasks) : tasks_(std::move(tasks)) {
   for (const core::Task& t : tasks_) {
     DVFS_REQUIRE(core::is_valid(t), "invalid task in trace: " + describe(t));
   }
-  std::stable_sort(tasks_.begin(), tasks_.end(),
-                   [](const core::Task& a, const core::Task& b) {
-                     if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                     return a.id < b.id;
-                   });
+  const auto by_arrival_then_id = [](const core::Task& a,
+                                     const core::Task& b) {
+    if (a.arrival != b.arrival) return a.arrival < b.arrival;
+    return a.id < b.id;
+  };
+  if (!std::is_sorted(tasks_.begin(), tasks_.end(), by_arrival_then_id)) {
+    std::stable_sort(tasks_.begin(), tasks_.end(), by_arrival_then_id);
+  }
 }
 
 std::size_t Trace::count(core::TaskClass klass) const {
@@ -128,9 +144,10 @@ Trace read_csv(std::istream& is) {
   DVFS_REQUIRE(line.rfind("id,arrival,cycles,class", 0) == 0,
                "missing CSV header");
   std::vector<core::Task> tasks;
+  std::vector<std::string_view> fields;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
-    const auto fields = split(line, ',');
+    split(line, ',', fields);
     DVFS_REQUIRE(fields.size() == 5 || fields.size() == 4,
                  "CSV row must have 4 or 5 fields");
     core::Task t;

@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
+#include <memory>
+#include <ostream>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "dvfs/core/batch_multi.h"
+#include "dvfs/governors/fifo_policy.h"
+#include "dvfs/governors/lmc_policy.h"
 #include "dvfs/governors/planned_policy.h"
+#include "dvfs/governors/wbg_rebalance_policy.h"
+#include "dvfs/obs/metrics.h"
 #include "dvfs/sim/contention.h"
 #include "dvfs/workload/spec2006int.h"
 
@@ -649,6 +657,173 @@ TEST_P(EngineChaos, AccountingSurvivesRandomLegalActions) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineChaos,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+// ------------------------------------------------------------ event order
+//
+// The engine's pop order is part of its contract (engine.h): at equal
+// times an arrival goes before a completion or timer, arrivals follow
+// trace order, and dynamic events follow push order. These runs are built
+// so that ties actually happen, on a model whose time per cycle is a
+// power of two, so every completion instant is exact in binary and can
+// coincide with an arrival. The goldens pin every cost bit, the event
+// counts and the pending-event depth histogram; a changed tie rule moves
+// at least one of them.
+
+core::EnergyModel dyadic_model() {
+  return core::EnergyModel(core::RateSet({1.0, 2.0, 4.0}), {0.25, 0.5, 1.0},
+                           {1.0, 0.5, 0.25});
+}
+
+// Seeded mixed trace on a half-second grid (many shared instants), plus
+// constructed ties: two arrivals at t = 3, an arrival on the 1 s timer
+// tick at t = 5, and an 8-cycle task at t = 100 whose completion meets
+// an arrival (t = 102, 104 or 108) when it starts at once and keeps one
+// rate (lmc: 108, olb: 102).
+std::vector<core::Task> tie_tasks(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<core::Task> tasks;
+  core::TaskId id = 1;
+  for (int i = 0; i < 40; ++i) {
+    const bool interactive = rng() % 3 == 0;
+    tasks.push_back(core::Task{
+        .id = id++,
+        .cycles = 1 + rng() % 8,
+        .arrival = static_cast<double>(rng() % 80) / 2.0,
+        .klass = interactive ? core::TaskClass::kInteractive
+                             : core::TaskClass::kNonInteractive});
+  }
+  const auto add = [&](Cycles cycles, Seconds arrival) {
+    tasks.push_back(core::Task{.id = id++,
+                               .cycles = cycles,
+                               .arrival = arrival,
+                               .klass = core::TaskClass::kNonInteractive});
+  };
+  add(3, 3.0);
+  add(2, 3.0);
+  add(4, 5.0);
+  add(8, 100.0);
+  add(1, 102.0);
+  add(1, 104.0);
+  add(1, 108.0);
+  return tasks;
+}
+
+std::string hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+struct OrderGolden {
+  const char* policy;
+  std::uint64_t seed;
+  const char* cost;
+  const char* energy;
+  std::uint64_t arrivals, completions, timers;
+  std::uint64_t depth_sum, depth_count;
+};
+
+void PrintTo(const OrderGolden& g, std::ostream* os) {
+  *os << g.policy << " seed " << g.seed;
+}
+
+std::unique_ptr<Policy> make_order_policy(const std::string& name,
+                                          const std::vector<core::Task>& tasks,
+                                          std::size_t cores) {
+  using governors::FifoPolicy;
+  const std::vector<core::CostTable> tables(
+      cores, core::CostTable(dyadic_model(), core::CostParams{0.4, 0.1}));
+  if (name == "lmc") return std::make_unique<governors::LmcPolicy>(tables);
+  if (name == "wbg") {
+    return std::make_unique<governors::WbgRebalancePolicy>(tables);
+  }
+  if (name == "planned") {
+    std::vector<core::Task> batch = tasks;
+    for (core::Task& t : batch) t.arrival = 0.0;
+    return std::make_unique<governors::PlannedBatchPolicy>(
+        core::workload_based_greedy(batch, tables));
+  }
+  FifoPolicy::Config config;
+  if (name == "od") {
+    config.placement = FifoPolicy::Placement::kRoundRobin;
+    config.freq = FifoPolicy::FreqMode::kOndemand;
+  } else if (name == "ps") {
+    config.freq = FifoPolicy::FreqMode::kOndemand;
+    config.rate_cap = 1;
+  }
+  return std::make_unique<FifoPolicy>(config);
+}
+
+class EventOrder : public ::testing::TestWithParam<OrderGolden> {};
+
+TEST_P(EventOrder, TiesResolveLikeTheGoldenRun) {
+  const OrderGolden& g = GetParam();
+  constexpr std::size_t kCores = 3;
+  const std::vector<core::Task> tasks = tie_tasks(g.seed);
+  std::unique_ptr<Policy> policy = make_order_policy(g.policy, tasks, kCores);
+
+  auto& reg = obs::Registry::global();
+  const obs::Counter& arrivals = reg.counter("sim.events.arrival");
+  const obs::Counter& completions = reg.counter("sim.events.completion");
+  const obs::Counter& timers = reg.counter("sim.events.timer");
+  const obs::Histogram& depth = reg.histogram("sim.event_queue_depth");
+  const std::uint64_t a0 = arrivals.value(), c0 = completions.value(),
+                      t0 = timers.value(), s0 = depth.sum(),
+                      n0 = depth.count();
+
+  Engine eng(std::vector<core::EnergyModel>(kCores, dyadic_model()),
+             ContentionModel::none());
+  const SimResult r = eng.run(workload::Trace(tasks), *policy);
+  ASSERT_EQ(r.completed_count(), tasks.size());
+
+  const std::string cost = hex(r.total_cost(core::CostParams{0.4, 0.1}));
+  const std::string energy = hex(r.busy_energy);
+  const std::uint64_t n_arrivals = arrivals.value() - a0,
+                      n_completions = completions.value() - c0,
+                      n_timers = timers.value() - t0,
+                      depth_sum = depth.sum() - s0,
+                      depth_count = depth.count() - n0;
+  // The kOrderGoldens row this run produced.
+  SCOPED_TRACE(std::string("{\"") + g.policy + "\", " +
+               std::to_string(g.seed) + ", \"" + cost + "\", \"" + energy +
+               "\", " + std::to_string(n_arrivals) + ", " +
+               std::to_string(n_completions) + ", " +
+               std::to_string(n_timers) + ", " + std::to_string(depth_sum) +
+               ", " + std::to_string(depth_count) + "}");
+  EXPECT_EQ(cost, g.cost);
+  EXPECT_EQ(energy, g.energy);
+  EXPECT_EQ(n_arrivals, g.arrivals);
+  EXPECT_EQ(n_completions, g.completions);
+  EXPECT_EQ(n_timers, g.timers);
+  EXPECT_EQ(depth_sum, g.depth_sum);
+  EXPECT_EQ(depth_count, g.depth_count);
+}
+
+// Captured from the heap-only event loop, which pre-loaded every arrival
+// into the heap with a sequence number below every completion and timer;
+// streamed arrivals must reproduce it bit for bit.
+const OrderGolden kOrderGoldens[] = {
+    {"lmc", 1, "0x1.bd0cccccd71bap+5", "0x1.7a3000000897p+6", 47, 47, 0, 2273,
+     94},
+    {"lmc", 2, "0x1.12f4ccccccccdp+6", "0x1.02d2p+7", 47, 47, 0, 2278, 94},
+    {"olb", 1, "0x1.40ccccccccccdp+6", "0x1.78p+7", 47, 47, 0, 2296, 94},
+    {"olb", 2, "0x1.62b3333333333p+6", "0x1.ap+7", 47, 47, 0, 2295, 94},
+    {"od", 1, "0x1.2400000000001p+6", "0x1.41cp+7", 47, 47, 109, 3738, 203},
+    {"od", 2, "0x1.3b8cccccccccdp+6", "0x1.5e4p+7", 47, 47, 109, 3874, 203},
+    {"ps", 1, "0x1.9466666666667p+5", "0x1.5e8p+6", 47, 47, 109, 3758, 203},
+    {"ps", 2, "0x1.b366666666667p+5", "0x1.898p+6", 47, 47, 109, 3892, 203},
+    {"planned", 1, "0x1.c926666666666p+8", "0x1.dp+6", 47, 47, 0, 1269, 94},
+    {"planned", 2, "0x1.cc00000000001p+8", "0x1.0cp+7", 47, 47, 0, 1269, 94},
+    {"wbg", 1, "0x1.d0fd99999999ap+5", "0x1.9723p+6", 47, 47, 0, 2258, 94},
+    {"wbg", 2, "0x1.1ca3333333333p+6", "0x1.1094p+7", 47, 47, 0, 2259, 94},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, EventOrder, ::testing::ValuesIn(kOrderGoldens),
+    [](const ::testing::TestParamInfo<OrderGolden>& info) {
+      return std::string(info.param.policy) + "_seed" +
+             std::to_string(info.param.seed);
+    });
 
 TEST(Metrics, TurnaroundPercentiles) {
   SimResult r;

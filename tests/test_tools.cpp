@@ -224,6 +224,45 @@ TEST_F(ToolsFixture, RecordedRunReplaysByteIdentical) {
   }
 }
 
+// Non-LMC policies record Re = Rt = 0: audit has nothing to replan and
+// says so instead of failing on the zero cost weights.
+TEST_F(ToolsFixture, AuditOfNonLmcRecordingReportsNothingToAudit) {
+  const std::string batch = dir_ + "/batch.csv";
+  {
+    std::ofstream os(batch);
+    os << "id,arrival,cycles,class,deadline\n";
+    for (int i = 0; i < 6; ++i) {
+      os << i << ",0," << (i + 1) * 1'000'000'000LL << ",batch,\n";
+    }
+  }
+  const std::string plan_path = dir_ + "/plan.csv";
+  ASSERT_EQ(run(tool("dvfs_plan") + " --tasks " + batch +
+                " --cores 2 --out " + plan_path),
+            0);
+  for (const std::string policy : {"olb", "planned"}) {
+    SCOPED_TRACE(policy);
+    const std::string dfr = dir_ + "/" + policy + ".dfr";
+    const std::string plan_flag =
+        policy == "planned" ? " --plan " + plan_path : "";
+    ASSERT_EQ(run(tool("dvfs_simulate") + " --trace " + batch +
+                  " --policy " + policy + plan_flag +
+                  " --cores 2 --record-out " + dfr),
+              0);
+    int code = 0;
+    const std::string audit = run_capture(
+        tool("dvfs_inspect") + " audit --in " + dfr, &code);
+    EXPECT_EQ(code, 0) << audit;
+    EXPECT_NE(audit.find("no LMC placements to audit"), std::string::npos)
+        << audit;
+    // Explicit weights still run the replan.
+    const std::string forced = run_capture(
+        tool("dvfs_inspect") + " audit --in " + dfr + " --re 0.4 --rt 0.1",
+        &code);
+    EXPECT_EQ(code, 0) << forced;
+    EXPECT_NE(forced.find("end-to-end"), std::string::npos) << forced;
+  }
+}
+
 TEST_F(ToolsFixture, InspectExplainAndAuditSmoke) {
   const std::string trace = dir_ + "/online.csv";
   ASSERT_EQ(run(tool("dvfs_trace_gen") +

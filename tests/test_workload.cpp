@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <random>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <variant>
 
 #include "dvfs/workload/estimator.h"
 #include "dvfs/workload/generators.h"
@@ -171,6 +176,73 @@ TEST(TraceCsv, RejectsMalformedInput) {
   {
     std::stringstream ss("");
     EXPECT_THROW((void)read_csv(ss), PreconditionError);
+  }
+}
+
+// The CSV reader's double parsing must accept exactly what std::stod
+// (with whole-field consumption) accepts, return the same bits, and fail
+// with the same message. This reference is that stod-only parse plus the
+// trace's own arrival check. A partly consumed field reports
+// "non-numeric", as the stod path always has.
+std::variant<double, std::string> stod_arrival(const std::string& field) {
+  try {
+    std::size_t used = 0;
+    const double v = std::stod(field, &used);
+    if (used != field.size()) return std::string("non-numeric arrival");
+    if (v < 0.0) return std::string("invalid task in trace");
+    return v;
+  } catch (const std::invalid_argument&) {
+    return std::string("non-numeric arrival");
+  } catch (const std::out_of_range&) {
+    return std::string("out-of-range arrival");
+  }
+}
+
+void expect_parses_like_stod(const std::string& field) {
+  SCOPED_TRACE("arrival field '" + field + "'");
+  std::stringstream ss("id,arrival,cycles,class,deadline\n1," + field +
+                       ",10,batch,\n");
+  const auto expected = stod_arrival(field);
+  if (const auto* value = std::get_if<double>(&expected)) {
+    const Trace t = read_csv(ss);
+    ASSERT_EQ(t.size(), 1u);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(t[0].arrival),
+              std::bit_cast<std::uint64_t>(*value));
+    return;
+  }
+  try {
+    (void)read_csv(ss);
+    ADD_FAILURE() << "accepted; stod path rejects it";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(std::get<std::string>(expected)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(TraceCsv, DoubleFieldsParseLikeStod) {
+  for (const char* field :
+       {"0", "-0", "0.0", "0e5", "1", "1.5", "-1.5", "+1.5", " 1.5", "1.5 ",
+        "\t2", "00001.25", ".5", "5.", ".", "", "-", "+", "e5", "1e", "1e+",
+        "1e-5", "1E3", "1e0010", "0.1", "123456789.123456789",
+        "3.14159265358979323846264338327950288", "1e308",
+        "1.7976931348623157e308", "1.7976931348623159e308", "1e309",
+        "-1e309", "2.2250738585072014e-308", "2.225073858507201e-308",
+        "4.9e-324", "1e-400", "inf", "-inf", "INF", "infinity", "nan", "NaN",
+        "-nan", "nan(123)", "0x1p3", "0X1.8p1", "0x", "1.5abc", "abc",
+        "1_000", "1..5", "--1"}) {
+    expect_parses_like_stod(field);
+  }
+  // Random normal values in every printed precision.
+  std::mt19937_64 rng(4242);
+  for (int i = 0; i < 2000; ++i) {
+    double v = 0.0;
+    do {
+      v = std::bit_cast<double>(rng() >> 1);  // sign bit clear
+    } while (!std::isnormal(v));
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.*g", 1 + i % 17, v);
+    expect_parses_like_stod(buf);
   }
 }
 

@@ -415,6 +415,14 @@ int cmd_audit(const obs::Recording& rec, const util::Args& args) {
   const std::size_t cores =
       begin ? begin->core : (params ? params->core : 0);
   DVFS_REQUIRE(cores > 0, "recording has no run_begin/params event");
+  // Only LMC records positive cost weights; OLB, OD, PS and planned runs
+  // record Re = Rt = 0 and make no placement the replan could price.
+  if (!args.has("re") && !args.has("rt") && !(re > 0.0 && rt > 0.0)) {
+    std::printf("audit: recording has no LMC placements to audit "
+                "(recorded Re=%g Rt=%g)\n",
+                re, rt);
+    return 0;
+  }
   const core::EnergyModel model =
       tools::model_from_flag(args.get_string("model", "table2"));
   const std::vector<core::CostTable> tables(

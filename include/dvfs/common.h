@@ -69,6 +69,17 @@ inline bool almost_equal(double a, double b, double rel_tol = 1e-9,
   return diff <= rel_tol * std::max(std::fabs(a), std::fabs(b));
 }
 
+/// MurmurHash3's 64-bit finalizer: a cheap bijective mixer for hashing
+/// integer ids into open-addressing tables.
+[[nodiscard]] constexpr std::uint64_t fmix64(std::uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xFF51AFD7ED558CCDull;
+  x ^= x >> 33;
+  x *= 0xC4CEB9FE1A85EC53ull;
+  x ^= x >> 33;
+  return x;
+}
+
 /// +infinity shorthand for deadlines ("no time constraint", Sec. II-A).
 inline constexpr Seconds kNoDeadline = std::numeric_limits<Seconds>::infinity();
 

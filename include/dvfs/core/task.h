@@ -7,6 +7,7 @@
 /// firm deadline; may preempt lower-priority work) or non-interactive.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -57,12 +58,15 @@ struct Task {
   friend bool operator==(const Task&, const Task&) = default;
 };
 
-/// Validates the Section II-A constraints: positive workload, and
-/// D_k > A_k >= 0 whenever a deadline is present.
+/// Validates the Section II-A constraints: positive workload, a finite
+/// A_k >= 0, and a finite D_k > A_k whenever a deadline is present.
 [[nodiscard]] inline bool is_valid(const Task& t) {
   if (t.cycles == 0) return false;
-  if (t.arrival < 0.0) return false;
-  if (t.has_deadline() && t.deadline <= t.arrival) return false;
+  if (!std::isfinite(t.arrival) || t.arrival < 0.0) return false;
+  if (t.has_deadline() &&
+      (!std::isfinite(t.deadline) || t.deadline <= t.arrival)) {
+    return false;
+  }
   return true;
 }
 

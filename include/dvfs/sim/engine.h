@@ -20,14 +20,13 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "dvfs/core/energy_model.h"
 #include "dvfs/core/task.h"
-#include "dvfs/ds/indexed_heap.h"
 #include "dvfs/obs/metrics.h"
 #include "dvfs/obs/recorder_format.h"
 #include "dvfs/sim/contention.h"
@@ -116,8 +115,14 @@ class Engine {
   /// difference between ticks to compute loading.
   [[nodiscard]] Seconds cumulative_busy_seconds(std::size_t core) const;
 
-  /// Record of a task seen so far this run (by id).
+  /// Record of a task seen so far this run (by id). Throws "unknown task
+  /// id" for an id that has not arrived yet.
   [[nodiscard]] const TaskRecord& record(core::TaskId task) const;
+
+  /// Record of the task running on `core`, read straight from the core
+  /// (no id lookup); equals record(running_task(core)). Throws "core is
+  /// idle" when nothing runs there.
+  [[nodiscard]] const TaskRecord& running_record(std::size_t core) const;
 
   // ---------------------------------------------------------- observability
   /// Attaches a flight-recorder channel (see dvfs/obs/recorder.h);
@@ -151,15 +156,29 @@ class Engine {
   /// metrics. The engine is reusable: each run starts from idle cores.
   ///
   /// Event order: arrivals are delivered in trace order (the trace is
-  /// sorted by arrival, then id), and an arrival wins a tie with a
-  /// completion or timer at the same instant. Completions and timers
-  /// among themselves fire in time order, equal times in push order (a
-  /// re-keyed completion keeps its place). Arrivals are read from the
-  /// trace as they come due, so the event heap holds at most
-  /// num_cores() + 1 events: one completion per busy core and the timer.
+  /// sorted by arrival, then id) as they come due. Besides the next
+  /// arrival, the pending events live in fixed slots: one completion slot
+  /// per core, armed while the core is busy, and one timer slot. Each
+  /// armed slot carries its time and a push sequence number drawn from a
+  /// run-wide counter when the slot is armed (a new completion, or the
+  /// timer re-armed); re-keying a busy core's completion after a state
+  /// change keeps its sequence number. The next event is the arrival when
+  /// its time is <= every armed slot's (an arrival wins a tie); otherwise
+  /// the armed slot with the least (time, sequence), so completions and
+  /// timers at one instant fire in the order they were armed. The pending
+  /// event count (sim.event_queue_depth) is the armed slots plus the
+  /// arrivals not yet delivered.
   SimResult run(const workload::Trace& trace, Policy& policy);
 
  private:
+  /// A pending completion or timer: due at `eta`, ordered among equal
+  /// times by `seq` (see the event-order contract on run()).
+  struct Slot {
+    bool armed = false;
+    Seconds eta = 0.0;
+    std::uint64_t seq = 0;
+  };
+
   struct CoreState {
     bool busy = false;
     std::size_t record_idx = 0;   // into result_.tasks
@@ -167,8 +186,7 @@ class Engine {
     std::size_t rate_idx = 0;
     std::size_t last_rate = kNoRate;  // persists across idle gaps
     Seconds stall_remaining = 0.0;    // pending DVFS transition stall
-    ds::IndexedHeap<std::size_t>::Handle completion_event =
-        ds::IndexedHeap<std::size_t>::kNullHandle;
+    Slot completion;                  // armed while busy
     Seconds busy_seconds = 0.0;
     Seconds span_start = 0.0;  // when the current execution span began
   };
@@ -203,6 +221,10 @@ class Engine {
     std::size_t index;  // arrival: trace index; completion: core index
   };
 
+  /// Arms `slot` at `eta` with the next push sequence number.
+  void arm(Slot& slot, Seconds eta);
+  void disarm(Slot& slot);
+
   void check_core(std::size_t core) const;
   [[nodiscard]] std::size_t busy_count() const { return busy_count_; }
 
@@ -213,6 +235,12 @@ class Engine {
   /// Re-keys every busy core's completion event after a state change.
   void reschedule_completions();
 
+  /// Sizes the record index for `tasks` arrivals and empties it.
+  void reset_index(std::size_t tasks);
+  /// Files record `idx` (about to be appended) under `id`; throws on a
+  /// duplicate id.
+  void insert_index(core::TaskId id, std::size_t idx);
+  [[nodiscard]] std::size_t index_slot(core::TaskId task) const;
   [[nodiscard]] std::size_t record_index(core::TaskId task) const;
 
   std::vector<core::EnergyModel> models_;
@@ -224,9 +252,15 @@ class Engine {
   std::vector<CoreState> cores_;
   std::size_t busy_count_ = 0;
   Seconds now_ = 0.0;
-  ds::IndexedHeap<Event> events_;
+  Slot timer_;
+  std::size_t armed_count_ = 0;  // armed completion slots + timer
+  std::uint64_t next_seq_ = 0;
   SimResult result_;
-  std::unordered_map<core::TaskId, std::size_t> record_of_;
+  // Open-addressing record index (linear probing, fmix64 of the id):
+  // each entry is a result_.tasks index + 1, 0 marks an empty slot. Its
+  // size is a power of two at least twice the trace's task count.
+  std::vector<std::uint32_t> index_ = std::vector<std::uint32_t>(1, 0);
+  std::size_t index_mask_ = 0;
   bool running_ = false;
 
   // Chosen and best candidate costs summed over this run's decisions.

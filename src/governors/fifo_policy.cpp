@@ -106,8 +106,7 @@ void FifoPolicy::on_arrival(sim::Engine& engine, const core::Task& task) {
     // Interactive: preempt a running lower-priority task, else queue FIFO
     // behind same-priority work.
     if (engine.busy(core)) {
-      const core::TaskId running = engine.running_task(core);
-      if (engine.record(running).klass == core::TaskClass::kInteractive) {
+      if (engine.running_record(core).klass == core::TaskClass::kInteractive) {
         q.interactive.push_back(entry);
         return;
       }

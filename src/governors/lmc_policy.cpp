@@ -52,8 +52,9 @@ std::size_t LmcPolicy::running_rate(std::size_t core) const {
 
 void LmcPolicy::adjust_running_rate(sim::Engine& engine, std::size_t core) {
   if (!engine.busy(core)) return;
-  const core::TaskId running = engine.running_task(core);
-  if (engine.record(running).klass == core::TaskClass::kInteractive) return;
+  if (engine.running_record(core).klass == core::TaskClass::kInteractive) {
+    return;
+  }
   engine.set_rate(core, running_rate(core));
 }
 
@@ -112,8 +113,7 @@ void LmcPolicy::on_arrival(sim::Engine& engine, const core::Task& task) {
       engine.start(core, task.id, static_cast<double>(task.cycles), pm);
       return;
     }
-    const core::TaskId running = engine.running_task(core);
-    if (engine.record(running).klass == core::TaskClass::kInteractive) {
+    if (engine.running_record(core).klass == core::TaskClass::kInteractive) {
       // Equal priority never preempts; wait FIFO.
       st.pending_interactive.push_back(
           Pending{task.id, static_cast<double>(task.cycles)});
@@ -161,9 +161,11 @@ void LmcPolicy::on_arrival(sim::Engine& engine, const core::Task& task) {
 
 void LmcPolicy::on_complete(sim::Engine& engine, std::size_t core,
                             core::TaskId task) {
-  const sim::TaskRecord& rec = engine.record(task);
-  if (on_completion_ && rec.klass == core::TaskClass::kNonInteractive) {
-    on_completion_(task, rec.cycles);
+  if (on_completion_) {
+    const sim::TaskRecord& rec = engine.record(task);
+    if (rec.klass == core::TaskClass::kNonInteractive) {
+      on_completion_(task, rec.cycles);
+    }
   }
   start_next(engine, core);
 }

@@ -101,8 +101,9 @@ Money WbgRebalancePolicy::interactive_cost(std::size_t core,
 void WbgRebalancePolicy::adjust_running_rate(sim::Engine& engine,
                                              std::size_t core) {
   if (!engine.busy(core)) return;
-  const core::TaskId running = engine.running_task(core);
-  if (engine.record(running).klass == core::TaskClass::kInteractive) return;
+  if (engine.running_record(core).klass == core::TaskClass::kInteractive) {
+    return;
+  }
   engine.set_rate(core,
                   tables_[core].best_rate(per_core_[core].plan.size() + 1));
 }
@@ -152,8 +153,7 @@ void WbgRebalancePolicy::on_arrival(sim::Engine& engine,
       engine.start(core, task.id, static_cast<double>(task.cycles), pm);
       return;
     }
-    const core::TaskId running = engine.running_task(core);
-    if (engine.record(running).klass == core::TaskClass::kInteractive) {
+    if (engine.running_record(core).klass == core::TaskClass::kInteractive) {
       st.pending_interactive.push_back(
           Pending{task.id, static_cast<double>(task.cycles)});
       return;

@@ -1,8 +1,10 @@
 #include "dvfs/sim/engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "dvfs/obs/recorder.h"
@@ -15,6 +17,9 @@ namespace {
 // progress integration can leave ulp-scale residue at the completion
 // event's exact timestamp).
 constexpr double kCompletionEpsilonCycles = 0.5;
+
+// How many arrivals ahead the record index prefetches its probe slot.
+constexpr std::size_t kIndexPrefetchDistance = 16;
 }  // namespace
 
 Engine::Stats::Stats()
@@ -187,9 +192,13 @@ bool Engine::busy(std::size_t core) const {
 }
 
 core::TaskId Engine::running_task(std::size_t core) const {
+  return running_record(core).id;
+}
+
+const TaskRecord& Engine::running_record(std::size_t core) const {
   check_core(core);
   DVFS_REQUIRE(cores_[core].busy, "core is idle");
-  return result_.tasks[cores_[core].record_idx].id;
+  return result_.tasks[cores_[core].record_idx];
 }
 
 std::size_t Engine::current_rate(std::size_t core) const {
@@ -213,10 +222,45 @@ const TaskRecord& Engine::record(core::TaskId task) const {
   return result_.tasks[record_index(task)];
 }
 
+void Engine::reset_index(std::size_t tasks) {
+  DVFS_REQUIRE(tasks < std::numeric_limits<std::uint32_t>::max(),
+               "trace too large for 32-bit record indices");
+  index_.assign(std::bit_ceil(std::max<std::size_t>(2 * tasks, 1)), 0);
+  index_mask_ = index_.size() - 1;
+}
+
+std::size_t Engine::index_slot(core::TaskId task) const {
+  return static_cast<std::size_t>(fmix64(task)) & index_mask_;
+}
+
+void Engine::insert_index(core::TaskId id, std::size_t idx) {
+  std::size_t pos = index_slot(id);
+  while (index_[pos] != 0) {
+    DVFS_REQUIRE(result_.tasks[index_[pos] - 1].id != id,
+                 "duplicate task id in trace");
+    pos = (pos + 1) & index_mask_;
+  }
+  index_[pos] = static_cast<std::uint32_t>(idx + 1);
+}
+
 std::size_t Engine::record_index(core::TaskId task) const {
-  const auto it = record_of_.find(task);
-  DVFS_REQUIRE(it != record_of_.end(), "unknown task id");
-  return it->second;
+  for (std::size_t pos = index_slot(task);; pos = (pos + 1) & index_mask_) {
+    const std::uint32_t entry = index_[pos];
+    DVFS_REQUIRE(entry != 0, "unknown task id");
+    // Entries left by an earlier run point past this run's records.
+    DVFS_REQUIRE(entry <= result_.tasks.size(), "unknown task id");
+    if (result_.tasks[entry - 1].id == task) return entry - 1;
+  }
+}
+
+void Engine::arm(Slot& slot, Seconds eta) {
+  slot = Slot{.armed = true, .eta = eta, .seq = next_seq_++};
+  ++armed_count_;
+}
+
+void Engine::disarm(Slot& slot) {
+  slot.armed = false;
+  --armed_count_;
 }
 
 void Engine::sync_to(Seconds t) {
@@ -256,11 +300,10 @@ void Engine::reschedule_completions() {
     const double tpc = models_[j].time_per_cycle(c.rate_idx);
     const Seconds eta =
         now_ + c.stall_remaining + c.remaining * tpc * factor;
-    if (c.completion_event == ds::IndexedHeap<std::size_t>::kNullHandle ||
-        !events_.contains(c.completion_event)) {
-      c.completion_event = events_.push(eta, Event{EventKind::kCompletion, j});
+    if (c.completion.armed) {
+      c.completion.eta = eta;  // re-keyed: keeps its sequence number
     } else {
-      events_.update_key(c.completion_event, eta);
+      arm(c.completion, eta);
     }
   }
 }
@@ -321,10 +364,7 @@ Engine::Preempted Engine::preempt(std::size_t core) {
   c.stall_remaining = 0.0;
   c.busy = false;
   --busy_count_;
-  if (events_.contains(c.completion_event)) {
-    (void)events_.erase(c.completion_event);
-  }
-  c.completion_event = ds::IndexedHeap<std::size_t>::kNullHandle;
+  disarm(c.completion);
   reschedule_completions();
   return out;
 }
@@ -385,10 +425,11 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
     result_.rate_residency[j].assign(models_[j].num_rates(), 0.0);
   }
   result_.tasks.reserve(trace.size());
-  record_of_.clear();
-  record_of_.reserve(trace.size());
-  events_.clear();
+  reset_index(trace.size());
   for (CoreState& c : cores_) c = CoreState{};
+  timer_ = Slot{};
+  armed_count_ = 0;
+  next_seq_ = 0;
   busy_count_ = 0;
   now_ = 0.0;
   chosen_sum_ = 0.0;
@@ -396,15 +437,13 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
   stats_.margin_ratio.set(0.0);
   running_ = true;
 
-  // Arrivals stream from the sorted trace; events_ holds only completions
-  // and the timer (see the event-order contract in engine.h).
+  // Arrivals stream from the sorted trace; the slots hold only
+  // completions and the timer (see the event-order contract in engine.h).
   std::size_t next_arrival = 0;
 
   const Seconds tick = policy.timer_interval();
   DVFS_REQUIRE(tick >= 0.0, "timer interval cannot be negative");
-  if (tick > 0.0) {
-    events_.push(tick, Event{EventKind::kTimer, 0});
-  }
+  if (tick > 0.0) arm(timer_, tick);
 
   if (recorder_ != nullptr) {
     recorder_->record(
@@ -433,26 +472,46 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
 
   policy.attach(*this);
 
-  while (next_arrival < trace.size() || !events_.empty()) {
+  while (next_arrival < trace.size() || armed_count_ > 0) {
     const std::size_t arrivals_pending = trace.size() - next_arrival;
     stats_.queue_depth.observe(
-        static_cast<std::uint64_t>(events_.size() + arrivals_pending));
+        static_cast<std::uint64_t>(armed_count_ + arrivals_pending));
+    // The armed slot with the least (eta, seq): core j's completion, or
+    // the timer at j == n.
+    const std::size_t n = cores_.size();
+    Slot* next = nullptr;
+    std::size_t next_j = 0;
+    for (std::size_t j = 0; j <= n; ++j) {
+      Slot& s = j < n ? cores_[j].completion : timer_;
+      if (s.armed && (next == nullptr || s.eta < next->eta ||
+                      (s.eta == next->eta && s.seq < next->seq))) {
+        next = &s;
+        next_j = j;
+      }
+    }
     // An arrival wins a tie with a completion or timer (engine.h).
     const bool arrival =
         arrivals_pending > 0 &&
-        (events_.empty() || trace[next_arrival].arrival <= events_.top_key());
-    const Seconds t =
-        arrival ? trace[next_arrival].arrival : events_.top_key();
-    const Event ev = arrival ? Event{EventKind::kArrival, next_arrival++}
-                             : events_.pop();
+        (next == nullptr || trace[next_arrival].arrival <= next->eta);
+    const Seconds t = arrival ? trace[next_arrival].arrival : next->eta;
+    Event ev{EventKind::kArrival, next_arrival};
+    if (arrival) {
+      ++next_arrival;
+    } else {
+      ev = next_j == n ? Event{EventKind::kTimer, 0}
+                       : Event{EventKind::kCompletion, next_j};
+      disarm(*next);
+    }
     sync_to(t);
 
     switch (ev.kind) {
       case EventKind::kArrival: {
         const core::Task& task = trace[ev.index];
-        const std::size_t idx = result_.tasks.size();
-        DVFS_REQUIRE(record_of_.emplace(task.id, idx).second,
-                     "duplicate task id in trace");
+        if (ev.index + kIndexPrefetchDistance < trace.size()) {
+          __builtin_prefetch(&index_[index_slot(
+              trace[ev.index + kIndexPrefetchDistance].id)]);
+        }
+        insert_index(task.id, result_.tasks.size());
         result_.tasks.push_back(TaskRecord{.id = task.id,
                                            .klass = task.klass,
                                            .cycles = task.cycles,
@@ -484,7 +543,6 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
         emit_task_span(core, /*preempted=*/false);
         c.busy = false;
         --busy_count_;
-        c.completion_event = ds::IndexedHeap<std::size_t>::kNullHandle;
         TaskRecord& rec = result_.tasks[c.record_idx];
         rec.finish = now_;
         if (recorder_ != nullptr) {
@@ -508,9 +566,7 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
                    [&] { policy.on_timer(*this); });
         const bool work_left = next_arrival < trace.size() ||
                                busy_count_ > 0 || !policy.idle();
-        if (work_left) {
-          events_.push(now_ + tick, Event{EventKind::kTimer, 0});
-        }
+        if (work_left) arm(timer_, now_ + tick);
         break;
       }
     }

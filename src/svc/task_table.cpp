@@ -142,15 +142,9 @@ TaskTable::TaskTable(std::size_t capacity, std::size_t stripes,
 TaskTable::~TaskTable() = default;
 
 std::uint32_t TaskTable::index_hash(core::TaskId id) {
-  // MurmurHash3's fmix64: a different mixer from the SplitMix64 route,
-  // so the probe position does not correlate with the stripe.
-  std::uint64_t x = id;
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDull;
-  x ^= x >> 33;
-  x *= 0xC4CEB9FE1A85EC53ull;
-  x ^= x >> 33;
-  return static_cast<std::uint32_t>(x >> 32);
+  // fmix64 is a different mixer from the SplitMix64 route, so the probe
+  // position does not correlate with the stripe.
+  return static_cast<std::uint32_t>(fmix64(id) >> 32);
 }
 
 TaskTable::Stripe& TaskTable::stripe_for(core::TaskId id) const {

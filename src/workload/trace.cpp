@@ -47,17 +47,19 @@ double parse_double(std::string_view s, const char* what) {
   if (ec == std::errc{} && ptr == s.data() + s.size() && std::isnormal(fast)) {
     return fast;
   }
+  std::size_t used = 0;
+  double v = 0.0;
   try {
-    std::size_t used = 0;
-    const double v = std::stod(std::string(s), &used);
-    DVFS_REQUIRE(used == s.size(), std::string("trailing junk in ") + what);
-    return v;
+    v = std::stod(std::string(s), &used);
   } catch (const std::invalid_argument&) {
     DVFS_REQUIRE(false, std::string("non-numeric ") + what);
   } catch (const std::out_of_range&) {
     DVFS_REQUIRE(false, std::string("out-of-range ") + what);
   }
-  return 0.0;  // unreachable
+  // Checked outside the try: PreconditionError is an invalid_argument, so
+  // the handler above would rewrap it as "non-numeric".
+  DVFS_REQUIRE(used == s.size(), std::string("trailing junk in ") + what);
+  return v;
 }
 
 std::uint64_t parse_u64(std::string_view s, const char* what) {

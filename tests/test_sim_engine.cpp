@@ -8,6 +8,7 @@
 #include <ostream>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dvfs/core/batch_multi.h"
@@ -41,6 +42,18 @@ class ScriptPolicy : public Policy {
 };
 
 core::EnergyModel gadget() { return core::EnergyModel::partition_gadget(); }
+
+// Runs `fn` and expects a PreconditionError whose message contains `what`.
+template <typename Fn>
+void expect_precondition(Fn&& fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "no exception; expected \"" << what << '"';
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << e.what();
+  }
+}
 
 workload::Trace one_task(Cycles cycles, Seconds arrival = 0.0) {
   return workload::Trace(std::vector<core::Task>{
@@ -234,8 +247,73 @@ TEST(Engine, DuplicateTaskIdsRejected) {
        .klass = core::TaskClass::kNonInteractive},
       {.id = 1, .cycles = 5, .arrival = 1.0,
        .klass = core::TaskClass::kNonInteractive}};
-  EXPECT_THROW((void)eng.run(workload::Trace(std::move(tasks)), p),
-               PreconditionError);
+  const workload::Trace trace(std::move(tasks));
+  expect_precondition([&] { (void)eng.run(trace, p); },
+                      "duplicate task id in trace");
+}
+
+// The record index is a power-of-two table of at least twice the trace's
+// size, probed linearly from fmix64(id): for 8 tasks its mask is 15. Ids
+// brute-forced onto home slot 15 share one probe chain that wraps around
+// to slot 0; every one must resolve, and a colliding id that has not
+// arrived (or never will) must not.
+TEST(Engine, RecordIndexResolvesOneProbeChain) {
+  constexpr std::size_t kTasks = 8;
+  constexpr std::uint64_t kMask = 15;
+  const auto collides = [](core::TaskId id) {
+    return (fmix64(id) & kMask) == kMask;
+  };
+  std::vector<core::Task> tasks;
+  core::TaskId id = 1;
+  for (; tasks.size() < kTasks; ++id) {
+    if (!collides(id)) continue;
+    tasks.push_back({.id = id,
+                     .cycles = 1,
+                     .arrival = static_cast<double>(tasks.size()),
+                     .klass = core::TaskClass::kNonInteractive});
+  }
+  while (!collides(id)) ++id;
+  const core::TaskId absent = id;
+
+  Engine eng({gadget()}, ContentionModel::none());
+  ScriptPolicy p;
+  std::size_t arrived = 0;
+  p.arrival = [&](Engine& e, const core::Task& t) {
+    EXPECT_EQ(t.id, tasks[arrived].id);
+    ++arrived;
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      const core::TaskId want = tasks[i].id;
+      if (i < arrived) {
+        EXPECT_EQ(e.record(want).id, want);
+        EXPECT_EQ(e.record(want).arrival, tasks[i].arrival);
+      } else {
+        expect_precondition([&] { (void)e.record(want); }, "unknown task id");
+      }
+    }
+    expect_precondition([&] { (void)e.record(absent); }, "unknown task id");
+    expect_precondition([&] { (void)e.record(0); }, "unknown task id");
+  };
+  const SimResult r = eng.run(workload::Trace(tasks), p);
+  EXPECT_EQ(arrived, kTasks);
+  EXPECT_EQ(r.tasks.size(), kTasks);
+}
+
+TEST(Engine, RunningRecordIsTheRunningTasksRecord) {
+  Engine eng({gadget(), gadget()}, ContentionModel::none());
+  ScriptPolicy p;
+  p.arrival = [](Engine& e, const core::Task& t) {
+    expect_precondition([&] { (void)e.running_record(0); }, "core is idle");
+    e.start(0, t.id, static_cast<double>(t.cycles), 0);
+    EXPECT_EQ(&e.running_record(0), &e.record(e.running_task(0)));
+    EXPECT_EQ(e.running_record(0).id, t.id);
+    expect_precondition([&] { (void)e.running_record(1); }, "core is idle");
+    EXPECT_THROW((void)e.running_record(2), PreconditionError);  // bad core
+  };
+  p.complete = [](Engine& e, std::size_t core, core::TaskId) {
+    expect_precondition([&] { (void)e.running_record(core); },
+                        "core is idle");
+  };
+  (void)eng.run(one_task(5), p);
 }
 
 TEST(Engine, ReusableAcrossRuns) {
@@ -714,6 +792,12 @@ std::string hex(double v) {
   return buf;
 }
 
+std::string shortest(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
 struct OrderGolden {
   const char* policy;
   std::uint64_t seed;
@@ -721,6 +805,8 @@ struct OrderGolden {
   const char* energy;
   std::uint64_t arrivals, completions, timers;
   std::uint64_t depth_sum, depth_count;
+  double contention = 0.0;  // ContentionModel alpha
+  Seconds transition_latency = 0.0;
 };
 
 void PrintTo(const OrderGolden& g, std::ostream* os) {
@@ -772,7 +858,7 @@ TEST_P(EventOrder, TiesResolveLikeTheGoldenRun) {
                       n0 = depth.count();
 
   Engine eng(std::vector<core::EnergyModel>(kCores, dyadic_model()),
-             ContentionModel::none());
+             ContentionModel(g.contention), 0.0, g.transition_latency);
   const SimResult r = eng.run(workload::Trace(tasks), *policy);
   ASSERT_EQ(r.completed_count(), tasks.size());
 
@@ -789,7 +875,9 @@ TEST_P(EventOrder, TiesResolveLikeTheGoldenRun) {
                "\", " + std::to_string(n_arrivals) + ", " +
                std::to_string(n_completions) + ", " +
                std::to_string(n_timers) + ", " + std::to_string(depth_sum) +
-               ", " + std::to_string(depth_count) + "}");
+               ", " + std::to_string(depth_count) + ", " +
+               shortest(g.contention) + ", " +
+               shortest(g.transition_latency) + "}");
   EXPECT_EQ(cost, g.cost);
   EXPECT_EQ(energy, g.energy);
   EXPECT_EQ(n_arrivals, g.arrivals);
@@ -818,12 +906,90 @@ const OrderGolden kOrderGoldens[] = {
     {"wbg", 2, "0x1.1ca3333333333p+6", "0x1.1094p+7", 47, 47, 0, 2259, 94},
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Policies, EventOrder, ::testing::ValuesIn(kOrderGoldens),
-    [](const ::testing::TestParamInfo<OrderGolden>& info) {
-      return std::string(info.param.policy) + "_seed" +
-             std::to_string(info.param.seed);
-    });
+std::string order_golden_name(
+    const ::testing::TestParamInfo<OrderGolden>& info) {
+  return std::string(info.param.policy) + "_seed" +
+         std::to_string(info.param.seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, EventOrder,
+                         ::testing::ValuesIn(kOrderGoldens),
+                         order_golden_name);
+
+// The re-key path: with contention every start, preemption and completion
+// changes every busy core's speed, and with a transition latency a rate
+// change stalls its core, so each state change re-keys every pending
+// completion. Captured from the heap-based event loop (IndexedHeap
+// update_key), which the per-core completion slots must reproduce.
+const OrderGolden kRekeyGoldens[] = {
+    {"lmc", 1, "0x1.0d3bbbbbbbbbdp+7", "0x1.c5c2000000004p+7",
+     47, 47, 0, 2161, 94, 0.5, 0.25},
+    {"lmc", 2, "0x1.2d80000000002p+7", "0x1.1462aaaaaaaadp+8",
+     47, 47, 0, 2198, 94, 0.5, 0.25},
+    {"olb", 1, "0x1.07711c71ce854p+7", "0x1.2fe9a12f70e3p+8",
+     47, 47, 0, 2281, 94, 0.5, 0.25},
+    {"olb", 2, "0x1.19b536fe1a8c4p+7", "0x1.468da12f684bcp+8",
+     47, 47, 0, 2298, 94, 0.5, 0.25},
+    {"od", 1, "0x1.32814fa4fa4fap+7", "0x1.56aeda12f684bp+8",
+     47, 47, 110, 3755, 204, 0.5, 0.25},
+    {"od", 2, "0x1.4bd64403cae75p+7", "0x1.770d8d3c0ca45p+8",
+     47, 47, 110, 3885, 204, 0.5, 0.25},
+    {"ps", 1, "0x1.038eeeeeeeeeep+7", "0x1.65bfffffffffcp+7",
+     47, 47, 110, 3629, 204, 0.5, 0.25},
+    {"ps", 2, "0x1.2dc8888888889p+7", "0x1.95eaaaaaaaaaap+7",
+     47, 47, 110, 3720, 204, 0.5, 0.25},
+    {"planned", 1, "0x1.0945dddddddddp+9", "0x1.ab65555555555p+7",
+     47, 47, 0, 1269, 94, 0.5, 0.25},
+    {"planned", 2, "0x1.10e0888888888p+9", "0x1.f175555555557p+7",
+     47, 47, 0, 1269, 94, 0.5, 0.25},
+    {"wbg", 1, "0x1.0a82ccccccccdp+7", "0x1.c8958p+7",
+     47, 47, 0, 2171, 94, 0.5, 0.25},
+    {"wbg", 2, "0x1.297bbbbbbbbbdp+7", "0x1.0d02000000002p+8",
+     47, 47, 0, 2180, 94, 0.5, 0.25},
+};
+
+INSTANTIATE_TEST_SUITE_P(Rekey, EventOrder, ::testing::ValuesIn(kRekeyGoldens),
+                         order_golden_name);
+
+// Two cores' completions re-keyed onto one instant: the one armed first
+// fires first, whatever the core order. Core 2 starts task 1 before core 0
+// starts task 2 at the same rate with the same cycles, so contention
+// re-keys both to bit-identical times; a third task and a timer-driven rate
+// change (with its transition stall) re-key them again on the way.
+TEST(EventOrderTie, SameInstantCompletionsFireInArmOrder) {
+  Engine eng(std::vector<core::EnergyModel>(3, dyadic_model()),
+             ContentionModel(0.5), 0.0, /*transition_latency=*/0.25);
+  ScriptPolicy p;
+  p.interval = 1.0;
+  p.arrival = [](Engine& e, const core::Task& t) {
+    if (t.id == 1) e.start(2, t.id, static_cast<double>(t.cycles), 2);
+    if (t.id == 2) e.start(0, t.id, static_cast<double>(t.cycles), 2);
+    if (t.id == 3) e.start(1, t.id, static_cast<double>(t.cycles), 0);
+  };
+  p.timer = [](Engine& e) {
+    if (e.busy(1) && e.current_rate(1) == 0) e.set_rate(1, 1);
+  };
+  std::vector<std::pair<std::size_t, core::TaskId>> order;
+  p.complete = [&](Engine&, std::size_t core, core::TaskId id) {
+    order.emplace_back(core, id);
+  };
+  const workload::Trace trace(std::vector<core::Task>{
+      {.id = 1, .cycles = 4, .arrival = 0.0,
+       .klass = core::TaskClass::kNonInteractive},
+      {.id = 2, .cycles = 4, .arrival = 0.0,
+       .klass = core::TaskClass::kNonInteractive},
+      {.id = 3, .cycles = 1, .arrival = 0.5,
+       .klass = core::TaskClass::kNonInteractive}});
+  const SimResult r = eng.run(trace, p);
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order[0], std::make_pair(std::size_t{2}, core::TaskId{1}));
+  EXPECT_EQ(order[1], std::make_pair(std::size_t{0}, core::TaskId{2}));
+  EXPECT_EQ(order[2], std::make_pair(std::size_t{1}, core::TaskId{3}));
+  // A true tie: both finish at the same instant (up to the residue the
+  // second core's re-key leaves).
+  EXPECT_NEAR(r.tasks[0].finish, r.tasks[1].finish, 1e-12);
+  EXPECT_LE(r.tasks[0].finish, r.tasks[1].finish);
+}
 
 TEST(Metrics, TurnaroundPercentiles) {
   SimResult r;

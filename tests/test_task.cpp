@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dvfs::core {
 namespace {
 
@@ -29,6 +31,16 @@ TEST(Task, DeadlineMustExceedArrival) {
   t.deadline = 5.1;
   EXPECT_TRUE(is_valid(t));
   EXPECT_TRUE(t.has_deadline());
+}
+
+TEST(Task, NonFiniteTimesAreInvalid) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double arrival : {nan, kNoDeadline, -kNoDeadline}) {
+    Task t{.id = 1, .cycles = 10, .arrival = arrival};
+    EXPECT_FALSE(is_valid(t));
+  }
+  Task t{.id = 1, .cycles = 10, .arrival = 1.0, .deadline = nan};
+  EXPECT_FALSE(is_valid(t));
 }
 
 TEST(Task, InfiniteDeadlineMeansUnconstrained) {

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -86,6 +87,23 @@ TEST(Trace, SortsByArrivalThenId) {
 TEST(Trace, RejectsInvalidTasks) {
   std::vector<core::Task> bad{{.id = 1, .cycles = 0}};
   EXPECT_THROW(Trace{std::move(bad)}, PreconditionError);
+}
+
+TEST(Trace, RejectsNonFiniteTimes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double arrival : {nan, inf, -inf}) {
+    SCOPED_TRACE(arrival);
+    std::vector<core::Task> bad{{.id = 1, .cycles = 10, .arrival = arrival}};
+    EXPECT_THROW(Trace{std::move(bad)}, PreconditionError);
+  }
+  std::vector<core::Task> bad{
+      {.id = 1, .cycles = 10, .arrival = 1.0, .deadline = nan}};
+  EXPECT_THROW(Trace{std::move(bad)}, PreconditionError);
+  // kNoDeadline (+inf) still means unconstrained.
+  std::vector<core::Task> ok{
+      {.id = 1, .cycles = 10, .arrival = 1.0, .deadline = kNoDeadline}};
+  EXPECT_EQ(Trace{std::move(ok)}.size(), 1u);
 }
 
 TEST(Trace, CountsByClass) {
@@ -182,14 +200,16 @@ TEST(TraceCsv, RejectsMalformedInput) {
 // The CSV reader's double parsing must accept exactly what std::stod
 // (with whole-field consumption) accepts, return the same bits, and fail
 // with the same message. This reference is that stod-only parse plus the
-// trace's own arrival check. A partly consumed field reports
-// "non-numeric", as the stod path always has.
+// trace's own arrival check: a partly consumed field reports "trailing
+// junk", and a negative or non-finite arrival is an invalid task.
 std::variant<double, std::string> stod_arrival(const std::string& field) {
   try {
     std::size_t used = 0;
     const double v = std::stod(field, &used);
-    if (used != field.size()) return std::string("non-numeric arrival");
-    if (v < 0.0) return std::string("invalid task in trace");
+    if (used != field.size()) return std::string("trailing junk in arrival");
+    if (!std::isfinite(v) || v < 0.0) {
+      return std::string("invalid task in trace");
+    }
     return v;
   } catch (const std::invalid_argument&) {
     return std::string("non-numeric arrival");

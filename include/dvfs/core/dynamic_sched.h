@@ -36,7 +36,7 @@ namespace dvfs::core {
 class DynamicSingleCoreScheduler {
  public:
   /// Cache-conscious order-statistic tree; the pointer-chasing treap in
-  /// ds/range_tree.h remains as the differential-test oracle.
+  /// tests/range_tree.h is its differential-test oracle.
   using Tree = ds::FlatRangeTree;
   /// Stable reference to a queued task; valid until erase()/pop_front().
   using TaskRef = Tree::Handle;

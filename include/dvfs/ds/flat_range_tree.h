@@ -1,18 +1,18 @@
 /// \file flat_range_tree.h
 /// \brief Cache-conscious order-statistic tree with position-weighted
-///        aggregates (flat B+-tree replacement for range_tree.h).
+///        aggregates.
 ///
-/// Drop-in replacement for the Section IV-A "single 1D range tree"
-/// (`ds::RangeTree`): a multiset of weighted elements kept in *descending*
-/// weight order (the paper's L^B sequence) with the two composable
-/// aggregates
+/// The Section IV-A "single 1D range tree": a multiset of weighted
+/// elements kept in *descending* weight order (the paper's L^B sequence)
+/// with the two composable aggregates
 ///
 ///   sum  = sum of weights                                (the paper's xi)
 ///   wsum = sum of (local 1-based position) * weight      (the paper's Delta)
 ///
 /// maintained per subtree, so insert/erase/rank/select/prefix all run in
-/// O(log N). The pointer-chasing treap is replaced by an implicit B+-tree
-/// tuned for the LMC hot path:
+/// O(log N). It is an implicit B+-tree tuned for the LMC hot path, where
+/// a pointer-chasing treap (kept as a test oracle in tests/range_tree.h)
+/// would miss the cache on every hop:
 ///
 ///  * Nodes are fixed 512-byte blocks, `alignas(64)` so a node occupies
 ///    whole cache lines; they live in a chunked bump arena and are
@@ -51,14 +51,20 @@
 
 #include <cstddef>
 #include <cstdint>
-
-#include "dvfs/common.h"
-#include "dvfs/ds/range_tree.h"  // PrefixStats (shared result type)
-
 #include <memory>
 #include <vector>
 
+#include "dvfs/common.h"
+
 namespace dvfs::ds {
+
+/// Prefix aggregate of the first k elements (descending order):
+/// `sum` = xi([1,k]); `wsum` = sum over i<=k of i * w_i.
+struct PrefixStats {
+  std::size_t count = 0;
+  double sum = 0.0;
+  double wsum = 0.0;
+};
 
 class FlatRangeTree {
  public:
@@ -78,10 +84,7 @@ class FlatRangeTree {
   static constexpr std::size_t kLeafCap = 28;   ///< elements per leaf
   static constexpr std::size_t kInnerCap = 15;  ///< children per inner node
 
-  /// `seed` is accepted (and ignored) for drop-in compatibility with the
-  /// treap, whose balancing needs a priority stream; a B+-tree is
-  /// deterministic by construction.
-  explicit FlatRangeTree(std::uint64_t seed = 0) { (void)seed; }
+  FlatRangeTree() = default;
 
   FlatRangeTree(const FlatRangeTree&) = delete;
   FlatRangeTree& operator=(const FlatRangeTree&) = delete;

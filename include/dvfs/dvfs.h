@@ -3,7 +3,7 @@
 ///
 /// Pulls in the full public API:
 ///  - dvfs::core       task/energy/cost models and the paper's schedulers
-///  - dvfs::ds         data-structure substrates (range tree, envelope, heap)
+///  - dvfs::ds         data structures (flat range tree, lower envelope)
 ///  - dvfs::sim        event-driven multi-core DVFS simulator
 ///  - dvfs::governors  scheduling policies (LMC, OLB, On-demand, plans)
 ///  - dvfs::cpufreq    sysfs-style per-core frequency control
@@ -27,9 +27,7 @@
 #include "dvfs/cpufreq/cpufreq.h"
 #include "dvfs/cpufreq/governor_daemon.h"
 #include "dvfs/ds/flat_range_tree.h"
-#include "dvfs/ds/indexed_heap.h"
 #include "dvfs/ds/lower_envelope.h"
-#include "dvfs/ds/range_tree.h"
 #include "dvfs/governors/fifo_policy.h"
 #include "dvfs/governors/lmc_policy.h"
 #include "dvfs/governors/planned_policy.h"

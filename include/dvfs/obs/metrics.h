@@ -31,6 +31,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -89,6 +90,11 @@ class Histogram {
   static constexpr std::uint64_t bucket_lower(std::size_t i) noexcept {
     return i == 0 ? 0 : std::uint64_t{1} << (i - 1);
   }
+  /// Inclusive upper bound of bucket `i`: 0 for bucket 0, 2^i - 1 above
+  /// it (2^64 - 1 for the top bucket).
+  static constexpr std::uint64_t bucket_upper(std::size_t i) noexcept {
+    return i + 1 < kNumBuckets ? bucket_lower(i + 1) - 1 : ~std::uint64_t{0};
+  }
 
   void observe(std::uint64_t v) noexcept {
     buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
@@ -126,6 +132,16 @@ class Histogram {
   /// Within any bucket the report is exact for the bucket's top value.
   [[nodiscard]] std::optional<std::uint64_t> percentile_upper_bound(
       double p) const;
+
+  /// The nearest-rank p-quantile behind percentile_upper_bound and
+  /// snapshot_percentile (timeseries.h): the upper bound of the first
+  /// bucket at which the running sample total reaches max(1, ceil(p *
+  /// count)), or nullopt when `count` is 0. `buckets` holds (inclusive
+  /// lower bound, samples) pairs in ascending order; empty buckets may be
+  /// left out.
+  [[nodiscard]] static std::optional<std::uint64_t> nearest_rank_upper_bound(
+      std::span<const std::pair<std::uint64_t, std::uint64_t>> buckets,
+      std::uint64_t count, double p);
 
   void reset() noexcept {
     for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);

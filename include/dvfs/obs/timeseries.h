@@ -90,10 +90,10 @@ class SeriesRing {
   std::size_t size_ = 0;
 };
 
-/// Nearest-rank quantile of a registry histogram snapshot, mirroring
-/// `Histogram::percentile_upper_bound` (inclusive upper bound of the
-/// log2 bucket holding the rank-`ceil(p*n)` sample). NaN when empty —
-/// the windowed consumers need "no data" to stay out of comparisons.
+/// Nearest-rank quantile of a registry histogram snapshot, the value
+/// `Histogram::percentile_upper_bound` reports (both go through
+/// `Histogram::nearest_rank_upper_bound`). NaN when empty — the windowed
+/// consumers need "no data" to stay out of comparisons.
 [[nodiscard]] double snapshot_percentile(
     const Registry::HistogramSnapshot& snapshot, double p);
 

@@ -153,7 +153,8 @@ class Engine {
 
   // ---------------------------------------------------------------- running
   /// Simulates `trace` to completion under `policy` and returns the
-  /// metrics. The engine is reusable: each run starts from idle cores.
+  /// metrics. The engine is reusable: each run starts from idle cores,
+  /// including after a run that threw.
   ///
   /// Event order: arrivals are delivered in trace order (the trace is
   /// sorted by arrival, then id) as they come due. Besides the next

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
-
-#include "dvfs/ds/indexed_heap.h"
+#include <queue>
 
 namespace dvfs::core {
 namespace {
@@ -70,23 +70,31 @@ Plan workload_based_greedy(std::span<const Task> tasks,
   check_batch_tasks(tasks);
   const std::vector<std::size_t> order = heaviest_first(tasks);
 
-  struct CorePos {
+  struct Slot {
+    double cost;        // C_j(k) = min_p C_B(k, p)
+    std::uint64_t seq;  // push order
     std::size_t core;
-    std::size_t k;  // backward position this heap entry represents
+    std::size_t k;      // backward position this entry represents
   };
-  // Heap keyed on C_j(k) = min_p C_B(k, p) for core j; ties resolved by
-  // insertion order (lower core index first), keeping runs deterministic.
-  ds::IndexedHeap<CorePos> heap;
-  for (std::size_t j = 0; j < tables.size(); ++j) {
-    heap.push(tables[j].best_backward_cost(1), CorePos{j, 1});
-  }
+  // Min-queue on (cost, push order): equal costs pop in push order (lower
+  // core index first among the initial slots), keeping runs deterministic.
+  const auto later = [](const Slot& a, const Slot& b) {
+    if (a.cost != b.cost) return a.cost > b.cost;
+    return a.seq > b.seq;
+  };
+  std::priority_queue<Slot, std::vector<Slot>, decltype(later)> heap(later);
+  std::uint64_t seq = 0;
+  const auto push = [&](std::size_t core, std::size_t k) {
+    heap.push(Slot{tables[core].best_backward_cost(k), seq++, core, k});
+  };
+  for (std::size_t j = 0; j < tables.size(); ++j) push(j, 1);
 
   std::vector<std::vector<const Task*>> backward(tables.size());
   for (const std::size_t idx : order) {
-    const CorePos pos = heap.pop();
-    backward[pos.core].push_back(&tasks[idx]);
-    heap.push(tables[pos.core].best_backward_cost(pos.k + 1),
-              CorePos{pos.core, pos.k + 1});
+    const Slot slot = heap.top();
+    heap.pop();
+    backward[slot.core].push_back(&tasks[idx]);
+    push(slot.core, slot.k + 1);
   }
   return backward_to_plan(backward, tables);
 }

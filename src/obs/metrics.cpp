@@ -7,20 +7,30 @@ namespace dvfs::obs {
 
 std::optional<std::uint64_t> Histogram::percentile_upper_bound(
     double p) const {
-  DVFS_REQUIRE(p >= 0.0 && p <= 1.0, "percentile must be in [0, 1]");
+  // The count first: observe() bumps a bucket before the count, so the
+  // buckets read afterwards hold at least `n` samples.
   const std::uint64_t n = count();
-  if (n == 0) return std::nullopt;
+  std::array<std::pair<std::uint64_t, std::uint64_t>, kNumBuckets> buckets;
+  for (std::size_t i = 0; i < kNumBuckets; ++i) {
+    buckets[i] = {bucket_lower(i), bucket(i)};
+  }
+  return nearest_rank_upper_bound(buckets, n, p);
+}
+
+std::optional<std::uint64_t> Histogram::nearest_rank_upper_bound(
+    std::span<const std::pair<std::uint64_t, std::uint64_t>> buckets,
+    std::uint64_t count, double p) {
+  DVFS_REQUIRE(p >= 0.0 && p <= 1.0, "percentile must be in [0, 1]");
+  if (count == 0) return std::nullopt;
   // Nearest-rank: the smallest sample with at least ceil(p*n) samples at
   // or below it, so p99 of a small set still lands in the tail bucket.
   const auto target = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(p * static_cast<double>(n))));
+      1,
+      static_cast<std::uint64_t>(std::ceil(p * static_cast<double>(count))));
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    seen += bucket(i);
-    if (seen >= target) {
-      return i + 1 < kNumBuckets ? bucket_lower(i + 1) - 1
-                                 : ~std::uint64_t{0};
-    }
+  for (const auto& [lower, n] : buckets) {
+    seen += n;
+    if (seen >= target) return bucket_upper(bucket_index(lower));
   }
   return ~std::uint64_t{0};
 }

@@ -9,7 +9,6 @@
 
 #include <arpa/inet.h>
 
-#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cstdio>
@@ -129,19 +128,13 @@ std::string prometheus_text(const Registry& registry,
     std::uint64_t cumulative = 0;
     for (const auto& [lower, n] : h.buckets) {
       cumulative += n;
-      // Registry buckets are [2^(i-1), 2^i) over integers, so the
-      // inclusive upper bound Prometheus wants is 2^i - 1 (and 0 for the
-      // zero bucket).
-      const std::uint64_t le = lower == 0 ? 0 : lower * 2 - 1;
+      // Prometheus wants each bucket's inclusive upper bound.
+      const std::size_t idx = Histogram::bucket_index(lower);
       out += pname + "_bucket{le=\"";
-      append_u64(out, le);
+      append_u64(out, Histogram::bucket_upper(idx));
       out += "\"} ";
       append_u64(out, cumulative);
       if (series != nullptr) {
-        // Bucket index from the snapshot's inclusive lower bound: bucket
-        // 0 holds the value 0, bucket i >= 1 starts at 2^(i-1).
-        const std::size_t idx =
-            lower == 0 ? 0 : static_cast<std::size_t>(std::bit_width(lower));
         const auto ex = series->bucket(idx);
         // Guard against a racing writer relocating the sample: only a
         // value that really belongs to this bucket may annotate it.

@@ -120,22 +120,9 @@ double SeriesRing::quantile_over_window(double now, double window_s,
 
 double snapshot_percentile(const Registry::HistogramSnapshot& snapshot,
                            double p) {
-  DVFS_REQUIRE(p >= 0.0 && p <= 1.0, "percentile must be in [0, 1]");
-  if (snapshot.count == 0) return kNan;
-  const auto target = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(
-             std::ceil(p * static_cast<double>(snapshot.count))));
-  std::uint64_t seen = 0;
-  for (const auto& [lower, n] : snapshot.buckets) {
-    seen += n;
-    if (seen >= target) {
-      // Inclusive upper bound of the log2 bucket whose lower bound is
-      // `lower` — the same value percentile_upper_bound reports. The top
-      // bucket (lower = 2^63) wraps to ~0, which is its correct bound.
-      return static_cast<double>(lower == 0 ? 0 : lower * 2 - 1);
-    }
-  }
-  return static_cast<double>(~std::uint64_t{0});
+  const auto bound =
+      Histogram::nearest_rank_upper_bound(snapshot.buckets, snapshot.count, p);
+  return bound ? static_cast<double>(*bound) : kNan;
 }
 
 TimeSeriesStore::TimeSeriesStore(std::size_t capacity_per_series)

@@ -436,6 +436,12 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
   best_sum_ = 0.0;
   stats_.margin_ratio.set(0.0);
   running_ = true;
+  // Cleared on every exit, so a run that throws (a duplicate task id, a
+  // negative timer interval, a policy error) leaves the engine reusable.
+  struct StopOnExit {
+    bool& running;
+    ~StopOnExit() { running = false; }
+  } stop_on_exit{running_};
 
   // Arrivals stream from the sorted trace; the slots hold only
   // completions and the timer (see the event-order contract in engine.h).
@@ -573,7 +579,6 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
   }
 
   result_.end_time = now_;
-  running_ = false;
   return std::move(result_);
 }
 

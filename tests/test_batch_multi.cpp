@@ -72,6 +72,27 @@ TEST(Wbg, EqualsRoundRobinCostOnHomogeneousCores) {
               evaluate_plan(rr, t).total(), 1e-9);
 }
 
+// On identical cores every core's next slot costs the same at each
+// backward position, so the pops tie throughout; only popping equal costs
+// in push order deals the tasks round robin, core by core and position by
+// position.
+TEST(Wbg, TiesPopInPushOrderGivingRoundRobinOnHomogeneousCores) {
+  const CostTable t = gadget();
+  const std::vector<Task> tasks =
+      make_tasks({13, 5, 8, 21, 3, 34, 2, 55, 8, 13, 1});
+  for (std::size_t cores = 1; cores <= 5; ++cores) {
+    const std::vector<CostTable> tables(cores, t);
+    const Plan wbg = workload_based_greedy(tasks, tables);
+    const Plan rr = round_robin_homogeneous(tasks, t, cores);
+    ASSERT_EQ(wbg.cores.size(), cores);
+    ASSERT_EQ(rr.cores.size(), cores);
+    for (std::size_t j = 0; j < cores; ++j) {
+      EXPECT_EQ(wbg.cores[j].sequence, rr.cores[j].sequence)
+          << cores << " cores, core " << j;
+    }
+  }
+}
+
 TEST(Wbg, PlanCoversAllTasks) {
   const CostTable t = gadget();
   const std::vector<Task> tasks = make_tasks({13, 5, 8, 21, 3});

@@ -10,7 +10,7 @@
 
 #include <string>
 
-#include "dvfs/proptest/proptest.h"
+#include "proptest/proptest.h"
 
 #ifndef DVFS_CORPUS_DIR
 #error "DVFS_CORPUS_DIR must be defined by the build"

@@ -1,5 +1,5 @@
 /// Differential tests: FlatRangeTree (implicit B-tree, bump arena) against
-/// the pointer-based treap RangeTree, which stays in the tree as the
+/// the pointer-based treap RangeTree (tests/range_tree.h), kept as the
 /// oracle. Random insert/erase/range-query interleavings are generated
 /// from a SplitMix64 seed so every failure reproduces from one integer; a
 /// greedy delta-debugging shrinker reduces a failing op script before the
@@ -17,8 +17,8 @@
 #include <utility>
 #include <vector>
 
-#include "dvfs/ds/range_tree.h"
-#include "dvfs/proptest/rng.h"
+#include "proptest/rng.h"
+#include "range_tree.h"
 
 namespace dvfs::ds {
 namespace {

@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "dvfs/obs/timeseries.h"
+
 namespace dvfs::obs {
 namespace {
 
@@ -43,6 +45,12 @@ TEST(Metrics, HistogramBucketBoundaries) {
   EXPECT_EQ(Histogram::bucket_lower(0), 0u);
   EXPECT_EQ(Histogram::bucket_lower(1), 1u);
   EXPECT_EQ(Histogram::bucket_lower(5), 16u);
+  EXPECT_EQ(Histogram::bucket_upper(0), 0u);
+  EXPECT_EQ(Histogram::bucket_upper(1), 1u);
+  EXPECT_EQ(Histogram::bucket_upper(2), 3u);
+  EXPECT_EQ(Histogram::bucket_upper(5), 31u);
+  EXPECT_EQ(Histogram::bucket_upper(63), (std::uint64_t{1} << 63) - 1);
+  EXPECT_EQ(Histogram::bucket_upper(64), ~std::uint64_t{0});
 }
 
 TEST(Metrics, HistogramObserveAndStats) {
@@ -100,6 +108,35 @@ TEST(Metrics, PercentileErrorBoundOnLogBuckets) {
   // p99: true quantile 990 lies in [512, 1024) -> reported bound 1023,
   // i.e. within one bucket boundary of the truth.
   EXPECT_EQ(*h.percentile_upper_bound(0.99), 1023u);
+}
+
+// A registry snapshot's quantile is the live histogram's, whether the
+// rank lands in the zero bucket, a middle bucket, or the top bucket
+// (values from 2^63 up).
+TEST(Metrics, SnapshotPercentileMatchesPercentileUpperBound) {
+  const std::uint64_t top = std::uint64_t{1} << 63;
+  const std::vector<std::vector<std::uint64_t>> cases{
+      {0, 0, 0},
+      {0, 1, 2, 3, 100, 1000, 1001, 70000},
+      {top, ~std::uint64_t{0}, top + 12345},
+      {0, 7, 300, top, ~std::uint64_t{0}},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    Registry reg;
+    Histogram& h = reg.histogram("h");
+    for (const std::uint64_t v : cases[c]) h.observe(v);
+    const auto snapshots = reg.histograms_snapshot();
+    ASSERT_EQ(snapshots.size(), 1u);
+    for (const double p : {0.0, 0.01, 0.25, 0.5, 0.6, 0.9, 0.99, 1.0}) {
+      EXPECT_EQ(snapshot_percentile(snapshots[0], p),
+                static_cast<double>(*h.percentile_upper_bound(p)))
+          << "case " << c << ", p=" << p;
+    }
+  }
+  Registry empty;
+  empty.histogram("h");
+  EXPECT_TRUE(std::isnan(snapshot_percentile(empty.histograms_snapshot()[0],
+                                             0.5)));
 }
 
 TEST(Metrics, RegistryGetOrCreateReturnsSameInstance) {

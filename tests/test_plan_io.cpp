@@ -8,7 +8,7 @@
 #include <stdexcept>
 
 #include "dvfs/core/batch_multi.h"
-#include "dvfs/proptest/rng.h"
+#include "proptest/rng.h"
 #include "dvfs/workload/generators.h"
 
 namespace dvfs::core {

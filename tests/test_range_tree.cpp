@@ -1,4 +1,4 @@
-#include "dvfs/ds/range_tree.h"
+#include "range_tree.h"
 
 #include <gtest/gtest.h>
 

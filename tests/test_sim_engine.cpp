@@ -328,6 +328,50 @@ TEST(Engine, ReusableAcrossRuns) {
   EXPECT_NEAR(a.busy_energy, b.busy_energy, 1e-12);
 }
 
+// A run that throws leaves the engine able to run again: the next run
+// gives exactly what a fresh engine gives.
+TEST(Engine, RunsAgainAfterARunThrows) {
+  const std::vector<core::EnergyModel> models(2, gadget());
+  std::vector<core::Task> tasks;
+  for (core::TaskId id = 1; id <= 6; ++id) {
+    tasks.push_back({.id = id,
+                     .cycles = 3 * id,
+                     .arrival = 0.5 * static_cast<double>(id - 1),
+                     .klass = core::TaskClass::kNonInteractive});
+  }
+  const workload::Trace valid(tasks);
+  tasks.back().id = 1;  // arrives while cores are busy
+  const workload::Trace duplicate(std::move(tasks));
+
+  Engine fresh(models, ContentionModel::none());
+  governors::FifoPolicy fresh_policy({});
+  const SimResult want = fresh.run(valid, fresh_policy);
+
+  Engine eng(models, ContentionModel::none());
+  governors::FifoPolicy failing({});
+  expect_precondition([&] { (void)eng.run(duplicate, failing); },
+                      "duplicate task id in trace");
+  ScriptPolicy negative;
+  negative.interval = -1.0;
+  expect_precondition([&] { (void)eng.run(valid, negative); },
+                      "timer interval cannot be negative");
+  governors::FifoPolicy policy({});
+  const SimResult got = eng.run(valid, policy);
+
+  ASSERT_EQ(got.tasks.size(), want.tasks.size());
+  for (std::size_t i = 0; i < want.tasks.size(); ++i) {
+    EXPECT_EQ(got.tasks[i].id, want.tasks[i].id);
+    EXPECT_EQ(got.tasks[i].first_start, want.tasks[i].first_start);
+    EXPECT_EQ(got.tasks[i].finish, want.tasks[i].finish);
+    EXPECT_EQ(got.tasks[i].energy, want.tasks[i].energy);
+    EXPECT_EQ(got.tasks[i].preemptions, want.tasks[i].preemptions);
+  }
+  EXPECT_EQ(got.busy_energy, want.busy_energy);
+  EXPECT_EQ(got.idle_energy, want.idle_energy);
+  EXPECT_EQ(got.end_time, want.end_time);
+  EXPECT_EQ(got.rate_residency, want.rate_residency);
+}
+
 // Integration: executing a WBG plan on an ideal engine must reproduce the
 // analytic plan cost exactly (the paper's "Simulation" bar of Fig. 1).
 TEST(Engine, PlannedExecutionMatchesAnalyticCost) {

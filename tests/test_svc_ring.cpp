@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "dvfs/proptest/rng.h"
+#include "proptest/rng.h"
 #include "dvfs/svc/mpsc_ring.h"
 
 namespace dvfs::svc {

@@ -15,7 +15,7 @@
 #include "dvfs/core/energy_model.h"
 #include "dvfs/core/online_lmc.h"
 #include "dvfs/obs/recorder.h"
-#include "dvfs/proptest/rng.h"
+#include "proptest/rng.h"
 #include "dvfs/svc/service.h"
 
 namespace dvfs::svc {

@@ -18,7 +18,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dvfs/proptest/rng.h"
+#include "proptest/rng.h"
 #include "dvfs/svc/service.h"
 
 namespace dvfs::svc {

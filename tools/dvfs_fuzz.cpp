@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "dvfs/proptest/proptest.h"
+#include "proptest/proptest.h"
 #include "dvfs/util/args.h"
 #include "tool_common.h"
 

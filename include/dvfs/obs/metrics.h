@@ -4,11 +4,13 @@
 ///
 /// Design rules, in order of importance:
 ///
-///  1. The hot path is one relaxed atomic RMW. Instrumented code (the sim
-///     engine's event loop, a governor's placement decision) resolves its
-///     metric once — typically at construction — and then calls
-///     `add()`/`observe()` on the returned reference, which never takes a
-///     lock and never allocates.
+///  1. The hot path is one relaxed atomic RMW. Instrumented code (a
+///     governor's placement decision) resolves its metric once —
+///     typically at construction — and then calls `add()`/`observe()` on
+///     the returned reference, which never takes a lock and never
+///     allocates. A loop too hot even for that (the sim engine's event
+///     loop) tallies in plain fields and publishes in batches through
+///     `Counter::add(n)` and `Histogram::add(buckets, sum)`.
 ///  2. Registration is the only synchronized operation. `counter(name)`
 ///     et al. take a mutex, get-or-create the entry, and hand back a
 ///     reference that stays valid for the registry's lifetime (node-based
@@ -100,6 +102,23 @@ class Histogram {
     buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
+  }
+
+  /// Adds samples counted elsewhere, as if each had been observe()d:
+  /// `buckets[i]` samples fell in bucket i (see bucket_index) and all of
+  /// them sum to `sum`. One relaxed add per non-empty bucket, for code
+  /// that tallies in plain fields and publishes in batches.
+  void add(std::span<const std::uint64_t, kNumBuckets> buckets,
+           std::uint64_t sum) noexcept {
+    std::uint64_t n = 0;
+    for (std::size_t i = 0; i < kNumBuckets; ++i) {
+      if (buckets[i] == 0) continue;
+      buckets_[i].fetch_add(buckets[i], std::memory_order_relaxed);
+      n += buckets[i];
+    }
+    if (n == 0) return;
+    count_.fetch_add(n, std::memory_order_relaxed);
+    sum_.fetch_add(sum, std::memory_order_relaxed);
   }
 
   [[nodiscard]] std::uint64_t count() const noexcept {

@@ -78,8 +78,11 @@ enum class EventType : std::uint8_t {
   kTaskFinish = 6,
   /// A core's frequency actually changed. f0 = new rate in GHz.
   kFreqChange = 7,
-  /// A policy callback returned. aux = DecisionKind, f0 = wall-clock
-  /// nanoseconds spent inside the callback, f1 = busy cores afterwards.
+  /// A policy callback returned. aux = DecisionKind, f1 = busy cores
+  /// afterwards. f0 is written as 0: the callback's wall time is sampled
+  /// into the `sim.governor.decision_ns` histogram instead, so recordings
+  /// of one run repeat event for event. (Recordings made before that
+  /// hold the wall-clock nanoseconds here; readers ignore the field.)
   kDecision = 8,
   /// One evaluated alternative of a placement decision. core = the
   /// candidate core, f0 = its marginal cost (Eq. 27 for interactive

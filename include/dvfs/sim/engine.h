@@ -19,6 +19,7 @@
 /// constant, so progress integrates exactly.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -92,6 +93,10 @@ class Engine {
   /// than the task's total cycles when resuming preempted work.
   void start(std::size_t core, core::TaskId task, double remaining_cycles,
              std::size_t rate_idx);
+  /// The same for the task whose record `rec` is (from record() or
+  /// running_record() during this run), without looking its id up again.
+  void start(std::size_t core, const TaskRecord& rec, double remaining_cycles,
+             std::size_t rate_idx);
 
   struct Preempted {
     core::TaskId task = 0;
@@ -128,12 +133,25 @@ class Engine {
   /// Attaches a flight-recorder channel (see dvfs/obs/recorder.h);
   /// nullptr detaches. The recorder is the engine's only event sink: it
   /// pushes fixed-size events for the run boundary, task lifecycle,
-  /// frequency transitions, and governor-decision timing, and
+  /// frequency transitions, and policy callbacks, and
   /// `obs::replay_to_trace` turns them into a Chrome trace (task spans
   /// per core, frequency-change and decision instants, busy-core
   /// counter). Policies record their parameters and placement decisions
   /// through `record_params()` and `decide()`, so one recording
-  /// interleaves mechanism and strategy in decision order.
+  /// interleaves mechanism and strategy in decision order. No event
+  /// carries wall time, so two runs of one trace record the same events.
+  ///
+  /// Registry metrics: the per-event counters and histograms
+  /// (`sim.events.*`, `sim.tasks.started`/`preempted`,
+  /// `sim.freq_transitions`, `sim.event_queue_depth`,
+  /// `sim.task.queue_wait_us`) are tallied in plain run-local fields and
+  /// added to the registry every kPublishEvents events and when run()
+  /// returns or throws, so a reader during a run lags by at most that
+  /// many events. `sim.governor.decision_ns` times one policy callback in
+  /// kDecisionSampleEvery, picked by a run-wide callback count (the 1st,
+  /// 65th, ...), so a run of n callbacks observes ceil(n / 64) samples.
+  static constexpr std::uint64_t kPublishEvents = 4096;
+  static constexpr std::uint64_t kDecisionSampleEvery = 64;
   void set_recorder(obs::RecorderChannel* channel) { recorder_ = channel; }
   [[nodiscard]] obs::RecorderChannel* recorder() const { return recorder_; }
 
@@ -193,8 +211,8 @@ class Engine {
   };
   static constexpr std::size_t kNoRate = static_cast<std::size_t>(-1);
 
-  /// Engine-wide metrics, resolved once from the global registry so hot
-  /// paths touch only relaxed atomics (no name lookup, no lock).
+  /// Engine-wide metrics, resolved once from the global registry (no
+  /// name lookup, no lock when publishing).
   struct Stats {
     Stats();
     obs::Counter& arrivals;
@@ -208,6 +226,32 @@ class Engine {
     obs::Histogram& queue_wait_us;
     obs::Gauge& margin_ratio;
   };
+
+  /// A histogram counted in plain fields (obs::Histogram's buckets).
+  struct HistogramTally {
+    std::array<std::uint64_t, obs::Histogram::kNumBuckets> buckets{};
+    std::uint64_t sum = 0;
+    void observe(std::uint64_t v) {
+      ++buckets[obs::Histogram::bucket_index(v)];
+      sum += v;
+    }
+  };
+
+  /// What the run counted since it last published to stats_.
+  struct Tally {
+    std::uint64_t events = 0;
+    std::uint64_t arrivals = 0;
+    std::uint64_t completions = 0;
+    std::uint64_t timers = 0;
+    std::uint64_t starts = 0;
+    std::uint64_t preemptions = 0;
+    std::uint64_t freq_transitions = 0;
+    HistogramTally queue_depth;
+    HistogramTally queue_wait_us;
+  };
+
+  /// Adds tally_ to the registry and clears it.
+  void publish_stats() noexcept;
 
   /// Charges the transition stall (and counts/records the frequency
   /// change) when `core`'s frequency differs from its last one.
@@ -227,6 +271,12 @@ class Engine {
   void disarm(Slot& slot);
 
   void check_core(std::size_t core) const;
+  /// start()'s checks of everything but the task.
+  void check_start(std::size_t core, double remaining_cycles,
+                   std::size_t rate_idx) const;
+  /// Begins record `idx` on `core` once check_start() passed.
+  void start_record(std::size_t core, std::size_t idx,
+                    double remaining_cycles, std::size_t rate_idx);
   [[nodiscard]] std::size_t busy_count() const { return busy_count_; }
 
   /// Advances all cores from last_update_ to `t`, integrating cycles and
@@ -269,6 +319,7 @@ class Engine {
   double best_sum_ = 0.0;
 
   Stats stats_;
+  Tally tally_;
   obs::RecorderChannel* recorder_ = nullptr;
 };
 

@@ -79,8 +79,8 @@ void LmcPolicy::start_next(sim::Engine& engine, std::size_t core) {
   if (dispatched.has_value()) {
     // The queue holds the scheduler's *estimate*; the machine executes the
     // task's actual cycle requirement.
-    const Cycles actual = engine.record(dispatched->id).cycles;
-    engine.start(core, dispatched->id, static_cast<double>(actual),
+    const sim::TaskRecord& rec = engine.record(dispatched->id);
+    engine.start(core, rec, static_cast<double>(rec.cycles),
                  dispatched->rate_idx);
   }
 }

@@ -396,7 +396,7 @@ void replay_to_trace(const Recording& rec, TraceWriter& writer) {
       case dfr::EventType::kDecision:
         writer.instant(gov_tid,
                        dfr::to_string(static_cast<dfr::DecisionKind>(e.aux)),
-                       e.time_s * kUsPerSecond, {{"wall_ns", Json(e.f0)}});
+                       e.time_s * kUsPerSecond);
         writer.counter("busy_cores", e.time_s * kUsPerSecond, e.f1);
         break;
       default:

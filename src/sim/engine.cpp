@@ -4,6 +4,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <vector>
 
@@ -150,7 +151,7 @@ Engine::Engine(std::vector<core::EnergyModel> models,
 void Engine::charge_transition(std::size_t core, std::size_t new_rate) {
   CoreState& c = cores_[core];
   if (c.last_rate != kNoRate && c.last_rate != new_rate) {
-    stats_.freq_transitions.inc();
+    ++tally_.freq_transitions;
     if (recorder_ != nullptr) {
       recorder_->record(
           {.type = static_cast<std::uint8_t>(obs::dfr::EventType::kFreqChange),
@@ -179,6 +180,19 @@ void Engine::emit_task_span(std::size_t core, bool preempted) {
 
 void Engine::check_core(std::size_t core) const {
   DVFS_REQUIRE(core < cores_.size(), "core index out of range");
+}
+
+void Engine::publish_stats() noexcept {
+  stats_.arrivals.add(tally_.arrivals);
+  stats_.completions.add(tally_.completions);
+  stats_.timers.add(tally_.timers);
+  stats_.starts.add(tally_.starts);
+  stats_.preemptions.add(tally_.preemptions);
+  stats_.freq_transitions.add(tally_.freq_transitions);
+  stats_.queue_depth.add(tally_.queue_depth.buckets, tally_.queue_depth.sum);
+  stats_.queue_wait_us.add(tally_.queue_wait_us.buckets,
+                           tally_.queue_wait_us.sum);
+  tally_ = Tally{};
 }
 
 const core::EnergyModel& Engine::model(std::size_t core) const {
@@ -308,22 +322,41 @@ void Engine::reschedule_completions() {
   }
 }
 
-void Engine::start(std::size_t core, core::TaskId task,
-                   double remaining_cycles, std::size_t rate_idx) {
+void Engine::check_start(std::size_t core, double remaining_cycles,
+                         std::size_t rate_idx) const {
   check_core(core);
   DVFS_REQUIRE(running_, "start() is only valid during run()");
   DVFS_REQUIRE(!cores_[core].busy, "core already busy");
   DVFS_REQUIRE(remaining_cycles > 0.0, "nothing to execute");
   DVFS_REQUIRE(rate_idx < models_[core].num_rates(), "rate index out of range");
+}
 
-  const std::size_t idx = record_index(task);
+void Engine::start(std::size_t core, core::TaskId task,
+                   double remaining_cycles, std::size_t rate_idx) {
+  check_start(core, remaining_cycles, rate_idx);
+  start_record(core, record_index(task), remaining_cycles, rate_idx);
+}
+
+void Engine::start(std::size_t core, const TaskRecord& rec,
+                   double remaining_cycles, std::size_t rate_idx) {
+  check_start(core, remaining_cycles, rate_idx);
+  const TaskRecord* first = result_.tasks.data();
+  DVFS_REQUIRE(!std::less<>{}(&rec, first) &&
+                   std::less<>{}(&rec, first + result_.tasks.size()),
+               "record is not from this run");
+  start_record(core, static_cast<std::size_t>(&rec - first), remaining_cycles,
+               rate_idx);
+}
+
+void Engine::start_record(std::size_t core, std::size_t idx,
+                          double remaining_cycles, std::size_t rate_idx) {
   TaskRecord& rec = result_.tasks[idx];
   DVFS_REQUIRE(!rec.completed(), "task already completed");
   if (!rec.started()) {
     rec.first_start = now_;
     // Queue wait = arrival to first start, in integer microseconds (the
     // histogram buckets integers; sub-microsecond waits land in bucket 0).
-    stats_.queue_wait_us.observe(
+    tally_.queue_wait_us.observe(
         static_cast<std::uint64_t>(std::max(0.0, now_ - rec.arrival) * 1e6));
   }
 
@@ -333,14 +366,14 @@ void Engine::start(std::size_t core, core::TaskId task,
   c.remaining = remaining_cycles;
   c.rate_idx = rate_idx;
   c.span_start = now_;
-  stats_.starts.inc();
+  ++tally_.starts;
   if (recorder_ != nullptr) {
     recorder_->record(
         {.type = static_cast<std::uint8_t>(obs::dfr::EventType::kTaskStart),
          .core = static_cast<std::uint16_t>(core),
          .rate_idx = static_cast<std::uint16_t>(rate_idx),
          .time_s = now_,
-         .task = task,
+         .task = rec.id,
          .f0 = remaining_cycles});
   }
   charge_transition(core, rate_idx);
@@ -355,7 +388,7 @@ Engine::Preempted Engine::preempt(std::size_t core) {
   DVFS_REQUIRE(c.busy, "core is idle");
   TaskRecord& rec = result_.tasks[c.record_idx];
   rec.preemptions += 1;
-  stats_.preemptions.inc();
+  ++tally_.preemptions;
   emit_task_span(core, /*preempted=*/true);
   // A preemption racing the task's own completion instant can observe a
   // ~zero remainder; keep it strictly positive (start() requires work to
@@ -436,12 +469,16 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
   best_sum_ = 0.0;
   stats_.margin_ratio.set(0.0);
   running_ = true;
-  // Cleared on every exit, so a run that throws (a duplicate task id, a
-  // negative timer interval, a policy error) leaves the engine reusable.
+  // On every exit, a run that throws (a duplicate task id, a negative
+  // timer interval, a policy error) included: the tallies reach the
+  // registry and the engine is reusable.
   struct StopOnExit {
-    bool& running;
-    ~StopOnExit() { running = false; }
-  } stop_on_exit{running_};
+    Engine& engine;
+    ~StopOnExit() {
+      engine.publish_stats();
+      engine.running_ = false;
+    }
+  } stop_on_exit{*this};
 
   // Arrivals stream from the sorted trace; the slots hold only
   // completions and the timer (see the event-order contract in engine.h).
@@ -457,21 +494,27 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
          .core = static_cast<std::uint16_t>(num_cores()),
          .time_s = now_});
   }
-  // Wraps a policy callback: the wall-clock spent inside it is the
-  // governor's decision latency (simulated time stands still meanwhile).
+  // Wraps a policy callback. On every kDecisionSampleEvery-th callback of
+  // the run the wall-clock spent inside it is the governor's decision
+  // latency (simulated time stands still meanwhile); the others read no
+  // clock.
+  std::uint64_t callbacks = 0;
   const auto timed_call = [&](obs::dfr::DecisionKind what, auto&& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-    stats_.decision_ns.observe(static_cast<std::uint64_t>(wall_ns));
+    if (callbacks++ % kDecisionSampleEvery == 0) {
+      const auto t0 = std::chrono::steady_clock::now();
+      fn();
+      stats_.decision_ns.observe(static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count()));
+    } else {
+      fn();
+    }
     if (recorder_ != nullptr) {
       recorder_->record(
           {.type = static_cast<std::uint8_t>(obs::dfr::EventType::kDecision),
            .aux = static_cast<std::uint16_t>(what),
            .time_s = now_,
-           .f0 = static_cast<double>(wall_ns),
            .f1 = static_cast<double>(busy_count_)});
     }
   };
@@ -479,8 +522,10 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
   policy.attach(*this);
 
   while (next_arrival < trace.size() || armed_count_ > 0) {
+    if (tally_.events == kPublishEvents) publish_stats();
+    ++tally_.events;
     const std::size_t arrivals_pending = trace.size() - next_arrival;
-    stats_.queue_depth.observe(
+    tally_.queue_depth.observe(
         static_cast<std::uint64_t>(armed_count_ + arrivals_pending));
     // The armed slot with the least (eta, seq): core j's completion, or
     // the timer at j == n.
@@ -523,7 +568,7 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
                                            .cycles = task.cycles,
                                            .arrival = task.arrival,
                                            .deadline = task.deadline});
-        stats_.arrivals.inc();
+        ++tally_.arrivals;
         if (recorder_ != nullptr) {
           recorder_->record(
               {.type = static_cast<std::uint8_t>(
@@ -545,7 +590,7 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
         DVFS_REQUIRE(c.remaining <= kCompletionEpsilonCycles,
                      "completion event fired early");
         c.remaining = 0.0;
-        stats_.completions.inc();
+        ++tally_.completions;
         emit_task_span(core, /*preempted=*/false);
         c.busy = false;
         --busy_count_;
@@ -567,7 +612,7 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
         break;
       }
       case EventKind::kTimer: {
-        stats_.timers.inc();
+        ++tally_.timers;
         timed_call(obs::dfr::DecisionKind::kOnTimer,
                    [&] { policy.on_timer(*this); });
         const bool work_left = next_arrival < trace.size() ||

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -67,6 +68,31 @@ TEST(Metrics, HistogramObserveAndStats) {
   // inclusive upper bound is 3; p99 is the max (100), in [64, 128) -> 127.
   EXPECT_EQ(h.percentile_upper_bound(0.5), 3u);
   EXPECT_EQ(h.percentile_upper_bound(0.99), 127u);
+}
+
+// A batch tallied in plain fields and added at once leaves the histogram
+// exactly as observing each sample would; an empty batch changes nothing.
+TEST(Metrics, HistogramBulkAddEqualsObservingEachSample) {
+  const std::vector<std::uint64_t> samples = {0, 1, 2, 3, 7, 8, 1000, 1000,
+                                              (std::uint64_t{1} << 40) + 5};
+  Histogram observed;
+  Histogram added;
+  added.observe(9);
+  observed.observe(9);
+  std::array<std::uint64_t, Histogram::kNumBuckets> buckets{};
+  std::uint64_t sum = 0;
+  for (const std::uint64_t v : samples) {
+    observed.observe(v);
+    ++buckets[Histogram::bucket_index(v)];
+    sum += v;
+  }
+  added.add(buckets, sum);
+  added.add(std::array<std::uint64_t, Histogram::kNumBuckets>{}, 0);
+  EXPECT_EQ(added.count(), observed.count());
+  EXPECT_EQ(added.sum(), observed.sum());
+  for (std::size_t i = 0; i < Histogram::kNumBuckets; ++i) {
+    EXPECT_EQ(added.bucket(i), observed.bucket(i)) << "bucket " << i;
+  }
 }
 
 TEST(Metrics, EmptyHistogramHasNoQuantiles) {

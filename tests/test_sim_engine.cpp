@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <memory>
 #include <ostream>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -370,6 +372,125 @@ TEST(Engine, RunsAgainAfterARunThrows) {
   EXPECT_EQ(got.idle_energy, want.idle_energy);
   EXPECT_EQ(got.end_time, want.end_time);
   EXPECT_EQ(got.rate_residency, want.rate_residency);
+}
+
+// start() from a record equals start() by id; a record that is not one
+// of this run's is refused.
+TEST(Engine, StartFromARecordMatchesStartById) {
+  const auto run_with = [](bool by_record) {
+    Engine eng({gadget(), gadget()}, ContentionModel::none());
+    ScriptPolicy p;
+    p.arrival = [&](Engine& e, const core::Task& t) {
+      const std::size_t core = t.id % 2;
+      if (by_record) {
+        const TaskRecord& rec = e.record(t.id);
+        e.start(core, rec, static_cast<double>(rec.cycles), 1);
+      } else {
+        e.start(core, t.id, static_cast<double>(t.cycles), 1);
+      }
+    };
+    std::vector<core::Task> tasks;
+    for (core::TaskId id = 1; id <= 6; ++id) {
+      tasks.push_back({.id = id, .cycles = id,
+                       .arrival = 10.0 * static_cast<double>(id),
+                       .klass = core::TaskClass::kNonInteractive});
+    }
+    return eng.run(workload::Trace(std::move(tasks)), p);
+  };
+  const SimResult by_id = run_with(false);
+  const SimResult by_record = run_with(true);
+  ASSERT_EQ(by_record.tasks.size(), by_id.tasks.size());
+  for (std::size_t i = 0; i < by_id.tasks.size(); ++i) {
+    EXPECT_EQ(by_record.tasks[i].first_start, by_id.tasks[i].first_start);
+    EXPECT_EQ(by_record.tasks[i].finish, by_id.tasks[i].finish);
+    EXPECT_EQ(by_record.tasks[i].energy, by_id.tasks[i].energy);
+  }
+
+  Engine eng({gadget()}, ContentionModel::none());
+  ScriptPolicy p;
+  const TaskRecord foreign{.id = 1, .cycles = 10};
+  p.arrival = [&](Engine& e, const core::Task&) {
+    e.start(0, foreign, 10.0, 0);
+  };
+  expect_precondition([&] { (void)eng.run(one_task(10), p); },
+                      "record is not from this run");
+}
+
+// The engine's per-event statistics: decision timing samples one callback
+// in Engine::kDecisionSampleEvery, and the run-local tallies reach the
+// registry at least every Engine::kPublishEvents events and on every exit
+// from run(), a throw included.
+TEST(Engine, DecisionTimingIsSampledAndTalliesPublishOnEveryExit) {
+  auto& reg = obs::Registry::global();
+  const obs::Histogram& decision_ns = reg.histogram("sim.governor.decision_ns");
+  const obs::Counter& arrivals = reg.counter("sim.events.arrival");
+  const obs::Counter& completions = reg.counter("sim.events.completion");
+  const obs::Counter& timers = reg.counter("sim.events.timer");
+  const obs::Counter& starts = reg.counter("sim.tasks.started");
+  const obs::Histogram& depth = reg.histogram("sim.event_queue_depth");
+  const obs::Histogram& wait = reg.histogram("sim.task.queue_wait_us");
+
+  // n one-cycle tasks, 2 s apart, each run at once on the only core for
+  // 1 s: n arrivals and n completions, plus the 1.5 s timer's ticks.
+  const auto spaced = [](std::size_t n) {
+    std::vector<core::Task> tasks;
+    for (std::size_t i = 0; i < n; ++i) {
+      tasks.push_back({.id = i + 1, .cycles = 1,
+                       .arrival = 2.0 * static_cast<double>(i),
+                       .klass = core::TaskClass::kNonInteractive});
+    }
+    return workload::Trace(std::move(tasks));
+  };
+  for (const std::size_t n : {1u, 32u, 64u, 65u, 1000u}) {
+    SCOPED_TRACE("tasks: " + std::to_string(n));
+    Engine eng({gadget()}, ContentionModel::none());
+    ScriptPolicy p;
+    std::uint64_t callbacks = 0;
+    p.interval = 1.5;
+    p.arrival = [&](Engine& e, const core::Task& t) {
+      ++callbacks;
+      e.start(0, t.id, 1.0, 1);
+    };
+    p.complete = [&](Engine&, std::size_t, core::TaskId) { ++callbacks; };
+    p.timer = [&](Engine&) { ++callbacks; };
+    const std::uint64_t d0 = decision_ns.count(), t0 = timers.value();
+    const SimResult r = eng.run(spaced(n), p);
+    ASSERT_EQ(r.completed_count(), n);
+    EXPECT_GT(timers.value() - t0, 0u);
+    const std::uint64_t every = Engine::kDecisionSampleEvery;
+    EXPECT_EQ(decision_ns.count() - d0, (callbacks + every - 1) / every)
+        << callbacks << " callbacks";
+  }
+
+  // 9000 tasks, the last of which makes the policy throw: the tallies of
+  // everything before it are published, and while the run went on the
+  // registry never lagged it by more than kPublishEvents events.
+  constexpr std::size_t kTasks = 9000;
+  Engine eng({gadget()}, ContentionModel::none());
+  ScriptPolicy p;
+  const std::uint64_t a0 = arrivals.value(), c0 = completions.value(),
+                      s0 = starts.value(), n0 = depth.count(),
+                      w0 = wait.count();
+  std::uint64_t seen = 0;
+  std::uint64_t max_lag = 0;
+  p.arrival = [&](Engine& e, const core::Task& t) {
+    ++seen;
+    // Events so far: this arrival, the earlier arrivals and completions.
+    const std::uint64_t events = 2 * seen - 1;
+    const std::uint64_t published =
+        arrivals.value() - a0 + completions.value() - c0;
+    max_lag = std::max(max_lag, events - published);
+    if (seen == kTasks) throw std::runtime_error("policy failed");
+    e.start(0, t.id, 1.0, 1);
+  };
+  EXPECT_THROW((void)eng.run(spaced(kTasks), p), std::runtime_error);
+  EXPECT_LE(max_lag, Engine::kPublishEvents);
+  EXPECT_GT(max_lag, 0u) << "tallies are not published per event";
+  EXPECT_EQ(arrivals.value() - a0, kTasks);
+  EXPECT_EQ(completions.value() - c0, kTasks - 1);
+  EXPECT_EQ(starts.value() - s0, kTasks - 1);
+  EXPECT_EQ(wait.count() - w0, kTasks - 1);
+  EXPECT_EQ(depth.count() - n0, 2 * kTasks - 1);
 }
 
 // Integration: executing a WBG plan on an ideal engine must reproduce the

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -162,20 +163,6 @@ TEST_F(ToolsFixture, ExecuteRunsPlanOnRealThreads) {
             0);
 }
 
-/// Removes every `"wall_ns":<number>` from a trace: the decision
-/// instants' wall-clock latency is the one field that differs between
-/// two runs of the same simulation.
-std::string without_wall_ns(std::string json) {
-  const std::string key = "\"wall_ns\":";
-  for (std::size_t at = json.find(key); at != std::string::npos;
-       at = json.find(key, at)) {
-    std::size_t end = at + key.size();
-    while (end < json.size() && json[end] != ',' && json[end] != '}') ++end;
-    json.erase(at, end - at);
-  }
-  return json;
-}
-
 // The flight-recorder acceptance loop: a recorded simulation replayed
 // through dvfs_inspect must reproduce the run's own --trace-out and
 // --metrics-out files byte for byte, and a --trace-out-only run (which
@@ -209,8 +196,8 @@ TEST_F(ToolsFixture, RecordedRunReplaysByteIdentical) {
             slurp(dir_ + "/replay_trace.json"));
   EXPECT_EQ(slurp(dir_ + "/run_metrics.json"),
             slurp(dir_ + "/replay_metrics.json"));
-  EXPECT_EQ(without_wall_ns(slurp(dir_ + "/trace_only.json")),
-            without_wall_ns(slurp(dir_ + "/run_trace.json")));
+  EXPECT_EQ(slurp(dir_ + "/trace_only.json"),
+            slurp(dir_ + "/run_trace.json"));
   if (HasFailure()) {
     if (const char* art = std::getenv("DVFS_ARTIFACT_DIR")) {
       fs::create_directories(art);
@@ -226,6 +213,40 @@ TEST_F(ToolsFixture, RecordedRunReplaysByteIdentical) {
 
 // Non-LMC policies record Re = Rt = 0: audit has nothing to replan and
 // says so instead of failing on the zero cost weights.
+// A recorded simulation repeats event for event: no event carries wall
+// time. The files still differ in their metrics epilogue (wall-time
+// histograms), so the events are compared, not the files.
+TEST_F(ToolsFixture, RecordedRunsRepeatEventForEvent) {
+  const std::string trace = dir_ + "/judgegirl.csv";
+  ASSERT_EQ(run(tool("dvfs_trace_gen") +
+                " --kind judgegirl --seed 4 --duration 120 --submissions 40"
+                " --interactive 400 --out " + trace),
+            0);
+  const std::string simulate =
+      tool("dvfs_simulate") + " --trace " + trace + " --policy lmc --cores 4";
+  ASSERT_EQ(run(simulate + " --record-out " + dir_ + "/a.dfr"), 0);
+  ASSERT_EQ(run(simulate + " --record-out " + dir_ + "/b.dfr"), 0);
+  const dvfs::obs::Recording a =
+      dvfs::obs::Recording::load(dir_ + "/a.dfr");
+  const dvfs::obs::Recording b =
+      dvfs::obs::Recording::load(dir_ + "/b.dfr");
+  EXPECT_EQ(a.header.dropped, 0u);
+  EXPECT_EQ(b.header.dropped, 0u);
+  ASSERT_EQ(a.events.size(), b.events.size());
+  std::size_t decisions = 0;
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    const dvfs::obs::dfr::Event& x = a.events[i];
+    ASSERT_EQ(std::memcmp(&x, &b.events[i], sizeof(x)), 0)
+        << "event " << i << " (type " << int{x.type} << ") differs";
+    if (x.type == static_cast<std::uint8_t>(
+                      dvfs::obs::dfr::EventType::kDecision)) {
+      ++decisions;
+      EXPECT_EQ(x.f0, 0.0) << "event " << i;
+    }
+  }
+  EXPECT_GT(decisions, 400u);
+}
+
 TEST_F(ToolsFixture, AuditOfNonLmcRecordingReportsNothingToAudit) {
   const std::string batch = dir_ + "/batch.csv";
   {

@@ -19,6 +19,7 @@
 /// Frequencies are kilohertz throughout, matching the sysfs ABI.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -50,6 +51,29 @@ enum class GovernorKind : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(GovernorKind g);
+
+/// One sampling period of governor `kind` on a ladder of levels 0..top (a
+/// cpufreq table's indices, or a scheduler's rate indices up to its cap):
+/// the level a core at `level` moves to after a period with busy fraction
+/// `load`. Ondemand jumps to the top above `up` and otherwise steps down
+/// one level (Section V-A3); conservative steps up one above `up` and down
+/// one below `down`; performance and powersave hold the top and the
+/// bottom; userspace never moves.
+[[nodiscard]] constexpr std::size_t governor_step(
+    GovernorKind kind, double load, std::size_t level, std::size_t top,
+    double up, double down) {
+  switch (kind) {
+    case GovernorKind::kOndemand:
+      return load > up ? top : (level > 0 ? level - 1 : 0);
+    case GovernorKind::kConservative:
+      if (load > up && level < top) return level + 1;
+      return load < down && level > 0 ? level - 1 : level;
+    case GovernorKind::kPerformance: return top;
+    case GovernorKind::kPowersave: return 0;
+    case GovernorKind::kUserspace: break;
+  }
+  return level;
+}
 [[nodiscard]] GovernorKind governor_from_string(std::string_view name);
 
 /// Abstract per-core frequency control surface.

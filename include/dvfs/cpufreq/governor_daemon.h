@@ -4,16 +4,9 @@
 /// The paper's baselines rely on Linux's ondemand governor, and its setup
 /// instructions revolve around *disabling* it. This daemon is the thing
 /// being disabled: it periodically samples per-CPU load and moves each
-/// core's frequency according to the core's current governor —
-///
-///   ondemand      load > threshold: jump to the highest frequency;
-///                 otherwise step down one level (Section V-A3's words),
-///   conservative  step up one level above the up-threshold, step down
-///                 one below the down-threshold (gradual in both
-///                 directions),
-///   powersave     hold the lowest frequency,
-///   performance   hold the highest frequency,
-///   userspace     never touched — the scheduler owns the frequency.
+/// core's frequency one governor_step() of the core's current governor,
+/// the step the simulated baselines (governors::FifoPolicy) take too.
+/// Under userspace it never touches the core: the scheduler owns it.
 ///
 /// Driving it against SimulatedCpufreq gives a self-contained testbed;
 /// against a fake sysfs tree it exercises the identical file protocol a
@@ -51,10 +44,6 @@ class GovernorDaemon {
   [[nodiscard]] const Config& config() const { return config_; }
 
  private:
-  /// In-kernel transition: unlike scaling_setspeed, a governor may move
-  /// the frequency regardless of the governor file's value.
-  void transition(std::size_t cpu, KHz target);
-
   CpufreqBackend& backend_;
   Config config_;
 };

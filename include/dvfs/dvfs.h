@@ -31,6 +31,7 @@
 #include "dvfs/governors/fifo_policy.h"
 #include "dvfs/governors/lmc_policy.h"
 #include "dvfs/governors/planned_policy.h"
+#include "dvfs/governors/preemption_lane.h"
 #include "dvfs/governors/wbg_rebalance_policy.h"
 #include "dvfs/parallel/seed_sweep.h"
 #include "dvfs/parallel/thread_pool.h"

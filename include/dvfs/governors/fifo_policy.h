@@ -14,15 +14,19 @@
 ///   * Power Saving (PS, Fig. 2): like the batch OLB baseline but with the
 ///     usable frequencies clamped to the lower half of the rate set.
 ///
-/// Interactive tasks outrank non-interactive ones: they preempt a running
-/// non-interactive task and FIFO among themselves; preempted work resumes
-/// once no higher-priority work remains.
+/// Interactive tasks outrank non-interactive ones through the shared
+/// PreemptionLane: they preempt a running non-interactive task and FIFO
+/// among themselves; preempted work resumes once no higher-priority work
+/// remains. Every start, the lane's included, runs at the frequency rule's
+/// rate. The ondemand and conservative rules are cpufreq::governor_step,
+/// the same step the cpufreq governor daemon takes.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <vector>
 
+#include "dvfs/governors/preemption_lane.h"
 #include "dvfs/sim/engine.h"
 
 namespace dvfs::governors {
@@ -77,9 +81,7 @@ class FifoPolicy final : public sim::Policy {
     double remaining_cycles = 0.0;
   };
   struct CoreQueues {
-    std::deque<Queued> interactive;
     std::deque<Queued> non_interactive;
-    std::vector<Queued> preempted;  // stack: resume most recent first
     double backlog_cycles = 0.0;    // pending + running work
     std::size_t level = 0;          // ondemand's current rate index
     Seconds busy_sample = 0.0;      // cumulative busy at last tick
@@ -94,6 +96,7 @@ class FifoPolicy final : public sim::Policy {
 
   Config config_;
   std::vector<CoreQueues> per_core_;
+  PreemptionLane lane_;
   std::size_t cap_ = 0;        // resolved rate cap
   std::size_t rr_next_ = 0;    // round-robin cursor
   std::vector<double> drain_;  // per-arrival scratch: drain time per core

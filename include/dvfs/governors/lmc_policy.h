@@ -5,22 +5,22 @@
 /// The pure decision engine lives in core::LmcScheduler; this policy adds
 /// the execution-side behaviour the paper describes:
 ///
-///  * interactive arrivals run immediately at the chosen core's maximum
-///    frequency, preempting a running non-interactive task; the preempted
-///    task resumes when no interactive work remains;
+///  * interactive arrivals go through the core's PreemptionLane: they run
+///    immediately at the maximum frequency, preempting a running
+///    non-interactive task, or wait FIFO behind interactive work; the
+///    remainder resumes at its queue position's rate once no interactive
+///    work remains, before the queue's head;
 ///  * non-interactive arrivals enter the core's Theorem-3-ordered queue;
 ///    the queue's head runs with the rate of its queue position, and the
 ///    *running* non-interactive task is re-rated whenever its core's queue
-///    length changes (a rate is a function of position, Lemma 1);
-///  * interactive tasks that find their core already serving interactive
-///    work wait FIFO (equal priority does not preempt).
+///    length changes (a rate is a function of position, Lemma 1).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "dvfs/core/online_lmc.h"
+#include "dvfs/governors/preemption_lane.h"
 #include "dvfs/sim/engine.h"
 
 namespace dvfs::governors {
@@ -54,26 +54,14 @@ class LmcPolicy final : public sim::Policy {
   [[nodiscard]] const core::LmcScheduler& scheduler() const { return lmc_; }
 
  private:
-  struct Pending {
-    core::TaskId id = 0;
-    double remaining_cycles = 0.0;
-  };
-  struct CoreState {
-    std::deque<Pending> pending_interactive;
-    std::vector<Pending> preempted;  // stack
-  };
-
   /// Rate for the task that heads a queue of `queued` waiting tasks: it
   /// occupies backward position queued + 1 (itself plus those behind it).
   [[nodiscard]] std::size_t running_rate(std::size_t core) const;
 
-  /// Re-rates the running non-interactive task after a queue change.
-  void adjust_running_rate(sim::Engine& engine, std::size_t core);
-
   void start_next(sim::Engine& engine, std::size_t core);
 
   core::LmcScheduler lmc_;
-  std::vector<CoreState> per_core_;
+  PreemptionLane lane_;
   Estimator estimator_;
   std::function<void(core::TaskId, Cycles)> on_completion_;
   // Per-arrival scratch, reused so the placement hot path stops

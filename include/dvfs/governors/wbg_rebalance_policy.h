@@ -16,9 +16,13 @@
 ///    moved task (cold caches, queue bookkeeping); zero models free
 ///    migration — the theoretical lower bound — and realistic penalties
 ///    show where LMC's no-migration design wins;
-///  * interactive tasks are handled exactly like LmcPolicy (Eq. 27 core
-///    choice, preemption at maximum frequency), isolating the comparison
-///    to the non-interactive path.
+///  * interactive tasks are handled exactly like LmcPolicy, isolating the
+///    comparison to the non-interactive path: Eq. 27 core choice, then the
+///    same PreemptionLane (maximum frequency, preemption, the remainder
+///    resuming at its queue position's rate). The one difference is
+///    arithmetic: interactive_cost() sums Eq. 27 as Rt·L·T·(1+N), where
+///    core::LmcScheduler sums Rt·L·T + Rt·L·T·N, so the two may round a
+///    candidate cost differently.
 ///
 /// The A8 bench (`bench_migration`) runs this against LmcPolicy.
 #pragma once
@@ -29,6 +33,7 @@
 
 #include "dvfs/core/batch_multi.h"
 #include "dvfs/core/cost_model.h"
+#include "dvfs/governors/preemption_lane.h"
 #include "dvfs/sim/engine.h"
 
 namespace dvfs::governors {
@@ -50,29 +55,21 @@ class WbgRebalancePolicy final : public sim::Policy {
   [[nodiscard]] std::size_t replans() const { return replans_; }
 
  private:
-  struct Pending {
-    core::TaskId id = 0;
-    double remaining_cycles = 0.0;
-  };
   struct QueuedTask {
     Cycles cycles = 0;        // includes accumulated migration penalties
     std::size_t home = 0;     // current core assignment
   };
-  struct CoreState {
-    std::deque<core::ScheduledTask> plan;  // forward order with rates
-    std::deque<Pending> pending_interactive;
-    std::vector<Pending> preempted;  // stack
-  };
 
   void replan(sim::Engine& engine, const std::vector<core::Task>& extra);
   void start_next(sim::Engine& engine, std::size_t core);
-  void adjust_running_rate(sim::Engine& engine, std::size_t core);
   /// Eq. 27-style marginal cost of running an interactive task on core j.
   [[nodiscard]] Money interactive_cost(std::size_t core, Cycles cycles) const;
 
   std::vector<core::CostTable> tables_;
   Cycles penalty_;
-  std::vector<CoreState> per_core_;
+  // Per core: its queued tasks in forward order, with their rates.
+  std::vector<std::deque<core::ScheduledTask>> plans_;
+  PreemptionLane lane_;
   std::unordered_map<core::TaskId, QueuedTask> queued_;
   std::size_t migrations_ = 0;
   std::size_t replans_ = 0;

@@ -44,13 +44,6 @@ GovernorDaemon::GovernorDaemon(CpufreqBackend& backend, Config config)
                "conservative thresholds must satisfy 0 <= down < up <= 1");
 }
 
-void GovernorDaemon::transition(std::size_t cpu, KHz target) {
-  if (backend_.current_khz(cpu) != target) {
-    backend_.driver_set_speed(cpu, target);
-    daemon_stats().transitions.inc();
-  }
-}
-
 void GovernorDaemon::tick(std::span<const double> load_per_cpu) {
   DVFS_REQUIRE(load_per_cpu.size() == backend_.num_cpus(),
                "one load sample per cpu required");
@@ -60,33 +53,17 @@ void GovernorDaemon::tick(std::span<const double> load_per_cpu) {
     DVFS_REQUIRE(load >= 0.0 && load <= 1.0, "load must be in [0, 1]");
     const std::vector<KHz> table = backend_.available_khz(cpu);
     const std::size_t cur = index_of(table, backend_.current_khz(cpu));
-
-    switch (backend_.governor(cpu)) {
-      case GovernorKind::kUserspace:
-        break;  // the userspace scheduler owns this core
-      case GovernorKind::kPerformance:
-        transition(cpu, table.back());
-        break;
-      case GovernorKind::kPowersave:
-        transition(cpu, table.front());
-        break;
-      case GovernorKind::kOndemand:
-        // Section V-A3: above the threshold jump straight to the top;
-        // below it, back off one level per sampling period.
-        if (load > config_.ondemand_threshold) {
-          transition(cpu, table.back());
-        } else if (cur > 0) {
-          transition(cpu, table[cur - 1]);
-        }
-        break;
-      case GovernorKind::kConservative:
-        // Gradual in both directions with a hysteresis band.
-        if (load > config_.conservative_up && cur + 1 < table.size()) {
-          transition(cpu, table[cur + 1]);
-        } else if (load < config_.conservative_down && cur > 0) {
-          transition(cpu, table[cur - 1]);
-        }
-        break;
+    const GovernorKind kind = backend_.governor(cpu);
+    const double up = kind == GovernorKind::kOndemand
+                          ? config_.ondemand_threshold
+                          : config_.conservative_up;
+    const std::size_t next = governor_step(kind, load, cur, table.size() - 1,
+                                           up, config_.conservative_down);
+    if (next != cur) {
+      // In-kernel transition: unlike scaling_setspeed, a governor may move
+      // the frequency regardless of the governor file's value.
+      backend_.driver_set_speed(cpu, table[next]);
+      daemon_stats().transitions.inc();
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "dvfs/cpufreq/cpufreq.h"
 #include "dvfs/obs/metrics.h"
 
 namespace dvfs::governors {
@@ -22,6 +23,7 @@ FifoStats& fifo_stats() {
 
 void FifoPolicy::attach(sim::Engine& engine) {
   per_core_.assign(engine.num_cores(), CoreQueues{});
+  lane_.reset(engine.num_cores());
   rr_next_ = 0;
   // Resolve the cap against each core's model; heterogeneous cores may
   // have different rate counts, so clamp per core at use. The stored cap
@@ -78,21 +80,14 @@ std::size_t FifoPolicy::start_rate(std::size_t core) const {
 void FifoPolicy::start_next(sim::Engine& engine, std::size_t core) {
   CoreQueues& q = per_core_[core];
   if (engine.busy(core)) return;
-  if (!q.interactive.empty()) {
-    const Queued next = q.interactive.front();
-    q.interactive.pop_front();
+  const std::size_t rate = start_rate(core);
+  if (lane_.start_next(engine, core, rate, [rate] { return rate; })) {
     fifo_stats().dispatches.inc();
-    engine.start(core, next.id, next.remaining_cycles, start_rate(core));
-  } else if (!q.preempted.empty()) {
-    const Queued next = q.preempted.back();
-    q.preempted.pop_back();
-    fifo_stats().dispatches.inc();
-    engine.start(core, next.id, next.remaining_cycles, start_rate(core));
   } else if (!q.non_interactive.empty()) {
     const Queued next = q.non_interactive.front();
     q.non_interactive.pop_front();
     fifo_stats().dispatches.inc();
-    engine.start(core, next.id, next.remaining_cycles, start_rate(core));
+    engine.start(core, next.id, next.remaining_cycles, rate);
   }
 }
 
@@ -103,18 +98,10 @@ void FifoPolicy::on_arrival(sim::Engine& engine, const core::Task& task) {
 
   const Queued entry{task.id, static_cast<double>(task.cycles)};
   if (task.priority() > 0) {
-    // Interactive: preempt a running lower-priority task, else queue FIFO
-    // behind same-priority work.
-    if (engine.busy(core)) {
-      if (engine.running_record(core).klass == core::TaskClass::kInteractive) {
-        q.interactive.push_back(entry);
-        return;
-      }
-      const sim::Engine::Preempted p = engine.preempt(core);
-      q.preempted.push_back(Queued{p.task, p.remaining_cycles});
+    if (lane_.admit(engine, core, task.id, entry.remaining_cycles,
+                    start_rate(core))) {
+      fifo_stats().dispatches.inc();
     }
-    fifo_stats().dispatches.inc();
-    engine.start(core, task.id, entry.remaining_cycles, start_rate(core));
     return;
   }
   if (engine.busy(core)) {
@@ -134,29 +121,22 @@ void FifoPolicy::on_complete(sim::Engine& engine, std::size_t core,
 }
 
 void FifoPolicy::on_timer(sim::Engine& engine) {
-  // Sample each core's loading over the last period and apply the
-  // governor rule: ondemand (Section V-A3) jumps to the cap above the
-  // threshold and steps down below it; conservative steps one level in
-  // either direction with a hysteresis band.
+  // Sample each core's loading over the last period and take one governor
+  // step below the cap. kMax arms no timer, so only ondemand and
+  // conservative get here.
   fifo_stats().governor_samples.add(per_core_.size());
+  const cpufreq::GovernorKind kind =
+      config_.freq == FreqMode::kConservative
+          ? cpufreq::GovernorKind::kConservative
+          : cpufreq::GovernorKind::kOndemand;
   for (std::size_t j = 0; j < per_core_.size(); ++j) {
     CoreQueues& q = per_core_[j];
     const Seconds busy_now = engine.cumulative_busy_seconds(j);
     const double load = (busy_now - q.busy_sample) / config_.sample_interval;
     q.busy_sample = busy_now;
-    if (config_.freq == FreqMode::kOndemand) {
-      if (load > config_.load_threshold) {
-        q.level = cap_;
-      } else if (q.level > 0) {
-        q.level -= 1;
-      }
-    } else if (config_.freq == FreqMode::kConservative) {
-      if (load > config_.load_threshold && q.level < cap_) {
-        q.level += 1;
-      } else if (load < config_.conservative_down && q.level > 0) {
-        q.level -= 1;
-      }
-    }
+    q.level = cpufreq::governor_step(kind, load, q.level, cap_,
+                                     config_.load_threshold,
+                                     config_.conservative_down);
     if (engine.busy(j)) {
       engine.set_rate(j, q.level);
     }
@@ -164,11 +144,9 @@ void FifoPolicy::on_timer(sim::Engine& engine) {
 }
 
 bool FifoPolicy::idle() const {
+  if (!lane_.idle()) return false;
   for (const CoreQueues& q : per_core_) {
-    if (!q.interactive.empty() || !q.non_interactive.empty() ||
-        !q.preempted.empty()) {
-      return false;
-    }
+    if (!q.non_interactive.empty()) return false;
   }
   return true;
 }

@@ -41,7 +41,7 @@ void LmcPolicy::attach(sim::Engine& engine) {
             engine.model(j).num_rates(),
         "cost table and engine model disagree on the rate set");
   }
-  per_core_.assign(engine.num_cores(), CoreState{});
+  lane_.reset(engine.num_cores());
   const core::CostParams& p = lmc_.queue(0).table().params();
   engine.record_params(obs::dfr::PolicyKind::kLmc, p.re, p.rt);
 }
@@ -50,29 +50,11 @@ std::size_t LmcPolicy::running_rate(std::size_t core) const {
   return lmc_.queue(core).table().best_rate(lmc_.queue(core).size() + 1);
 }
 
-void LmcPolicy::adjust_running_rate(sim::Engine& engine, std::size_t core) {
-  if (!engine.busy(core)) return;
-  if (engine.running_record(core).klass == core::TaskClass::kInteractive) {
-    return;
-  }
-  engine.set_rate(core, running_rate(core));
-}
-
 void LmcPolicy::start_next(sim::Engine& engine, std::size_t core) {
   if (engine.busy(core)) return;
-  CoreState& st = per_core_[core];
   const std::size_t pm =
       lmc_.queue(core).table().model().rates().highest_index();
-  if (!st.pending_interactive.empty()) {
-    const Pending next = st.pending_interactive.front();
-    st.pending_interactive.pop_front();
-    engine.start(core, next.id, next.remaining_cycles, pm);
-    return;
-  }
-  if (!st.preempted.empty()) {
-    const Pending next = st.preempted.back();
-    st.preempted.pop_back();
-    engine.start(core, next.id, next.remaining_cycles, running_rate(core));
+  if (lane_.start_next(engine, core, pm, [&] { return running_rate(core); })) {
     return;
   }
   const auto dispatched = lmc_.pop_next(core);
@@ -92,36 +74,19 @@ void LmcPolicy::on_arrival(sim::Engine& engine, const core::Task& task) {
     // Eq. 27 core choice; N_j counts everything waiting on core j: the
     // queued non-interactive tasks (added by the scheduler itself) plus
     // pending interactive work and preempted remainders.
+    const std::size_t cores = lmc_.num_cores();
     std::vector<std::size_t>& extra = extra_scratch_;
-    extra.resize(per_core_.size());
-    for (std::size_t j = 0; j < per_core_.size(); ++j) {
-      extra[j] =
-          per_core_[j].pending_interactive.size() + per_core_[j].preempted.size();
-    }
+    extra.resize(cores);
+    for (std::size_t j = 0; j < cores; ++j) extra[j] = lane_.waiting(j);
     // Eq. 27 evaluates the interactive-cost expression on every core;
     // the argmin's own cost vector is the decision's candidate vector.
-    lmc_stats().interactive_evals.add(per_core_.size());
+    lmc_stats().interactive_evals.add(cores);
     std::vector<Money>& costs = candidates_scratch_;
     const std::size_t core = lmc_.interactive_scan(estimate, extra, costs);
     engine.decide(obs::dfr::DecisionScope::kInteractive, task.id, core,
                   estimate, costs);
-    CoreState& st = per_core_[core];
-    const std::size_t pm =
-        lmc_.queue(core).table().model().rates().highest_index();
-
-    if (!engine.busy(core)) {
-      engine.start(core, task.id, static_cast<double>(task.cycles), pm);
-      return;
-    }
-    if (engine.running_record(core).klass == core::TaskClass::kInteractive) {
-      // Equal priority never preempts; wait FIFO.
-      st.pending_interactive.push_back(
-          Pending{task.id, static_cast<double>(task.cycles)});
-      return;
-    }
-    const sim::Engine::Preempted p = engine.preempt(core);
-    st.preempted.push_back(Pending{p.task, p.remaining_cycles});
-    engine.start(core, task.id, static_cast<double>(task.cycles), pm);
+    lane_.admit(engine, core, task.id, static_cast<double>(task.cycles),
+                lmc_.queue(core).table().model().rates().highest_index());
     return;
   }
 
@@ -131,8 +96,8 @@ void LmcPolicy::on_arrival(sim::Engine& engine, const core::Task& task) {
   // j still delays everything placed there. Charge its remaining seconds
   // at Rt so busy cores compete fairly with idle ones.
   std::vector<Money>& offsets = offsets_scratch_;
-  offsets.assign(per_core_.size(), 0.0);
-  for (std::size_t j = 0; j < per_core_.size(); ++j) {
+  offsets.assign(lmc_.num_cores(), 0.0);
+  for (std::size_t j = 0; j < lmc_.num_cores(); ++j) {
     if (!engine.busy(j)) continue;
     const core::CostTable& t = lmc_.queue(j).table();
     const Seconds remaining =
@@ -141,7 +106,7 @@ void LmcPolicy::on_arrival(sim::Engine& engine, const core::Task& task) {
     offsets[j] = t.params().rt * remaining;
   }
   // One marginal-cost probe per core, then one placement.
-  lmc_stats().marginal_evals.add(per_core_.size());
+  lmc_stats().marginal_evals.add(lmc_.num_cores());
   lmc_stats().placements.inc();
   std::vector<Money>& probed = candidates_scratch_;
   const auto placement =
@@ -155,7 +120,8 @@ void LmcPolicy::on_arrival(sim::Engine& engine, const core::Task& task) {
   } else {
     // Queue length changed: the running non-interactive task's positional
     // rate changed with it.
-    adjust_running_rate(engine, placement.core);
+    PreemptionLane::rerate(engine, placement.core,
+                           running_rate(placement.core));
   }
 }
 
@@ -171,11 +137,9 @@ void LmcPolicy::on_complete(sim::Engine& engine, std::size_t core,
 }
 
 bool LmcPolicy::idle() const {
-  for (std::size_t j = 0; j < per_core_.size(); ++j) {
-    if (!per_core_[j].pending_interactive.empty() ||
-        !per_core_[j].preempted.empty() || !lmc_.queue(j).empty()) {
-      return false;
-    }
+  if (!lane_.idle()) return false;
+  for (std::size_t j = 0; j < lmc_.num_cores(); ++j) {
+    if (!lmc_.queue(j).empty()) return false;
   }
   return true;
 }

@@ -32,7 +32,8 @@ void WbgRebalancePolicy::attach(sim::Engine& engine) {
                      engine.model(j).num_rates(),
                  "cost table and engine model disagree on the rate set");
   }
-  per_core_.assign(tables_.size(), CoreState{});
+  plans_.assign(tables_.size(), {});
+  lane_.reset(tables_.size());
   queued_.clear();
   migrations_ = 0;
   replans_ = 0;
@@ -56,9 +57,9 @@ void WbgRebalancePolicy::replan(sim::Engine& engine,
   wbg_stats().replans.inc();
 
   const std::size_t migrations_before = migrations_;
-  for (std::size_t j = 0; j < per_core_.size(); ++j) {
-    per_core_[j].plan.assign(plan.cores[j].sequence.begin(),
-                             plan.cores[j].sequence.end());
+  for (std::size_t j = 0; j < plans_.size(); ++j) {
+    plans_[j].assign(plan.cores[j].sequence.begin(),
+                     plan.cores[j].sequence.end());
     for (const core::ScheduledTask& st : plan.cores[j].sequence) {
       auto it = queued_.find(st.task_id);
       if (it == queued_.end()) {
@@ -89,45 +90,24 @@ Money WbgRebalancePolicy::interactive_cost(std::size_t core,
   const core::CostTable& t = tables_[core];
   const core::EnergyModel& m = t.model();
   const std::size_t pm = m.rates().highest_index();
-  const std::size_t waiting = per_core_[core].plan.size() +
-                              per_core_[core].pending_interactive.size() +
-                              per_core_[core].preempted.size();
+  const std::size_t waiting = plans_[core].size() + lane_.waiting(core);
   const double l = static_cast<double>(cycles);
   return t.params().re * l * m.energy_per_cycle(pm) +
          t.params().rt * l * m.time_per_cycle(pm) *
              static_cast<double>(1 + waiting);
 }
 
-void WbgRebalancePolicy::adjust_running_rate(sim::Engine& engine,
-                                             std::size_t core) {
-  if (!engine.busy(core)) return;
-  if (engine.running_record(core).klass == core::TaskClass::kInteractive) {
-    return;
-  }
-  engine.set_rate(core,
-                  tables_[core].best_rate(per_core_[core].plan.size() + 1));
-}
-
 void WbgRebalancePolicy::start_next(sim::Engine& engine, std::size_t core) {
   if (engine.busy(core)) return;
-  CoreState& st = per_core_[core];
-  const std::size_t pm = tables_[core].model().rates().highest_index();
-  if (!st.pending_interactive.empty()) {
-    const Pending next = st.pending_interactive.front();
-    st.pending_interactive.pop_front();
-    engine.start(core, next.id, next.remaining_cycles, pm);
+  std::deque<core::ScheduledTask>& plan = plans_[core];
+  const core::CostTable& table = tables_[core];
+  if (lane_.start_next(engine, core, table.model().rates().highest_index(),
+                       [&] { return table.best_rate(plan.size() + 1); })) {
     return;
   }
-  if (!st.preempted.empty()) {
-    const Pending next = st.preempted.back();
-    st.preempted.pop_back();
-    engine.start(core, next.id, next.remaining_cycles,
-                 tables_[core].best_rate(st.plan.size() + 1));
-    return;
-  }
-  if (!st.plan.empty()) {
-    const core::ScheduledTask head = st.plan.front();
-    st.plan.pop_front();
+  if (!plan.empty()) {
+    const core::ScheduledTask head = plan.front();
+    plan.pop_front();
     const auto it = queued_.find(head.task_id);
     DVFS_REQUIRE(it != queued_.end(), "planned task not in the queued set");
     const Cycles cycles = it->second.cycles;  // includes penalties
@@ -140,36 +120,25 @@ void WbgRebalancePolicy::start_next(sim::Engine& engine, std::size_t core) {
 void WbgRebalancePolicy::on_arrival(sim::Engine& engine,
                                     const core::Task& task) {
   if (task.klass == core::TaskClass::kInteractive) {
-    costs_.resize(per_core_.size());
-    for (std::size_t j = 0; j < per_core_.size(); ++j) {
+    costs_.resize(plans_.size());
+    for (std::size_t j = 0; j < plans_.size(); ++j) {
       costs_[j] = interactive_cost(j, task.cycles);
     }
     const std::size_t core = sim::argmin(costs_);
     engine.decide(obs::dfr::DecisionScope::kInteractive, task.id, core,
                   task.cycles, costs_);
-    CoreState& st = per_core_[core];
-    const std::size_t pm = tables_[core].model().rates().highest_index();
-    if (!engine.busy(core)) {
-      engine.start(core, task.id, static_cast<double>(task.cycles), pm);
-      return;
-    }
-    if (engine.running_record(core).klass == core::TaskClass::kInteractive) {
-      st.pending_interactive.push_back(
-          Pending{task.id, static_cast<double>(task.cycles)});
-      return;
-    }
-    const sim::Engine::Preempted p = engine.preempt(core);
-    st.preempted.push_back(Pending{p.task, p.remaining_cycles});
-    engine.start(core, task.id, static_cast<double>(task.cycles), pm);
+    lane_.admit(engine, core, task.id, static_cast<double>(task.cycles),
+                tables_[core].model().rates().highest_index());
     return;
   }
 
   DVFS_REQUIRE(task.klass == core::TaskClass::kNonInteractive,
                "online traces contain interactive/non-interactive tasks");
   replan(engine, {task});
-  for (std::size_t j = 0; j < per_core_.size(); ++j) {
+  for (std::size_t j = 0; j < plans_.size(); ++j) {
     start_next(engine, j);
-    adjust_running_rate(engine, j);
+    PreemptionLane::rerate(engine, j,
+                           tables_[j].best_rate(plans_[j].size() + 1));
   }
 }
 
@@ -180,11 +149,9 @@ void WbgRebalancePolicy::on_complete(sim::Engine& engine, std::size_t core,
 }
 
 bool WbgRebalancePolicy::idle() const {
-  for (const CoreState& st : per_core_) {
-    if (!st.plan.empty() || !st.pending_interactive.empty() ||
-        !st.preempted.empty()) {
-      return false;
-    }
+  if (!lane_.idle()) return false;
+  for (const std::deque<core::ScheduledTask>& plan : plans_) {
+    if (!plan.empty()) return false;
   }
   return true;
 }

@@ -105,7 +105,7 @@ TEST(Metrics, EmptyHistogramHasNoQuantiles) {
 
   Registry reg;
   reg.histogram("unused");
-  const Json& j = reg.to_json().at("histograms").at("unused");
+  const Json j = reg.to_json().at("histograms").at("unused");
   EXPECT_FALSE(j.contains("mean"));
   EXPECT_FALSE(j.contains("p50"));
   EXPECT_FALSE(j.contains("p99"));

@@ -3,16 +3,19 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dvfs/core/batch_multi.h"
 #include "dvfs/governors/fifo_policy.h"
 #include "dvfs/governors/lmc_policy.h"
 #include "dvfs/governors/planned_policy.h"
+#include "dvfs/governors/preemption_lane.h"
 #include "dvfs/governors/wbg_rebalance_policy.h"
 #include "dvfs/obs/recorder.h"
 #include "dvfs/sim/engine.h"
@@ -54,6 +57,140 @@ workload::Trace small_online_trace() {
                                .klass = core::TaskClass::kInteractive});
   }
   return workload::Trace(std::move(tasks));
+}
+
+// --------------------------------------------------------- PreemptionLane
+
+// Drives a PreemptionLane on one core the way the policies do: interactive
+// arrivals are admitted at kTop; a free core starts the lane's next task
+// (interactive at kTop, the remainder at kResume) before its own FIFO
+// queue (at kOwn). Logs every start as (task, rate) and the lane's
+// waiting count after every arrival.
+class LaneHarness final : public sim::Policy {
+ public:
+  static constexpr std::size_t kTop = 4, kResume = 2, kOwn = 0;
+
+  void attach(Engine& engine) override { lane.reset(engine.num_cores()); }
+  void on_arrival(Engine& engine, const core::Task& task) override {
+    const double cycles = static_cast<double>(task.cycles);
+    if (task.klass == core::TaskClass::kInteractive) {
+      if (lane.admit(engine, 0, task.id, cycles, kTop)) log(engine);
+    } else if (engine.busy(0)) {
+      own.push_back(task.id);
+    } else {
+      engine.start(0, task.id, cycles, kOwn);
+      log(engine);
+    }
+    waiting.push_back(lane.waiting(0));
+  }
+  void on_complete(Engine& engine, std::size_t, core::TaskId) override {
+    if (!skip_lane &&
+        lane.start_next(engine, 0, kTop, [] { return kResume; })) {
+      log(engine);
+    } else if (!own.empty()) {
+      const core::TaskId id = own.front();
+      own.pop_front();
+      engine.start(0, id, static_cast<double>(engine.record(id).cycles),
+                   kOwn);
+      log(engine);
+    }
+  }
+  [[nodiscard]] bool idle() const override {
+    return lane.idle() && own.empty();
+  }
+
+  PreemptionLane lane;
+  std::deque<core::TaskId> own;
+  std::vector<std::pair<core::TaskId, std::size_t>> starts;
+  std::vector<std::size_t> waiting;
+  /// Starts own work before the lane's, which breaks the rule that a
+  /// remainder resumes before any new non-interactive task.
+  bool skip_lane = false;
+
+ private:
+  void log(const Engine& engine) {
+    starts.emplace_back(engine.running_task(0), engine.current_rate(0));
+  }
+};
+
+core::Task lane_task(core::TaskId id, double arrival, bool interactive) {
+  return core::Task{.id = id,
+                    .cycles = 2'000'000'000,
+                    .arrival = arrival,
+                    .klass = interactive ? core::TaskClass::kInteractive
+                                         : core::TaskClass::kNonInteractive};
+}
+
+using Starts = std::vector<std::pair<core::TaskId, std::size_t>>;
+
+TEST(PreemptionLane, EqualPriorityWaitsFifo) {
+  Engine eng(homogeneous(1), ContentionModel::none());
+  LaneHarness lane;
+  const workload::Trace trace(std::vector<core::Task>{
+      lane_task(1, 0.0, true), lane_task(2, 0.1, true),
+      lane_task(3, 0.2, true)});
+  const SimResult r = eng.run(trace, lane);
+  EXPECT_EQ(r.completed_count(), 3u);
+  const Starts want{{1, LaneHarness::kTop},
+                    {2, LaneHarness::kTop},
+                    {3, LaneHarness::kTop}};
+  EXPECT_EQ(lane.starts, want);
+  EXPECT_TRUE(lane.idle());
+}
+
+TEST(PreemptionLane, RemainderResumesAfterInteractiveBeforeOwnQueue) {
+  Engine eng(homogeneous(1), ContentionModel::none());
+  LaneHarness lane;
+  // Task 1 runs from the own queue; task 2 queues behind it; interactive
+  // task 3 preempts task 1 and interactive task 4 waits behind task 3.
+  const workload::Trace trace(std::vector<core::Task>{
+      lane_task(1, 0.0, false), lane_task(2, 0.1, false),
+      lane_task(3, 0.2, true), lane_task(4, 0.3, true)});
+  const SimResult r = eng.run(trace, lane);
+  EXPECT_EQ(r.completed_count(), 4u);
+  const Starts want{{1, LaneHarness::kOwn},
+                    {3, LaneHarness::kTop},
+                    {4, LaneHarness::kTop},
+                    {1, LaneHarness::kResume},
+                    {2, LaneHarness::kOwn}};
+  EXPECT_EQ(lane.starts, want);
+  // The remainder keeps the cycles it had left: task 1 finishes before
+  // task 2 starts, after 0.2 s of its run and both interactive tasks.
+  EXPECT_LT(r.tasks[0].finish, r.tasks[1].finish);
+  EXPECT_GT(r.tasks[0].finish, r.tasks[3].finish);
+}
+
+TEST(PreemptionLane, WaitingCountsPendingTasksAndTheSlot) {
+  Engine eng(homogeneous(1), ContentionModel::none());
+  LaneHarness lane;
+  const workload::Trace trace(std::vector<core::Task>{
+      lane_task(1, 0.0, false), lane_task(2, 0.1, true),
+      lane_task(3, 0.2, true), lane_task(4, 0.3, true)});
+  const SimResult r = eng.run(trace, lane);
+  EXPECT_EQ(r.completed_count(), 4u);
+  // Nothing; the slot (task 1); slot + task 3; slot + tasks 3 and 4.
+  EXPECT_EQ(lane.waiting, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(lane.lane.waiting(0), 0u);
+}
+
+TEST(PreemptionLane, PreemptingIntoAFullSlotThrows) {
+  Engine eng(homogeneous(1), ContentionModel::none());
+  LaneHarness lane;
+  lane.skip_lane = true;
+  // Task 3 preempts task 1 into the slot. When it completes, the harness
+  // starts task 2 ahead of the remainder, so task 4 would preempt a
+  // second non-interactive task while the slot still holds task 1.
+  const workload::Trace trace(std::vector<core::Task>{
+      lane_task(1, 0.0, false), lane_task(2, 0.1, false),
+      lane_task(3, 0.2, true), lane_task(4, 1.0, true)});
+  try {
+    (void)eng.run(trace, lane);
+    FAIL() << "preempting into a full slot must throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("remainder slot is full"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------------------- FifoPolicy

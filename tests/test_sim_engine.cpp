@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -19,7 +20,9 @@
 #include "dvfs/governors/planned_policy.h"
 #include "dvfs/governors/wbg_rebalance_policy.h"
 #include "dvfs/obs/metrics.h"
+#include "dvfs/obs/recorder.h"
 #include "dvfs/sim/contention.h"
+#include "dvfs/workload/generators.h"
 #include "dvfs/workload/spec2006int.h"
 
 namespace dvfs::sim {
@@ -978,12 +981,12 @@ void PrintTo(const OrderGolden& g, std::ostream* os) {
   *os << g.policy << " seed " << g.seed;
 }
 
-std::unique_ptr<Policy> make_order_policy(const std::string& name,
-                                          const std::vector<core::Task>& tasks,
-                                          std::size_t cores) {
+std::unique_ptr<Policy> make_order_policy(
+    const std::string& name, const std::vector<core::Task>& tasks,
+    std::size_t cores, const core::EnergyModel& model = dyadic_model()) {
   using governors::FifoPolicy;
   const std::vector<core::CostTable> tables(
-      cores, core::CostTable(dyadic_model(), core::CostParams{0.4, 0.1}));
+      cores, core::CostTable(model, core::CostParams{0.4, 0.1}));
   if (name == "lmc") return std::make_unique<governors::LmcPolicy>(tables);
   if (name == "wbg") {
     return std::make_unique<governors::WbgRebalancePolicy>(tables);
@@ -1000,7 +1003,7 @@ std::unique_ptr<Policy> make_order_policy(const std::string& name,
     config.freq = FifoPolicy::FreqMode::kOndemand;
   } else if (name == "ps") {
     config.freq = FifoPolicy::FreqMode::kOndemand;
-    config.rate_cap = 1;
+    config.rate_cap = (model.num_rates() + 1) / 2 - 1;  // lower half
   }
   return std::make_unique<FifoPolicy>(config);
 }
@@ -1115,6 +1118,100 @@ const OrderGolden kRekeyGoldens[] = {
 
 INSTANTIATE_TEST_SUITE_P(Rekey, EventOrder, ::testing::ValuesIn(kRekeyGoldens),
                          order_golden_name);
+
+// A whole recorded run, pinned event for event: FNV-1a over the raw
+// 48-byte events of a seeded judgegirl run on the Table 2 model. Two cores
+// are overloaded near the end of the exam and four are not; on both,
+// interactive arrivals preempt running work, and od/ps's ondemand timer
+// moves frequencies. A change to preemption, resume order or resume rate,
+// or to the governor step, changes the digest. Captured from the policies
+// that each kept their own interactive queue and preempted stack.
+struct DigestGolden {
+  const char* policy;
+  std::size_t cores;
+  std::uint64_t events;
+  std::uint64_t preemptions;  // spans closed by a preemption
+  std::uint64_t digest;
+};
+
+void PrintTo(const DigestGolden& g, std::ostream* os) {
+  *os << g.policy << " on " << g.cores << " cores";
+}
+
+std::uint64_t fnv1a(const std::vector<obs::dfr::Event>& events) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const obs::dfr::Event& e : events) {
+    unsigned char bytes[sizeof e];
+    std::memcpy(bytes, &e, sizeof e);
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+class RecordingDigest : public ::testing::TestWithParam<DigestGolden> {};
+
+TEST_P(RecordingDigest, MatchesTheGoldenRun) {
+  const DigestGolden& g = GetParam();
+  workload::JudgegirlConfig cfg;
+  cfg.duration = 120.0;
+  cfg.non_interactive_tasks = 40;
+  cfg.interactive_tasks = 400;
+  const workload::Trace trace = workload::generate_judgegirl(cfg, 3);
+  const core::EnergyModel model = core::EnergyModel::icpp2014_table2();
+  std::unique_ptr<Policy> policy =
+      make_order_policy(g.policy, trace.tasks(), g.cores, model);
+
+  Engine eng(std::vector<core::EnergyModel>(g.cores, model),
+             ContentionModel::none());
+  obs::Recorder rec(1, std::size_t{1} << 20);
+  eng.set_recorder(&rec.channel(0));
+  const SimResult r = eng.run(trace, *policy);
+  ASSERT_EQ(r.completed_count(), trace.size());
+  rec.drain();
+  ASSERT_EQ(rec.events_dropped(), 0u);
+
+  const std::vector<obs::dfr::Event>& events = rec.events();
+  std::uint64_t preemptions = 0;
+  for (const obs::dfr::Event& e : events) {
+    if (e.type == static_cast<std::uint8_t>(obs::dfr::EventType::kSpanEnd) &&
+        (e.flags & obs::dfr::kFlagPreempted) != 0) {
+      ++preemptions;
+    }
+  }
+  const std::uint64_t digest = fnv1a(events);
+  char row[160];
+  std::snprintf(row, sizeof row, "{\"%s\", %zu, %zu, %llu, 0x%016llxull}",
+                g.policy, g.cores, events.size(),
+                static_cast<unsigned long long>(preemptions),
+                static_cast<unsigned long long>(digest));
+  SCOPED_TRACE(row);  // the kDigestGoldens row this run produced
+  EXPECT_EQ(events.size(), g.events);
+  EXPECT_EQ(preemptions, g.preemptions);
+  EXPECT_EQ(digest, g.digest);
+}
+
+const DigestGolden kDigestGoldens[] = {
+    {"lmc", 2, 4763, 188, 0xbb7e58770de3cdf3ull},
+    {"lmc", 4, 5658, 191, 0xce15d0d53bd91025ull},
+    {"olb", 2, 4028, 33, 0x757953de99a7e1caull},
+    {"olb", 4, 4852, 5, 0xa3308ffe557a1520ull},
+    {"od", 2, 4390, 114, 0x0ee754d706871445ull},
+    {"od", 4, 5176, 72, 0xf1209cd79d568376ull},
+    {"ps", 2, 4224, 36, 0xf4977e148d5da95dull},
+    {"ps", 4, 5031, 5, 0xd63ff8da7ab62dd4ull},
+    {"wbg", 2, 4566, 161, 0x9e3332b872342166ull},
+    {"wbg", 4, 5199, 119, 0x95652a5e4782cc47ull},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Judgegirl, RecordingDigest, ::testing::ValuesIn(kDigestGoldens),
+    [](const ::testing::TestParamInfo<DigestGolden>& info) {
+      return std::string(info.param.policy) + "_" +
+             std::to_string(info.param.cores) + "cores";
+    });
 
 // Two cores' completions re-keyed onto one instant: the one armed first
 // fires first, whatever the core order. Core 2 starts task 1 before core 0

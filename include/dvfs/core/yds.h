@@ -47,7 +47,6 @@ struct YdsSchedule {
   /// Execution order (EDF within each critical interval).
   std::vector<YdsSegment> segments;
 
-  [[nodiscard]] double max_speed() const;
   [[nodiscard]] Seconds makespan() const {
     return segments.empty() ? 0.0 : segments.back().end;
   }

@@ -195,7 +195,6 @@ class FlatRangeTree {
 
   /// Arena introspection (test support: the differential test drives the
   /// arena across chunk boundaries and asserts handles survive).
-  [[nodiscard]] std::size_t arena_node_count() const;
   [[nodiscard]] std::size_t arena_chunk_count() const {
     return node_chunks_.size();
   }

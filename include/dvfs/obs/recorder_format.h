@@ -186,6 +186,38 @@ enum class DecisionKind : std::uint16_t {
   return "?";
 }
 
+/// Snake-case name of an event type (tool output; a request-trace stage
+/// is named after its event).
+[[nodiscard]] constexpr const char* to_string(EventType t) {
+  switch (t) {
+    case EventType::kNone: return "none";
+    case EventType::kRunBegin: return "run_begin";
+    case EventType::kParams: return "params";
+    case EventType::kTaskArrival: return "task_arrival";
+    case EventType::kTaskStart: return "task_start";
+    case EventType::kSpanEnd: return "span_end";
+    case EventType::kTaskFinish: return "task_finish";
+    case EventType::kFreqChange: return "freq_change";
+    case EventType::kDecision: return "decision";
+    case EventType::kCandidate: return "candidate";
+    case EventType::kPlacement: return "placement";
+    case EventType::kReplan: return "replan";
+    case EventType::kHwPlanned: return "hw_planned";
+    case EventType::kHwSpan: return "hw_span";
+    case EventType::kHealthSample: return "health_sample";
+    case EventType::kAlert: return "alert";
+    case EventType::kSubmitRecv: return "submit_recv";
+    case EventType::kRingEnqueue: return "ring_enqueue";
+    case EventType::kRingDequeue: return "ring_dequeue";
+    case EventType::kStealHop: return "steal_hop";
+    case EventType::kShardQueue: return "shard_queue";
+    case EventType::kExecBegin: return "exec_begin";
+    case EventType::kExecEnd: return "exec_end";
+    case EventType::kProfSample: return "prof_sample";
+  }
+  return "?";
+}
+
 /// What kind of placement a kPlacement/kCandidate run describes
 /// (Event::aux).
 enum class DecisionScope : std::uint16_t {

@@ -17,6 +17,14 @@
 ///    including after a crash, since the channels are drained through
 ///    the ordinary flight-recorder path.
 ///
+/// A stage is defined in one place: its row of the `kStages` table —
+/// the event it is recorded as (which also names it), the event fields
+/// that hold its details and their JSON/text names, the `Durations`
+/// field its gap is charged to, and the task state it implies.
+/// `to_event()`/`to_step()` are the only encoder and decoder; the task
+/// table, `build_timelines()`, `timeline_json()` and `dvfs_inspect
+/// trace` all read the same row, so the two copies cannot drift.
+///
 /// A `Timeline` derives per-stage durations by walking consecutive steps
 /// and attributing each gap to the stage it ended at; the durations
 /// telescope, so their sum equals the end-to-end latency (a property the
@@ -29,6 +37,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -58,19 +67,15 @@ enum class Stage : std::uint8_t {
   kExecEnd = 7,      ///< virtual execution finished
 };
 
-[[nodiscard]] const char* to_string(Stage s);
-
-/// One timeline entry. `a`/`b` are stage-specific details:
-///   kRingEnqueue/kRingDequeue: a = shard
-///   kStealHop:                 a = from shard, b = to shard
-///   kPlacement:                a = global core, b = rate index
-///   kShardQueue:               a = global core, b = queue depth after
-///   kExecBegin/kExecEnd:       a = global core
+/// One timeline entry. `a`/`b` are stage-specific details, named and
+/// stored as the stage's `kStages` row says.
 struct Step {
   Stage stage = Stage::kSubmitRecv;
   double t_s = 0.0;  ///< steady seconds since service start
   std::uint32_t a = 0;
   std::uint32_t b = 0;
+
+  friend bool operator==(const Step&, const Step&) = default;
 };
 
 /// Where a task's end-to-end latency went. Stage gaps are attributed to
@@ -89,6 +94,93 @@ struct Durations {
            queue_wait_s + exec_s;
   }
 };
+
+/// Where a task is in its lifecycle (`state` in GET /schedule/{id}).
+enum class TaskState : std::uint8_t {
+  kQueued = 0,
+  kCompleted = 1,
+  kRunning = 2,  ///< virtual execution in progress (time_scale > 0)
+};
+
+[[nodiscard]] constexpr const char* to_string(TaskState s) {
+  constexpr const char* kNames[] = {"queued", "completed", "running"};
+  return kNames[static_cast<std::size_t>(s)];
+}
+
+/// The `.dfr` event field a step detail is stored in.
+enum class Field : std::uint8_t { kNone, kCore, kAux, kU0, kRateIdx };
+
+/// Where `Step::a` or `Step::b` is stored, and its JSON/text name
+/// (nullptr: the stage does not use it).
+struct Detail {
+  Field field = Field::kNone;
+  const char* name = nullptr;
+};
+
+/// Everything the trace layer knows about one stage.
+struct StageInfo {
+  dfr::EventType event;  ///< recorded as; also names the stage
+  Detail a{};
+  Detail b{};
+  bool u0_is_trace = true;  ///< the event's u0 carries the trace id
+  /// The Durations field charged with the gap this stage closes
+  /// (nullptr: the stage only ever opens a timeline).
+  double Durations::*charged = nullptr;
+  TaskState state = TaskState::kQueued;  ///< task state after the stage
+};
+
+/// The single definition of every stage, indexed by `Stage`. The task
+/// table, the `.dfr` encoder/decoder, the duration accounting and every
+/// rendering read it: adding a stage is adding a row.
+inline constexpr std::array<StageInfo, 8> kStages{{
+    {.event = dfr::EventType::kSubmitRecv},
+    {.event = dfr::EventType::kStealHop, .a = {Field::kAux, "from_shard"},
+     .b = {Field::kCore, "to_shard"}, .charged = &Durations::steal_wait_s},
+    {.event = dfr::EventType::kRingEnqueue, .a = {Field::kCore, "shard"},
+     .charged = &Durations::ingress_s},
+    {.event = dfr::EventType::kRingDequeue, .a = {Field::kCore, "shard"},
+     .charged = &Durations::ring_wait_s},
+    // The decision record (obs::record_decision): u0 = estimated cycles.
+    {.event = dfr::EventType::kPlacement, .a = {Field::kCore, "core"},
+     .b = {Field::kRateIdx, "rate_idx"}, .u0_is_trace = false,
+     .charged = &Durations::placement_s},
+    // The shard also stores the rate index in the event's rate_idx.
+    {.event = dfr::EventType::kShardQueue, .a = {Field::kCore, "core"},
+     .b = {Field::kU0, "depth"}, .u0_is_trace = false,
+     .charged = &Durations::placement_s},
+    {.event = dfr::EventType::kExecBegin, .a = {Field::kCore, "core"},
+     .charged = &Durations::queue_wait_s, .state = TaskState::kRunning},
+    // The shard also stores the span's begin time in the event's f0.
+    {.event = dfr::EventType::kExecEnd, .a = {Field::kCore, "core"},
+     .charged = &Durations::exec_s, .state = TaskState::kCompleted},
+}};
+
+[[nodiscard]] constexpr const StageInfo& info(Stage s) {
+  return kStages[static_cast<std::size_t>(s)];
+}
+
+/// The stage's name: its event's name ("submit_recv", "steal_hop", ...).
+[[nodiscard]] constexpr const char* to_string(Stage s) {
+  return dfr::to_string(info(s).event);
+}
+
+/// Calls `f(name, value)` for `s.a`, then `s.b`, where the stage names
+/// them.
+template <typename F>
+constexpr void for_each_detail(const Step& s, F&& f) {
+  const StageInfo& row = info(s.stage);
+  if (row.a.name != nullptr) f(row.a.name, s.a);
+  if (row.b.name != nullptr) f(row.b.name, s.b);
+}
+
+/// The `.dfr` event that records `s` for `task` (trace id in u0 where
+/// the stage carries it). The only encoder of a step.
+[[nodiscard]] dfr::Event to_event(std::uint64_t task, std::uint64_t trace,
+                                  const Step& s);
+
+/// The step an event records; nullopt for events that are not a stage.
+/// The only decoder of a step.
+[[nodiscard]] std::optional<Step> to_step(const dfr::Event& e);
 
 /// A task's reconstructed lifecycle: time-sorted steps plus derived
 /// stage accounting.

@@ -8,7 +8,7 @@
 /// tracked metric gets a `SeriesRing` — a fixed-capacity ring of
 /// (timestamp, value) samples — and `sample()` appends one point per
 /// metric from a registry snapshot. Memory is bounded by construction:
-/// `num_series * capacity * sizeof(Sample)`, independent of run length;
+/// `tracked metrics * capacity * sizeof(Sample)`, independent of run length;
 /// when a ring fills, the oldest sample is overwritten.
 ///
 /// Windowed queries (`window_stats`, `delta`, `rate`,
@@ -122,7 +122,6 @@ class TimeSeriesStore {
   /// Get-or-create, for tests and manual feeds.
   [[nodiscard]] SeriesRing& series(const std::string& key);
 
-  [[nodiscard]] std::size_t num_series() const { return series_.size(); }
   [[nodiscard]] std::uint64_t samples_taken() const { return samples_; }
   [[nodiscard]] std::vector<std::string> keys() const;
 

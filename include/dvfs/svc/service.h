@@ -181,7 +181,6 @@ class SchedulingService {
   [[nodiscard]] std::uint64_t stolen() const;
 
   /// Per-shard introspection (tests, /metrics labels).
-  [[nodiscard]] Money shard_queue_cost(std::size_t shard) const;
   [[nodiscard]] std::size_t shard_queue_len(std::size_t shard) const;
 
   /// The task table behind status() and the live per-task request

@@ -45,11 +45,7 @@ namespace dvfs::svc {
 
 /// Where a task ended up, queryable via `status()` / GET /schedule/{id}.
 struct TaskStatus {
-  enum class State : std::uint8_t {
-    kQueued = 0,
-    kCompleted = 1,
-    kRunning = 2,  ///< virtual execution in progress (time_scale > 0)
-  };
+  using State = obs::reqtrace::TaskState;
   State state = State::kQueued;
   std::uint16_t shard = 0;
   std::uint16_t core = 0;  ///< global core index
@@ -60,8 +56,6 @@ struct TaskStatus {
   std::uint64_t trace = 0;  ///< request-trace id assigned at ingress
   double placed_s = 0.0;    ///< placement instant (steady s since start)
 };
-
-[[nodiscard]] const char* to_string(TaskStatus::State s);
 
 class TaskTable {
  public:
@@ -87,11 +81,10 @@ class TaskTable {
   void place(core::TaskId id, const TaskStatus& st,
              std::span<const Step> steps);
 
-  /// Moves a remembered task to `state` and appends `step`. Returns the
-  /// updated status; nullopt (and nothing recorded) for an unknown or
-  /// evicted id.
-  std::optional<TaskStatus> advance(core::TaskId id, TaskStatus::State state,
-                                    const Step& step);
+  /// Appends `step` to a remembered task and moves it to the state the
+  /// step's stage implies. Returns the updated status; nullopt (and
+  /// nothing recorded) for an unknown or evicted id.
+  std::optional<TaskStatus> advance(core::TaskId id, const Step& step);
 
   /// The task's trace id; 0 for an unknown or evicted id.
   [[nodiscard]] std::uint64_t trace_of(core::TaskId id) const;

@@ -6,12 +6,6 @@
 
 namespace dvfs::core {
 
-double YdsSchedule::max_speed() const {
-  double s = 0.0;
-  for (const YdsSegment& seg : segments) s = std::max(s, seg.speed);
-  return s;
-}
-
 Joules YdsSchedule::energy(double c, double alpha) const {
   DVFS_REQUIRE(c > 0.0, "power coefficient must be positive");
   DVFS_REQUIRE(alpha > 1.0, "YDS optimality needs convex power (alpha > 1)");

@@ -101,10 +101,6 @@ FlatRangeTree::Slot* FlatRangeTree::alloc_slot() {
 
 void FlatRangeTree::free_slot(Slot* s) { free_slots_.push_back(s); }
 
-std::size_t FlatRangeTree::arena_node_count() const {
-  return bump_nodes_ - free_nodes_.size();
-}
-
 // ---------------------------------------------------------------------------
 // Aggregate maintenance.
 

@@ -10,18 +10,52 @@
 
 namespace dvfs::obs::reqtrace {
 
-const char* to_string(Stage s) {
-  switch (s) {
-    case Stage::kSubmitRecv: return "submit_recv";
-    case Stage::kStealHop: return "steal_hop";
-    case Stage::kRingEnqueue: return "ring_enqueue";
-    case Stage::kRingDequeue: return "ring_dequeue";
-    case Stage::kPlacement: return "placement";
-    case Stage::kShardQueue: return "shard_queue";
-    case Stage::kExecBegin: return "exec_begin";
-    case Stage::kExecEnd: return "exec_end";
+namespace {
+
+void store(dfr::Event& e, Field f, std::uint32_t v) {
+  switch (f) {
+    case Field::kNone: break;
+    case Field::kCore: e.core = static_cast<std::uint16_t>(v); break;
+    case Field::kAux: e.aux = static_cast<std::uint16_t>(v); break;
+    case Field::kU0: e.u0 = v; break;
+    case Field::kRateIdx: e.rate_idx = static_cast<std::uint16_t>(v); break;
   }
-  return "?";
+}
+
+std::uint32_t load(const dfr::Event& e, Field f) {
+  switch (f) {
+    case Field::kNone: return 0;
+    case Field::kCore: return e.core;
+    case Field::kAux: return e.aux;
+    case Field::kU0: return static_cast<std::uint32_t>(e.u0);
+    case Field::kRateIdx: return e.rate_idx;
+  }
+  return 0;
+}
+
+}  // namespace
+
+dfr::Event to_event(std::uint64_t task, std::uint64_t trace,
+                    const Step& s) {
+  const StageInfo& row = info(s.stage);
+  dfr::Event e;
+  e.type = static_cast<std::uint8_t>(row.event);
+  e.time_s = s.t_s;
+  e.task = task;
+  if (row.u0_is_trace) e.u0 = trace;
+  store(e, row.a.field, s.a);
+  store(e, row.b.field, s.b);
+  return e;
+}
+
+std::optional<Step> to_step(const dfr::Event& e) {
+  for (std::size_t i = 0; i < kStages.size(); ++i) {
+    const StageInfo& row = kStages[i];
+    if (e.type != static_cast<std::uint8_t>(row.event)) continue;
+    return Step{static_cast<Stage>(i), e.time_s, load(e, row.a.field),
+                load(e, row.b.field)};
+  }
+  return std::nullopt;
 }
 
 void sort_steps(std::vector<Step>& steps) {
@@ -50,18 +84,10 @@ double Timeline::end_s() const {
 Durations Timeline::durations() const {
   Durations d;
   for (std::size_t i = 1; i < steps.size(); ++i) {
-    const double dt = steps[i].t_s - steps[i - 1].t_s;
     // Attribute the gap to the stage that closed it; every gap lands in
     // exactly one field, so the fields telescope to end-to-end.
-    switch (steps[i].stage) {
-      case Stage::kSubmitRecv: break;  // only ever the first step
-      case Stage::kStealHop: d.steal_wait_s += dt; break;
-      case Stage::kRingEnqueue: d.ingress_s += dt; break;
-      case Stage::kRingDequeue: d.ring_wait_s += dt; break;
-      case Stage::kPlacement: d.placement_s += dt; break;
-      case Stage::kShardQueue: d.placement_s += dt; break;
-      case Stage::kExecBegin: d.queue_wait_s += dt; break;
-      case Stage::kExecEnd: d.exec_s += dt; break;
+    if (const auto field = info(steps[i].stage).charged) {
+      d.*field += steps[i].t_s - steps[i - 1].t_s;
     }
   }
   return d;
@@ -78,67 +104,27 @@ const char* Timeline::admission_critical_stage() const {
 }
 
 std::vector<Timeline> build_timelines(const std::vector<dfr::Event>& events) {
-  using dfr::EventType;
-  // Pass 1: which tasks are traced at all. A task qualifies once any v4
-  // span event mentions it — a pre-v4 (simulator) stream qualifies none,
-  // so its kPlacement events never become bogus one-step timelines.
+  // Pass 1: which tasks are traced at all. A task qualifies once any
+  // stage event other than kPlacement mentions it: kPlacement is also
+  // the simulator's decision record, so a pre-v4 (simulator) stream
+  // qualifies none and its placements never become bogus one-step
+  // timelines.
   std::unordered_map<std::uint64_t, Timeline> by_task;
   for (const dfr::Event& e : events) {
-    const auto t = static_cast<EventType>(e.type);
-    if (t < EventType::kSubmitRecv || t > EventType::kExecEnd) continue;
+    const std::optional<Step> s = to_step(e);
+    if (!s.has_value() || s->stage == Stage::kPlacement) continue;
     Timeline& tl = by_task[e.task];
     tl.task = e.task;
-    // kShardQueue reuses u0 for queue depth; every other span event
-    // carries the trace id there.
-    if (tl.trace_id == 0 && t != EventType::kShardQueue) tl.trace_id = e.u0;
+    if (tl.trace_id == 0 && info(s->stage).u0_is_trace) tl.trace_id = e.u0;
   }
 
-  // Pass 2: collect steps (including the pre-existing kPlacement events,
-  // which double as the decision record and the trace's placement step).
+  // Pass 2: collect the steps of traced tasks, placements included.
   for (const dfr::Event& e : events) {
     const auto it = by_task.find(e.task);
     if (it == by_task.end()) continue;
-    Step s;
-    s.t_s = e.time_s;
-    switch (static_cast<EventType>(e.type)) {
-      case EventType::kSubmitRecv:
-        s.stage = Stage::kSubmitRecv;
-        break;
-      case EventType::kRingEnqueue:
-        s.stage = Stage::kRingEnqueue;
-        s.a = e.core;
-        break;
-      case EventType::kRingDequeue:
-        s.stage = Stage::kRingDequeue;
-        s.a = e.core;
-        break;
-      case EventType::kStealHop:
-        s.stage = Stage::kStealHop;
-        s.a = e.aux;
-        s.b = e.core;
-        break;
-      case EventType::kPlacement:
-        s.stage = Stage::kPlacement;
-        s.a = e.core;
-        s.b = e.rate_idx;
-        break;
-      case EventType::kShardQueue:
-        s.stage = Stage::kShardQueue;
-        s.a = e.core;
-        s.b = static_cast<std::uint32_t>(e.u0);
-        break;
-      case EventType::kExecBegin:
-        s.stage = Stage::kExecBegin;
-        s.a = e.core;
-        break;
-      case EventType::kExecEnd:
-        s.stage = Stage::kExecEnd;
-        s.a = e.core;
-        break;
-      default:
-        continue;
+    if (const std::optional<Step> s = to_step(e)) {
+      it->second.steps.push_back(*s);
     }
-    it->second.steps.push_back(s);
   }
 
   std::vector<Timeline> out;
@@ -159,30 +145,9 @@ Json timeline_json(const Timeline& t) {
     Json::Object o{{"stage", Json(to_string(s.stage))},
                    {"t_s", Json(s.t_s)},
                    {"dt_s", Json(i == 0 ? 0.0 : s.t_s - t.steps[i - 1].t_s)}};
-    switch (s.stage) {
-      case Stage::kRingEnqueue:
-      case Stage::kRingDequeue:
-        o.emplace("shard", Json(static_cast<std::uint64_t>(s.a)));
-        break;
-      case Stage::kStealHop:
-        o.emplace("from_shard", Json(static_cast<std::uint64_t>(s.a)));
-        o.emplace("to_shard", Json(static_cast<std::uint64_t>(s.b)));
-        break;
-      case Stage::kPlacement:
-        o.emplace("core", Json(static_cast<std::uint64_t>(s.a)));
-        o.emplace("rate_idx", Json(static_cast<std::uint64_t>(s.b)));
-        break;
-      case Stage::kShardQueue:
-        o.emplace("core", Json(static_cast<std::uint64_t>(s.a)));
-        o.emplace("depth", Json(static_cast<std::uint64_t>(s.b)));
-        break;
-      case Stage::kExecBegin:
-      case Stage::kExecEnd:
-        o.emplace("core", Json(static_cast<std::uint64_t>(s.a)));
-        break;
-      case Stage::kSubmitRecv:
-        break;
-    }
+    for_each_detail(s, [&o](const char* name, std::uint32_t v) {
+      o.emplace(name, Json(static_cast<std::uint64_t>(v)));
+    });
     steps.emplace_back(std::move(o));
   }
 

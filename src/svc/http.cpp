@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "dvfs/common.h"
@@ -15,6 +16,14 @@ namespace {
 
 obs::MetricsHttpServer::Response json_response(int status, std::string body) {
   return {status, "application/json; charset=utf-8", std::move(body) + "\n"};
+}
+
+/// `{"error":message}`, escaped by the JSON writer.
+obs::MetricsHttpServer::Response error_response(int status,
+                                                const char* message) {
+  return json_response(
+      status, obs::Json(obs::Json::Object{{"error", obs::Json(message)}})
+                  .dump(-1));
 }
 
 std::optional<std::uint64_t> parse_u64(const std::string& text) {
@@ -35,20 +44,32 @@ bool exact_integer(double v, double lo) {
   return v >= lo && v <= kMaxExact && std::floor(v) == v;
 }
 
-/// One {"id":...,"cycles":...} object → submit. Throws PreconditionError
-/// on schema violations (mapped to 400 by the caller).
-SchedulingService::Ticket submit_one(SchedulingService& svc,
-                                     const obs::Json& task) {
-  DVFS_REQUIRE(task.is_object() && task.contains("id") &&
-                   task.contains("cycles"),
-               "task needs numeric \"id\" and \"cycles\" fields");
-  const double id = task.at("id").as_double();
-  const double cycles = task.at("cycles").as_double();
-  DVFS_REQUIRE(exact_integer(id, 0.0) && exact_integer(cycles, 1.0),
-               "id and cycles must be integers in [0, 2^53] and "
-               "[1, 2^53]");
-  return svc.submit(static_cast<core::TaskId>(id),
-                    static_cast<Cycles>(cycles));
+/// One {"id":...,"cycles":...} object of a /submit body, or the schema
+/// rule it breaks.
+struct TaskFields {
+  const char* error = nullptr;
+  core::TaskId id = 0;
+  Cycles cycles = 0;
+};
+
+TaskFields read_task(const obs::Json& task) {
+  const char* const kNeedFields =
+      "task needs numeric \"id\" and \"cycles\" fields";
+  if (!task.is_object()) return {kNeedFields};
+  const obs::Json::Object& fields = task.as_object();
+  const auto id = fields.find("id");
+  const auto cycles = fields.find("cycles");
+  if (id == fields.end() || cycles == fields.end() ||
+      !id->second.is_number() || !cycles->second.is_number()) {
+    return {kNeedFields};
+  }
+  const double id_v = id->second.as_double();
+  const double cycles_v = cycles->second.as_double();
+  if (!exact_integer(id_v, 0.0) || !exact_integer(cycles_v, 1.0)) {
+    return {"id and cycles must be integers in [0, 2^53] and [1, 2^53]"};
+  }
+  return {nullptr, static_cast<core::TaskId>(id_v),
+          static_cast<Cycles>(cycles_v)};
 }
 
 }  // namespace
@@ -63,23 +84,22 @@ void register_service_routes(obs::MetricsHttpServer& server,
         obs::Json doc;
         try {
           doc = obs::Json::parse(req.body);
-        } catch (const std::exception& e) {
-          return json_response(400, std::string("{\"error\":\"bad JSON: ") +
-                                        e.what() + "\"}");
+        } catch (const std::exception&) {
+          return error_response(400, "bad JSON");
         }
+        const bool batch = doc.contains("tasks");
+        if (batch && !doc.at("tasks").is_array()) {
+          return error_response(400, "\"tasks\" must be an array");
+        }
+        const std::span<const obs::Json> tasks =
+            batch ? std::span(doc.at("tasks").as_array())
+                  : std::span<const obs::Json>(&doc, 1);
         std::uint64_t accepted = 0;
         std::uint64_t rejected = 0;
-        try {
-          if (doc.contains("tasks")) {
-            for (const obs::Json& t : doc.at("tasks").as_array()) {
-              submit_one(*s, t).accepted ? ++accepted : ++rejected;
-            }
-          } else {
-            submit_one(*s, doc).accepted ? ++accepted : ++rejected;
-          }
-        } catch (const std::exception& e) {
-          return json_response(400, std::string("{\"error\":\"") + e.what() +
-                                        "\"}");
+        for (const obs::Json& t : tasks) {
+          const TaskFields task = read_task(t);
+          if (task.error != nullptr) return error_response(400, task.error);
+          s->submit(task.id, task.cycles).accepted ? ++accepted : ++rejected;
         }
         // All-rejected = pure backpressure (full rings or draining):
         // 503 so callers and the smoke test see the overload distinctly.
@@ -96,11 +116,11 @@ void register_service_routes(obs::MetricsHttpServer& server,
             req.path.substr(std::string("/schedule/").size());
         const auto id = parse_u64(tail);
         if (!id.has_value()) {
-          return json_response(400, "{\"error\":\"bad task id\"}");
+          return error_response(400, "bad task id");
         }
         const std::optional<TaskStatus> st = s->status(*id);
         if (!st.has_value()) {
-          return json_response(404, "{\"error\":\"unknown task\"}");
+          return error_response(404, "unknown task");
         }
         obs::Json::Object out;
         out["id"] = obs::Json(static_cast<double>(*id));
@@ -124,17 +144,17 @@ void register_service_routes(obs::MetricsHttpServer& server,
         if (req.path.size() <= prefix.size() + suffix.size() ||
             req.path.compare(req.path.size() - suffix.size(), suffix.size(),
                              suffix) != 0) {
-          return json_response(404, "{\"error\":\"not found\"}");
+          return error_response(404, "not found");
         }
         const std::string middle = req.path.substr(
             prefix.size(), req.path.size() - prefix.size() - suffix.size());
         const auto id = parse_u64(middle);
         if (!id.has_value()) {
-          return json_response(400, "{\"error\":\"bad task id\"}");
+          return error_response(400, "bad task id");
         }
         const auto timeline = s->traces().get(*id);
         if (!timeline.has_value()) {
-          return json_response(404, "{\"error\":\"unknown task\"}");
+          return error_response(404, "unknown task");
         }
         return json_response(
             200, obs::reqtrace::timeline_json(*timeline).dump(-1));

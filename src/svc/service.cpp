@@ -356,7 +356,6 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
   admission_exemplars_.observe(latency_us, msg.trace, place_s);
 
   TaskStatus st;
-  st.state = TaskStatus::State::kQueued;
   st.shard = static_cast<std::uint16_t>(shard.index);
   st.core =
       static_cast<std::uint16_t>(shard.base_core + placement.core);
@@ -391,28 +390,10 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
   if (shard.channel != nullptr) {
     using obs::dfr::Event;
     using obs::dfr::EventType;
-    const auto span = [&](EventType type, double time_s) {
-      Event e;
-      e.type = static_cast<std::uint8_t>(type);
-      e.time_s = time_s;
-      e.task = msg.id;
-      e.u0 = msg.trace;
-      return e;
-    };
-    if (!msg.stolen) {
-      shard.channel->record(span(EventType::kSubmitRecv, recv_s));
-    } else {
-      Event hop = span(EventType::kStealHop, enqueue_s);
-      hop.aux = msg.from_shard;
-      hop.core = static_cast<std::uint16_t>(shard.index);
-      shard.channel->record(hop);
+    // steps[3], the placement, is recorded as the decision record below.
+    for (const Step& s : std::span(steps).first<3>()) {
+      shard.channel->record(obs::reqtrace::to_event(msg.id, msg.trace, s));
     }
-    Event enq = span(EventType::kRingEnqueue, enqueue_s);
-    enq.core = static_cast<std::uint16_t>(shard.index);
-    shard.channel->record(enq);
-    Event deq = span(EventType::kRingDequeue, dequeue_s);
-    deq.core = static_cast<std::uint16_t>(shard.index);
-    shard.channel->record(deq);
 
     Event arrival;
     arrival.type = static_cast<std::uint8_t>(EventType::kTaskArrival);
@@ -434,10 +415,8 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
          .cost = placement.marginal,
          .f1 = shard.lmc.total_queue_cost()});
 
-    Event shardq = span(EventType::kShardQueue, place_s);
-    shardq.core = st.core;
+    Event shardq = obs::reqtrace::to_event(msg.id, msg.trace, steps[4]);
     shardq.rate_idx = st.rate_idx;
-    shardq.u0 = depth;  // depth, not trace id — documented in the format
     shard.channel->record(shardq);
   }
 }
@@ -540,17 +519,12 @@ void SchedulingService::virtual_execute(Shard& shard) {
     if (run.active && now >= run.finish_s) {
       run.active = false;
       completed_.inc();
-      tasks_.advance(run.id, TaskStatus::State::kCompleted,
-                     Step{Stage::kExecEnd, now, core, 0});
+      const Step end{Stage::kExecEnd, now, core, 0};
+      tasks_.advance(run.id, end);
       if (shard.channel != nullptr) {
-        obs::dfr::Event end;
-        end.type = static_cast<std::uint8_t>(obs::dfr::EventType::kExecEnd);
-        end.time_s = now;
-        end.task = run.id;
-        end.core = core;
-        end.u0 = run.trace;
-        end.f0 = run.begin_s;
-        shard.channel->record(end);
+        obs::dfr::Event e = obs::reqtrace::to_event(run.id, run.trace, end);
+        e.f0 = run.begin_s;
+        shard.channel->record(e);
       }
     }
     if (!run.active && !shard.lmc.queue(c).empty()) {
@@ -565,9 +539,8 @@ void SchedulingService::virtual_execute(Shard& shard) {
                                options_.time_scale;
       // The placement recorded trace id and placement instant;
       // dispatching is where queue wait becomes known.
-      if (const auto st = tasks_.advance(next->id, TaskStatus::State::kRunning,
-                                         Step{Stage::kExecBegin, now, core, 0});
-          st.has_value()) {
+      const Step begin{Stage::kExecBegin, now, core, 0};
+      if (const auto st = tasks_.advance(next->id, begin); st.has_value()) {
         run.trace = st->trace;
         const auto waited_us = static_cast<std::uint64_t>(
             std::max(0.0, now - st->placed_s) * 1e6);
@@ -575,14 +548,8 @@ void SchedulingService::virtual_execute(Shard& shard) {
         queue_wait_exemplars_.observe(waited_us, run.trace, now);
       }
       if (shard.channel != nullptr) {
-        obs::dfr::Event begin;
-        begin.type =
-            static_cast<std::uint8_t>(obs::dfr::EventType::kExecBegin);
-        begin.time_s = now;
-        begin.task = next->id;
-        begin.core = core;
-        begin.u0 = run.trace;
-        shard.channel->record(begin);
+        shard.channel->record(
+            obs::reqtrace::to_event(next->id, run.trace, begin));
       }
     }
   }
@@ -609,11 +576,6 @@ std::uint64_t SchedulingService::completed() const {
   return completed_.value();
 }
 std::uint64_t SchedulingService::stolen() const { return stolen_.value(); }
-
-Money SchedulingService::shard_queue_cost(std::size_t shard) const {
-  DVFS_REQUIRE(shard < shards_.size(), "shard index out of range");
-  return shards_[shard]->published_cost.load(std::memory_order_relaxed);
-}
 
 std::size_t SchedulingService::shard_queue_len(std::size_t shard) const {
   DVFS_REQUIRE(shard < shards_.size(), "shard index out of range");

@@ -19,15 +19,6 @@ constexpr std::size_t kMaxChunkRecords = 1024;
 
 }  // namespace
 
-const char* to_string(TaskStatus::State s) {
-  switch (s) {
-    case TaskStatus::State::kQueued: return "queued";
-    case TaskStatus::State::kCompleted: return "completed";
-    case TaskStatus::State::kRunning: return "running";
-  }
-  return "?";
-}
-
 /// One task. Steps are stored column-wise so the record stays compact
 /// (no per-step padding).
 struct TaskTable::Record {
@@ -191,7 +182,6 @@ void TaskTable::place(core::TaskId id, const TaskStatus& st,
 }
 
 std::optional<TaskStatus> TaskTable::advance(core::TaskId id,
-                                             TaskStatus::State state,
                                              const Step& step) {
   Stripe& s = stripe_for(id);
   const std::uint32_t hash = index_hash(id);
@@ -199,7 +189,7 @@ std::optional<TaskStatus> TaskTable::advance(core::TaskId id,
   const std::uint32_t pos = s.find(id, hash);
   if (pos == kEmpty) return std::nullopt;
   Record& r = s.record(s.index[pos].slot);
-  r.status.state = state;
+  r.status.state = obs::reqtrace::info(step.stage).state;
   s.append(r, step);
   return r.status;
 }

@@ -9,11 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -31,6 +26,7 @@
 #include "dvfs/obs/metrics.h"
 #include "dvfs/obs/promtext.h"
 #include "dvfs/obs/recorder.h"
+#include "http_client.h"
 
 namespace dvfs::obs::prof {
 namespace {
@@ -855,28 +851,7 @@ TEST(CpuProfilerSignals, ConcurrentRegistrationSurvivesStartStopCycles) {
 
 // -------------------------------------------------------------- HTTP
 
-std::string http_get(std::uint16_t port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const std::string req =
-      "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n\r\n";
-  EXPECT_EQ(::send(fd, req.data(), req.size(), 0),
-            static_cast<ssize_t>(req.size()));
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
+using test::http_get;
 
 TEST(PprofRoute, ServesGzippedProfileAndValidatesInput) {
   MetricsHttpServer server({.host = "127.0.0.1", .port = 0},

@@ -6,12 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -24,9 +18,14 @@
 #include "dvfs/obs/build_info.h"
 #include "dvfs/obs/metrics.h"
 #include "dvfs/obs/reqtrace.h"
+#include "http_client.h"
 
 namespace dvfs::obs {
 namespace {
+
+using test::body_of;
+using test::http_get;
+using test::http_raw;
 
 TEST(PromText, NameMangling) {
   EXPECT_EQ(prometheus_name("sim.tasks.started"), "dvfs_sim_tasks_started");
@@ -159,44 +158,11 @@ TEST(PromText, ParseListen) {
   EXPECT_THROW(parse_listen(""), PreconditionError);
 }
 
-/// Minimal HTTP client: one request (with optional extra header lines,
-/// each already "Name: value"), reads until the peer closes.
-std::string http_get(std::uint16_t port, const std::string& path,
-                     const std::vector<std::string>& extra_headers = {}) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  std::string req = "GET " + path + " HTTP/1.1\r\nHost: localhost\r\n";
-  for (const std::string& h : extra_headers) req += h + "\r\n";
-  req += "\r\n";
-  EXPECT_EQ(::send(fd, req.data(), req.size(), 0),
-            static_cast<ssize_t>(req.size()));
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
 /// The decimal value of a response's Content-Length header, or -1.
 long content_length_of(const std::string& response) {
   const std::size_t pos = response.find("Content-Length: ");
   if (pos == std::string::npos) return -1;
   return std::strtol(response.c_str() + pos + 16, nullptr, 10);
-}
-
-/// The body: everything after the blank line ending the headers.
-std::string body_of(const std::string& response) {
-  const std::size_t pos = response.find("\r\n\r\n");
-  return pos == std::string::npos ? "" : response.substr(pos + 4);
 }
 
 TEST(MetricsHttpServer, ServesMetricsAndRejectsOtherPaths) {
@@ -300,40 +266,6 @@ TEST(MetricsHttpServer, CustomRoutesNegotiateTheirOwnType) {
                 .find("HTTP/1.1 406"),
             std::string::npos);
   server.stop();
-}
-
-/// Sends `raw` in `chunk` -byte pieces with a small pause between them
-/// (forcing the server's recv loop to see fragmented reads), then reads
-/// the full response.
-std::string http_raw(std::uint16_t port, const std::string& raw,
-                     std::size_t chunk = SIZE_MAX) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  const int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  std::size_t off = 0;
-  while (off < raw.size()) {
-    const std::size_t n = std::min(chunk, raw.size() - off);
-    EXPECT_EQ(::send(fd, raw.data() + off, n, 0), static_cast<ssize_t>(n));
-    off += n;
-    if (chunk < raw.size()) {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-  }
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
 }
 
 /// A server with one POST echo route and one GET prefix route, the

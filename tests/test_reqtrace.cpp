@@ -215,6 +215,101 @@ TEST(ReqTrace, TimelineJsonCarriesStepsDurationsAndHexTraceId) {
   EXPECT_EQ(parsed.at("trace_id").as_string(), "00000000deadbeef");
 }
 
+// Every stage, a steal hop included, rendered byte for byte: the JSON
+// that GET /tasks/{id}/trace serves must not move when stages change.
+TEST(ReqTrace, TimelineJsonMatchesGolden) {
+  Timeline t;
+  t.task = 9;
+  t.trace_id = 0x0123456789abcdefull;
+  t.steps = {step(Stage::kSubmitRecv, 0.5),
+             step(Stage::kRingEnqueue, 0.75, 0),
+             step(Stage::kRingDequeue, 1.0, 0),
+             step(Stage::kPlacement, 1.25, 1, 3),
+             step(Stage::kShardQueue, 1.25, 1, 2),
+             step(Stage::kStealHop, 2.0, 0, 1),
+             step(Stage::kRingEnqueue, 2.0, 1),
+             step(Stage::kRingDequeue, 2.5, 1),
+             step(Stage::kPlacement, 3.0, 5, 4),
+             step(Stage::kShardQueue, 3.0, 5, 1),
+             step(Stage::kExecBegin, 3.5, 5),
+             step(Stage::kExecEnd, 4.25, 5)};
+  EXPECT_EQ(timeline_json(t).dump(-1),
+            R"({"begin_s":0.5,"critical_stage":"ring_wait",)"
+            R"("durations":{"exec_s":0.75,"ingress_s":0.25,"placement_s":0.75,)"
+            R"("queue_wait_s":0.5,"ring_wait_s":0.75,"steal_wait_s":0.75,)"
+            R"("total_s":3.75},"end_s":4.25,"end_to_end_s":3.75,"hops":1,)"
+            R"("steps":[{"dt_s":0,"stage":"submit_recv","t_s":0.5},)"
+            R"({"dt_s":0.25,"shard":0,"stage":"ring_enqueue","t_s":0.75},)"
+            R"({"dt_s":0.25,"shard":0,"stage":"ring_dequeue","t_s":1},)"
+            R"({"core":1,"dt_s":0.25,"rate_idx":3,"stage":"placement",)"
+            R"("t_s":1.25},{"core":1,"depth":2,"dt_s":0,"stage":"shard_queue",)"
+            R"("t_s":1.25},{"dt_s":0.75,"from_shard":0,"stage":"steal_hop",)"
+            R"("t_s":2,"to_shard":1},{"dt_s":0,"shard":1,)"
+            R"("stage":"ring_enqueue","t_s":2},{"dt_s":0.5,"shard":1,)"
+            R"("stage":"ring_dequeue","t_s":2.5},{"core":5,"dt_s":0.5,)"
+            R"("rate_idx":4,"stage":"placement","t_s":3},{"core":5,"depth":1,)"
+            R"("dt_s":0,"stage":"shard_queue","t_s":3},{"core":5,"dt_s":0.5,)"
+            R"("stage":"exec_begin","t_s":3.5},{"core":5,"dt_s":0.75,)"
+            R"("stage":"exec_end","t_s":4.25}],"stolen":true,"task":9,)"
+            R"("trace_id":"0123456789abcdef"})");
+}
+
+// One step per stage, with the details the `.dfr` format documents for
+// its event: encoding then decoding gives the step back, and the event
+// carries the fields the format promises.
+TEST(ReqTrace, StepsRoundTripThroughEvents) {
+  const Step steps[] = {step(Stage::kSubmitRecv, 0.5),
+                        step(Stage::kStealHop, 1.0, 2, 3),
+                        step(Stage::kRingEnqueue, 1.5, 4),
+                        step(Stage::kRingDequeue, 2.0, 5),
+                        step(Stage::kPlacement, 2.5, 6, 7),
+                        step(Stage::kShardQueue, 3.0, 8, 70000),
+                        step(Stage::kExecBegin, 3.5, 9),
+                        step(Stage::kExecEnd, 4.0, 10)};
+  ASSERT_EQ(std::size(steps), kStages.size());
+  for (std::size_t i = 0; i < std::size(steps); ++i) {
+    const Step& s = steps[i];
+    ASSERT_EQ(static_cast<std::size_t>(s.stage), i);
+    const Event e = to_event(42, 0xabc, s);
+    EXPECT_EQ(e.task, 42u);
+    EXPECT_EQ(e.time_s, s.t_s);
+    const std::optional<Step> back = to_step(e);
+    ASSERT_TRUE(back.has_value()) << to_string(s.stage);
+    EXPECT_EQ(*back, s) << to_string(s.stage);
+  }
+  const Event hop = to_event(42, 0xabc, steps[1]);
+  EXPECT_EQ(hop.type, static_cast<std::uint8_t>(EventType::kStealHop));
+  EXPECT_EQ(hop.aux, 2u);   // from shard
+  EXPECT_EQ(hop.core, 3u);  // to shard
+  EXPECT_EQ(hop.u0, 0xabcu);
+  const Event queued = to_event(42, 0xabc, steps[5]);
+  EXPECT_EQ(queued.type, static_cast<std::uint8_t>(EventType::kShardQueue));
+  EXPECT_EQ(queued.core, 8u);
+  EXPECT_EQ(queued.u0, 70000u);  // depth, not the trace id
+  const Event end = to_event(42, 0xabc, steps[7]);
+  EXPECT_EQ(end.type, static_cast<std::uint8_t>(EventType::kExecEnd));
+  EXPECT_EQ(end.core, 10u);
+  EXPECT_EQ(end.u0, 0xabcu);
+
+  // Every event type that is not a stage decodes to nothing; kPlacement,
+  // the decision record, doubles as the placement stage.
+  for (unsigned type = 0; type <= 255; ++type) {
+    Event e;
+    e.type = static_cast<std::uint8_t>(type);
+    const auto t = static_cast<EventType>(type);
+    const bool stage =
+        t == EventType::kPlacement ||
+        (t >= EventType::kSubmitRecv && t <= EventType::kExecEnd);
+    EXPECT_EQ(to_step(e).has_value(), stage) << dfr::to_string(t);
+  }
+  Event place;
+  place.type = static_cast<std::uint8_t>(EventType::kPlacement);
+  place.core = 3;
+  place.rate_idx = 2;
+  place.u0 = 123456;  // estimated cycles, not a step detail
+  EXPECT_EQ(to_step(place), step(Stage::kPlacement, 0.0, 3, 2));
+}
+
 TEST(ReqTrace, TraceIdHexRoundTrips) {
   EXPECT_EQ(trace_id_hex(0), "0000000000000000");
   EXPECT_EQ(trace_id_hex(0xffffffffffffffffull), "ffffffffffffffff");
@@ -325,6 +420,63 @@ TEST(ReqTraceService, RecordedTimelinesTelescopeToEndToEnd) {
     EXPECT_EQ(live->trace_id, t.trace_id);
     EXPECT_EQ(live->steps.size(), t.steps.size());
   }
+}
+
+// The two copies of every timeline agree step for step: what the task
+// table serves live equals what the recording rebuilds, for tasks that
+// ran where they were submitted and for tasks that were stolen.
+TEST(ReqTraceService, LiveTimelinesEqualRecordedOnes) {
+  obs::Registry registry;
+  svc::ServiceOptions opts;
+  opts.shards = 2;
+  opts.cores = 4;
+  opts.steal_ratio = 1.5;
+  opts.steal_min_queue = 4;
+  // Each task runs for tens of wall milliseconds, so shard 0's backlog
+  // outlasts the idle shard's first steal request by a wide margin.
+  opts.time_scale = 10.0;
+  opts.registry = &registry;
+  svc::SchedulingService svc(test_model(), kParams, opts);
+  Recorder recorder(2, 1 << 16);
+  svc.set_recorder(&recorder);
+  svc.start();
+  constexpr std::size_t kTasks = 24;
+  std::size_t submitted = 0;
+  for (core::TaskId id = 1; submitted < kTasks; ++id) {
+    if (svc::SchedulingService::route(id, 2) != 0) continue;
+    ASSERT_TRUE(svc.submit(id, 5'000'000).accepted);
+    ++submitted;
+  }
+  ASSERT_TRUE(eventually([&] { return svc.completed() == kTasks; }, 30000))
+      << "completed " << svc.completed() << "/" << kTasks;
+  svc.drain();
+  recorder.drain();
+  ASSERT_EQ(recorder.events_dropped(), 0u);
+
+  const std::vector<Timeline> recorded = build_timelines(recorder.events());
+  ASSERT_EQ(recorded.size(), kTasks);
+  std::size_t stolen = 0;
+  std::size_t hops = 0;
+  for (const Timeline& t : recorded) {
+    const auto live = svc.traces().get(t.task);
+    ASSERT_TRUE(live.has_value()) << "task " << t.task;
+    EXPECT_EQ(live->trace_id, t.trace_id) << "task " << t.task;
+    ASSERT_EQ(live->steps.size(), t.steps.size()) << "task " << t.task;
+    for (std::size_t i = 0; i < t.steps.size(); ++i) {
+      const Step& want = t.steps[i];
+      const Step& got = live->steps[i];
+      EXPECT_EQ(got.stage, want.stage) << "task " << t.task << " step " << i;
+      EXPECT_EQ(got.t_s, want.t_s) << "task " << t.task << " step " << i;
+      EXPECT_EQ(got.a, want.a) << "task " << t.task << " step " << i;
+      EXPECT_EQ(got.b, want.b) << "task " << t.task << " step " << i;
+    }
+    EXPECT_EQ(t.steps.back().stage, Stage::kExecEnd) << "task " << t.task;
+    stolen += t.stolen() ? 1 : 0;
+    hops += t.hops();
+  }
+  EXPECT_GT(stolen, 0u) << "no task migrated: the steal path went untested";
+  EXPECT_LT(stolen, kTasks);
+  EXPECT_EQ(hops, svc.stolen());
 }
 
 // The steal-path gate: aim every submission at shard 0 with stealing on;

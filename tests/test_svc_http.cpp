@@ -7,61 +7,34 @@
 
 #include <gtest/gtest.h>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "dvfs/core/energy_model.h"
 #include "dvfs/obs/json.h"
 #include "dvfs/obs/metrics.h"
 #include "dvfs/obs/promtext.h"
 #include "dvfs/obs/reqtrace.h"
+#include "http_client.h"
 
 namespace dvfs::svc {
 namespace {
 
-/// Minimal HTTP client: one request, reads until the peer closes.
-std::string http(std::uint16_t port, const std::string& request) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  EXPECT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(port);
-  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
-  EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
+using test::body_of;
+using test::http_get;
+using test::http_post;
 
-std::string get(std::uint16_t port, const std::string& path) {
-  return http(port, "GET " + path + " HTTP/1.1\r\nHost: x\r\n\r\n");
-}
-
-std::string post(std::uint16_t port, const std::string& path,
-                 const std::string& body) {
-  return http(port, "POST " + path + " HTTP/1.1\r\nHost: x\r\n"
-                    "Content-Length: " + std::to_string(body.size()) +
-                    "\r\n\r\n" + body);
-}
-
-std::string body_of(const std::string& response) {
-  const std::size_t pos = response.find("\r\n\r\n");
-  return pos == std::string::npos ? "" : response.substr(pos + 4);
+/// A 4xx body must be a JSON object with an `error` string that names
+/// the problem, not the server's source location.
+void expect_json_error(const std::string& response) {
+  obs::Json body;
+  ASSERT_NO_THROW(body = obs::Json::parse(body_of(response))) << response;
+  ASSERT_TRUE(body.contains("error")) << response;
+  EXPECT_TRUE(body.at("error").is_string()) << response;
+  EXPECT_EQ(response.find(".cpp"), std::string::npos) << response;
 }
 
 template <typename Pred>
@@ -111,12 +84,12 @@ class ServiceHttpTest : public ::testing::Test {
 
 TEST_F(ServiceHttpTest, SubmitThenScheduleAndTraceRoundTrip) {
   const std::string accepted =
-      post(server_->port(), "/submit", "{\"id\":7,\"cycles\":1000000}");
+      http_post(server_->port(), "/submit", "{\"id\":7,\"cycles\":1000000}");
   EXPECT_NE(accepted.find("HTTP/1.1 202"), std::string::npos);
   EXPECT_NE(accepted.find("\"accepted\":1"), std::string::npos);
   ASSERT_TRUE(eventually([&] { return svc_->status(7).has_value(); }));
 
-  const std::string schedule = get(server_->port(), "/schedule/7");
+  const std::string schedule = http_get(server_->port(), "/schedule/7");
   EXPECT_NE(schedule.find("HTTP/1.1 200"), std::string::npos);
   const obs::Json decision = obs::Json::parse(body_of(schedule));
   EXPECT_EQ(decision.at("id").as_double(), 7.0);
@@ -127,7 +100,7 @@ TEST_F(ServiceHttpTest, SubmitThenScheduleAndTraceRoundTrip) {
   EXPECT_TRUE(obs::reqtrace::parse_trace_id(trace_id).has_value());
 
   // The trace endpoint returns the live timeline, linked by the same id.
-  const std::string trace = get(server_->port(), "/tasks/7/trace");
+  const std::string trace = http_get(server_->port(), "/tasks/7/trace");
   EXPECT_NE(trace.find("HTTP/1.1 200"), std::string::npos);
   const obs::Json timeline = obs::Json::parse(body_of(trace));
   EXPECT_EQ(timeline.at("task").as_double(), 7.0);
@@ -144,50 +117,60 @@ TEST_F(ServiceHttpTest, SubmitThenScheduleAndTraceRoundTrip) {
 }
 
 TEST_F(ServiceHttpTest, BatchSubmitAndErrorStatuses) {
-  const std::string batch = post(
+  const std::string batch = http_post(
       server_->port(), "/submit",
       "{\"tasks\":[{\"id\":1,\"cycles\":1000},{\"id\":2,\"cycles\":2000}]}");
   EXPECT_NE(batch.find("\"accepted\":2"), std::string::npos);
 
-  EXPECT_NE(post(server_->port(), "/submit", "not json")
-                .find("HTTP/1.1 400"),
-            std::string::npos);
-  EXPECT_NE(post(server_->port(), "/submit", "{\"id\":3}")
-                .find("HTTP/1.1 400"),
-            std::string::npos);
-  // Ids and cycles must be integers a double holds exactly (<= 2^53).
+  const std::string not_json =
+      http_post(server_->port(), "/submit", "not json");
+  EXPECT_NE(not_json.find("HTTP/1.1 400"), std::string::npos);
+  expect_json_error(not_json);
+  const std::string truncated =
+      http_post(server_->port(), "/submit", "{\"id\":1");
+  EXPECT_NE(truncated.find("HTTP/1.1 400"), std::string::npos);
+  expect_json_error(truncated);
+  const std::string no_cycles =
+      http_post(server_->port(), "/submit", "{\"id\":3}");
+  EXPECT_NE(no_cycles.find("HTTP/1.1 400"), std::string::npos);
+  expect_json_error(no_cycles);
+  // Fields must be present and numeric, "tasks" an array, and ids and
+  // cycles integers a double holds exactly (<= 2^53).
   for (const char* body :
-       {"{\"id\":1,\"cycles\":1e300}", "{\"id\":1e300,\"cycles\":1000}",
+       {"{\"x\":1}", "{\"id\":\"7\",\"cycles\":1000}",
+        "{\"tasks\":5,\"id\":1,\"cycles\":2}",
+        "{\"id\":1,\"cycles\":1e300}", "{\"id\":1e300,\"cycles\":1000}",
         "{\"id\":9007199254740994,\"cycles\":1000}",
         "{\"id\":4,\"cycles\":0.5}", "{\"id\":4.5,\"cycles\":1000}",
         "{\"tasks\":[{\"id\":5,\"cycles\":1000.25}]}"}) {
-    EXPECT_NE(post(server_->port(), "/submit", body).find("HTTP/1.1 400"),
-              std::string::npos)
-        << body;
+    const std::string response = http_post(server_->port(), "/submit", body);
+    EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << body;
+    expect_json_error(response);
   }
-  EXPECT_NE(get(server_->port(), "/schedule/notanumber")
-                .find("HTTP/1.1 400"),
-            std::string::npos);
-  EXPECT_NE(get(server_->port(), "/schedule/424242")
-                .find("HTTP/1.1 404"),
-            std::string::npos);
+  const std::string bad_id = http_get(server_->port(), "/schedule/notanumber");
+  EXPECT_NE(bad_id.find("HTTP/1.1 400"), std::string::npos);
+  expect_json_error(bad_id);
+  const std::string unknown = http_get(server_->port(), "/schedule/424242");
+  EXPECT_NE(unknown.find("HTTP/1.1 404"), std::string::npos);
+  expect_json_error(unknown);
   // /tasks/... requires the exact /tasks/{id}/trace shape.
-  EXPECT_NE(get(server_->port(), "/tasks/1").find("HTTP/1.1 404"),
-            std::string::npos);
-  EXPECT_NE(get(server_->port(), "/tasks/abc/trace").find("HTTP/1.1 400"),
-            std::string::npos);
-  EXPECT_NE(get(server_->port(), "/tasks/999999/trace")
-                .find("HTTP/1.1 404"),
-            std::string::npos);
+  for (const auto& [path, status] :
+       {std::pair{"/tasks/1", "HTTP/1.1 404"},
+        std::pair{"/tasks/abc/trace", "HTTP/1.1 400"},
+        std::pair{"/tasks/999999/trace", "HTTP/1.1 404"}}) {
+    const std::string response = http_get(server_->port(), path);
+    EXPECT_NE(response.find(status), std::string::npos) << path;
+    expect_json_error(response);
+  }
 }
 
 TEST_F(ServiceHttpTest, MetricsExposeExemplarLinkedHistograms) {
   for (core::TaskId id = 1; id <= 20; ++id) {
-    post(server_->port(), "/submit",
+    http_post(server_->port(), "/submit",
          "{\"id\":" + std::to_string(id) + ",\"cycles\":1000000}");
   }
   ASSERT_TRUE(eventually([&] { return svc_->placed() == 20u; }));
-  const std::string metrics = get(server_->port(), "/metrics");
+  const std::string metrics = http_get(server_->port(), "/metrics");
   EXPECT_NE(metrics.find("HTTP/1.1 200"), std::string::npos);
   // At least one admission-latency bucket carries an exemplar with a
   // trace id — the aggregate-to-trace link the scrape promises.
@@ -239,14 +222,14 @@ TEST(ServiceHttpSteal, StolenTaskVisibleThroughScheduleAndTrace) {
   ASSERT_NE(stolen_id, 0u);
 
   const std::string schedule =
-      get(server.port(), "/schedule/" + std::to_string(stolen_id));
+      http_get(server.port(), "/schedule/" + std::to_string(stolen_id));
   EXPECT_NE(schedule.find("HTTP/1.1 200"), std::string::npos);
   const obs::Json decision = obs::Json::parse(body_of(schedule));
   EXPECT_TRUE(decision.at("stolen").as_bool());
   EXPECT_EQ(decision.at("shard").as_double(), 1.0);
 
   const std::string trace =
-      get(server.port(), "/tasks/" + std::to_string(stolen_id) + "/trace");
+      http_get(server.port(), "/tasks/" + std::to_string(stolen_id) + "/trace");
   EXPECT_NE(trace.find("HTTP/1.1 200"), std::string::npos);
   const obs::Json timeline = obs::Json::parse(body_of(trace));
   EXPECT_TRUE(timeline.at("stolen").as_bool());

@@ -173,11 +173,15 @@ void churn(std::uint64_t seed, std::size_t capacity, std::size_t stripes,
       table.place(id, st, steps);
       oracle.place(id, st, steps);
     } else {
-      const auto state = pick < 8 ? TaskStatus::State::kRunning
-                                  : TaskStatus::State::kCompleted;
-      const Step s = next_steps(1).front();
-      const auto got = table.advance(id, state, s);
-      const auto want = oracle.advance(id, state, s);
+      // The table derives the state from the stage; the oracle is told.
+      const bool begin = pick < 8;
+      Step s = next_steps(1).front();
+      s.stage = begin ? Stage::kExecBegin : Stage::kExecEnd;
+      const auto got = table.advance(id, s);
+      const auto want = oracle.advance(
+          id, begin ? TaskStatus::State::kRunning
+                    : TaskStatus::State::kCompleted,
+          s);
       ASSERT_EQ(got.has_value(), want.has_value()) << "id " << id;
       if (got.has_value()) {
         ASSERT_TRUE(same_status(*got, *want));
@@ -217,8 +221,7 @@ TEST(TaskTable, AppendsMergesAndSortsSteps) {
   TaskTable table(100, 16, evicted);
   place(table, 1, status_with(42), {step(Stage::kRingEnqueue, 0.5, 0)});
   place(table, 1, status_with(0), {step(Stage::kSubmitRecv, 0.25)});
-  const auto st = table.advance(1, TaskStatus::State::kRunning,
-                                step(Stage::kExecBegin, 1.0, 2));
+  const auto st = table.advance(1, step(Stage::kExecBegin, 1.0, 2));
   ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->state, TaskStatus::State::kRunning);
   const auto t = table.get(1);
@@ -229,9 +232,7 @@ TEST(TaskTable, AppendsMergesAndSortsSteps) {
   EXPECT_EQ(t->steps.back().stage, Stage::kExecBegin);
   EXPECT_FALSE(table.get(2).has_value());
   EXPECT_FALSE(table.status(2).has_value());
-  EXPECT_FALSE(table.advance(2, TaskStatus::State::kCompleted,
-                             step(Stage::kExecEnd, 2.0))
-                   .has_value());
+  EXPECT_FALSE(table.advance(2, step(Stage::kExecEnd, 2.0)).has_value());
   EXPECT_FALSE(table.get(2).has_value());  // advance never creates
   EXPECT_EQ(table.evicted(), 0u);
 }
@@ -323,10 +324,8 @@ TEST(TaskTable, StolenTaskSpillsStepsAndEvictionDropsThem) {
                          step(Stage::kRingDequeue, 0.5, 1),
                          step(Stage::kPlacement, 0.6, 6, 0),
                          step(Stage::kShardQueue, 0.6, 6, 1)});
-  table.advance(7, TaskStatus::State::kRunning,
-                step(Stage::kExecBegin, 0.7, 6));
-  table.advance(7, TaskStatus::State::kCompleted,
-                step(Stage::kExecEnd, 0.9, 6));
+  table.advance(7, step(Stage::kExecBegin, 0.7, 6));
+  table.advance(7, step(Stage::kExecEnd, 0.9, 6));
   const auto t = table.get(7);
   ASSERT_TRUE(t.has_value());
   ASSERT_EQ(t->steps.size(), 12u);
@@ -362,8 +361,7 @@ TEST(TaskTable, ConcurrentWritersAndReaders) {
     for (core::TaskId i = 1; i <= kPerWriter; ++i) {
       const core::TaskId id = base + i;
       place(table, id, status_with(id), {step(Stage::kPlacement, 0.0)});
-      table.advance(id, TaskStatus::State::kRunning,
-                    step(Stage::kExecBegin, 1.0));
+      table.advance(id, step(Stage::kExecBegin, 1.0));
     }
   };
   std::thread reader([&] {

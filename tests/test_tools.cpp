@@ -20,8 +20,8 @@
 #include "dvfs/obs/recorder.h"
 #include "dvfs/workload/trace.h"
 
-#ifndef DVFS_TOOLS_DIR
-#error "DVFS_TOOLS_DIR must be defined by the build"
+#if !defined(DVFS_TOOLS_DIR) || !defined(DVFS_REQTRACE_GOLDEN_DIR)
+#error "DVFS_TOOLS_DIR and DVFS_REQTRACE_GOLDEN_DIR must come from the build"
 #endif
 
 namespace {
@@ -393,9 +393,11 @@ TEST_F(ToolsFixture, InspectTraceRebuildsTimelinesAndExportsChrome) {
   // Chrome trace_event export: a parseable JSON with one named track per
   // selected task and the steal hop as an instant event.
   const std::string chrome = dir_ + "/trace.json";
-  ASSERT_EQ(run(tool("dvfs_inspect") + " trace --in " + dfr_path +
-                " --task 2 --trace-out " + chrome),
-            0);
+  std::string task2 = run_capture(tool("dvfs_inspect") + " trace --in " +
+                                      dfr_path + " --task 2 --trace-out " +
+                                      chrome,
+                                  &code);
+  ASSERT_EQ(code, 0) << task2;
   const dvfs::obs::Json doc = dvfs::obs::Json::parse(slurp(chrome));
   const auto& events = doc.at("traceEvents").as_array();
   ASSERT_FALSE(events.empty());
@@ -404,6 +406,17 @@ TEST_F(ToolsFixture, InspectTraceRebuildsTimelinesAndExportsChrome) {
     if (e.at("name").as_string() == "steal_hop") hop = true;
   }
   EXPECT_TRUE(hop);
+
+  // Every byte of both renderings is pinned by a golden file.
+  const std::string golden =
+      std::string(DVFS_REQTRACE_GOLDEN_DIR) + "/inspect_trace_";
+  EXPECT_EQ(all, slurp(golden + "all.txt"));
+  EXPECT_EQ(slowest, slurp(golden + "slowest1.txt"));
+  const std::size_t at = task2.find(chrome);
+  ASSERT_NE(at, std::string::npos) << task2;
+  task2.replace(at, chrome.size(), "<trace-out>");
+  EXPECT_EQ(task2, slurp(golden + "task2.txt"));
+  EXPECT_EQ(slurp(chrome), slurp(golden + "task2.json"));
 
   // Asking for a task that left no spans is an error.
   EXPECT_NE(run(tool("dvfs_inspect") + " trace --in " + dfr_path +

@@ -78,36 +78,6 @@ using namespace dvfs;
 using obs::dfr::Event;
 using obs::dfr::EventType;
 
-[[nodiscard]] constexpr const char* type_name(EventType t) {
-  switch (t) {
-    case EventType::kNone: return "none";
-    case EventType::kRunBegin: return "run_begin";
-    case EventType::kParams: return "params";
-    case EventType::kTaskArrival: return "task_arrival";
-    case EventType::kTaskStart: return "task_start";
-    case EventType::kSpanEnd: return "span_end";
-    case EventType::kTaskFinish: return "task_finish";
-    case EventType::kFreqChange: return "freq_change";
-    case EventType::kDecision: return "decision";
-    case EventType::kCandidate: return "candidate";
-    case EventType::kPlacement: return "placement";
-    case EventType::kReplan: return "replan";
-    case EventType::kHwPlanned: return "hw_planned";
-    case EventType::kHwSpan: return "hw_span";
-    case EventType::kHealthSample: return "health_sample";
-    case EventType::kAlert: return "alert";
-    case EventType::kSubmitRecv: return "submit_recv";
-    case EventType::kRingEnqueue: return "ring_enqueue";
-    case EventType::kRingDequeue: return "ring_dequeue";
-    case EventType::kStealHop: return "steal_hop";
-    case EventType::kShardQueue: return "shard_queue";
-    case EventType::kExecBegin: return "exec_begin";
-    case EventType::kExecEnd: return "exec_end";
-    case EventType::kProfSample: return "prof_sample";
-  }
-  return "?";
-}
-
 [[nodiscard]] constexpr const char* policy_name(obs::dfr::PolicyKind k) {
   switch (k) {
     case obs::dfr::PolicyKind::kLmc: return "lmc";
@@ -158,33 +128,37 @@ int cmd_info(const obs::Recording& rec) {
   }
   std::printf("span: %.6f s\n", t_end);
   for (const auto& [type, n] : census) {
-    std::printf("  %-14s %zu\n", type_name(static_cast<EventType>(type)), n);
+    std::printf("  %-14s %zu\n",
+                obs::dfr::to_string(static_cast<EventType>(type)), n);
   }
   // v4+ service recordings: walk the request funnel so a lossy channel
   // is diagnosable per stage — each count should be >= the next, and the
   // stage where events went missing shows up as a negative delta.
   if (rec.header.version >= 4) {
-    const EventType funnel[] = {
-        EventType::kSubmitRecv,   EventType::kRingEnqueue,
-        EventType::kRingDequeue,  EventType::kPlacement,
-        EventType::kExecBegin,    EventType::kExecEnd};
+    using obs::reqtrace::Stage;
+    const Stage funnel[] = {Stage::kSubmitRecv,  Stage::kRingEnqueue,
+                            Stage::kRingDequeue, Stage::kPlacement,
+                            Stage::kExecBegin,   Stage::kExecEnd};
+    const auto count = [&census](Stage s) -> std::size_t {
+      const auto it = census.find(
+          static_cast<std::uint8_t>(obs::reqtrace::info(s).event));
+      return it == census.end() ? 0 : it->second;
+    };
     bool any = false;
-    for (const EventType t : funnel) {
-      any = any || census.contains(static_cast<std::uint8_t>(t));
-    }
+    for (const Stage s : funnel) any = any || count(s) > 0;
     if (any) {
       std::printf("request funnel:\n");
       std::size_t prev = 0;
       bool first = true;
-      for (const EventType t : funnel) {
-        const auto it = census.find(static_cast<std::uint8_t>(t));
-        const std::size_t n = it == census.end() ? 0 : it->second;
+      for (const Stage s : funnel) {
+        const std::size_t n = count(s);
+        const char* name = obs::reqtrace::to_string(s);
         if (first) {
-          std::printf("  %-14s %zu\n", type_name(t), n);
+          std::printf("  %-14s %zu\n", name, n);
         } else {
           const auto delta = static_cast<long long>(n) -
                              static_cast<long long>(prev);
-          std::printf("  %-14s %-10zu (%+lld%s)\n", type_name(t), n, delta,
+          std::printf("  %-14s %-10zu (%+lld%s)\n", name, n, delta,
                       delta > 0 ? "  <-- span loss upstream" : "");
         }
         prev = n;
@@ -235,27 +209,9 @@ void print_timeline(const obs::reqtrace::Timeline& t) {
   double prev = t.begin_s();
   for (const rt::Step& s : t.steps) {
     std::printf("  t=%-12.6f %-12s", s.t_s, rt::to_string(s.stage));
-    switch (s.stage) {
-      case rt::Stage::kRingEnqueue:
-      case rt::Stage::kRingDequeue:
-        std::printf(" shard=%u", s.a);
-        break;
-      case rt::Stage::kStealHop:
-        std::printf(" from_shard=%u to_shard=%u", s.a, s.b);
-        break;
-      case rt::Stage::kPlacement:
-        std::printf(" core=%u rate_idx=%u", s.a, s.b);
-        break;
-      case rt::Stage::kShardQueue:
-        std::printf(" core=%u depth=%u", s.a, s.b);
-        break;
-      case rt::Stage::kExecBegin:
-      case rt::Stage::kExecEnd:
-        std::printf(" core=%u", s.a);
-        break;
-      case rt::Stage::kSubmitRecv:
-        break;
-    }
+    rt::for_each_detail(s, [](const char* name, std::uint32_t v) {
+      std::printf(" %s=%u", name, v);
+    });
     std::printf("  (+%.6f s)\n", s.t_s - prev);
     prev = s.t_s;
   }
@@ -316,9 +272,11 @@ int cmd_trace(const obs::Recording& rec, const util::Args& args) {
             {"task", obs::Json(static_cast<double>(t.task))},
             {"trace_id", obs::Json(rt::trace_id_hex(t.trace_id))}};
         if (s.stage == rt::Stage::kStealHop) {
-          detail.emplace("from_shard", obs::Json(static_cast<double>(s.a)));
-          detail.emplace("to_shard", obs::Json(static_cast<double>(s.b)));
-          writer.instant(tid, "steal_hop", s.t_s * 1e6, std::move(detail));
+          rt::for_each_detail(s, [&detail](const char* name, auto v) {
+            detail.emplace(name, obs::Json(static_cast<double>(v)));
+          });
+          writer.instant(tid, rt::to_string(s.stage), s.t_s * 1e6,
+                         std::move(detail));
         } else if (s.t_s > prev) {
           // The gap belongs to the stage that closed it — same attribution
           // rule Durations uses, so the spans tile the timeline exactly.

@@ -5,10 +5,15 @@
 /// Every machine-readable artifact this repo emits — metric snapshots,
 /// Chrome trace_event files, bench reports — goes through this one value
 /// type, so the schema lives in code rather than in hand-formatted printf
-/// strings. The parser exists so tests can load what the writers emitted
-/// and assert on structure (round-trip validation), without an external
-/// dependency. Objects keep their keys sorted (std::map), which makes the
+/// strings. Objects keep their keys sorted (std::map), which makes the
 /// emitted text deterministic and diffable.
+///
+/// Reading has one grammar, `JsonReader`, with two consumers:
+/// `Json::parse` builds a tree on it (tests load what the writers
+/// emitted; configs and request bodies are read back), and a hot path
+/// that wants a few fields (the service's `POST /submit` decoder) pulls
+/// them straight off the text without building a tree. Both accept and
+/// reject exactly the same documents with the same errors.
 #pragma once
 
 #include <cstdint>
@@ -129,6 +134,82 @@ class Json {
 
  private:
   std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
+};
+
+/// Pull reader over one JSON document: the grammar `Json::parse` is
+/// built on. The caller walks the document in order: `peek()` names the
+/// next value's kind, then exactly one of `begin_object` (members via
+/// `next_key`, each followed by one value), `begin_array` (elements via
+/// `next_element`, each one value), `number`, `string`, `boolean`,
+/// `null` or `skip_value` consumes it; `finish()` requires end of input
+/// after the top-level value. Nesting deeper than 128 levels, malformed
+/// tokens and unexpected ends throw PreconditionError naming the byte
+/// offset. `skip_value` validates what it skips as strictly as reading.
+class JsonReader {
+ public:
+  enum class Kind : std::uint8_t {
+    kObject,
+    kArray,
+    kString,
+    kNumber,  ///< also anything that starts no other kind: `number()`
+              ///< then reports it as malformed
+    kBool,
+    kNull,
+  };
+
+  /// Reads `text` in place: it must outlive the reader.
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// Kind of the next value (skips whitespace; throws at end of input).
+  [[nodiscard]] Kind peek();
+
+  void begin_object();
+  /// Next member of the innermost open object: true with `key` set and
+  /// the reader at the member's value; false once the closing brace is
+  /// consumed. `key` is valid until the next key or string is read.
+  bool next_key(std::string_view& key);
+
+  void begin_array();
+  /// True when the innermost open array has another element (the reader
+  /// is at it); false once the closing bracket is consumed.
+  bool next_element();
+
+  double number();
+  /// Unescaped string value, valid until the next key or string is read.
+  std::string_view string();
+  bool boolean();
+  void null();
+  /// Consumes the next value, containers included, validating it.
+  void skip_value();
+
+  /// Requires that only whitespace follows the top-level value.
+  void finish();
+
+ private:
+  static constexpr int kMaxDepth = 128;
+
+  [[noreturn]] void fail(const std::string& what) const;
+  [[noreturn]] void fail_expected(char c) const;
+  [[nodiscard]] char peek_char() const;
+  char next();
+  void skip_ws();
+  void expect(char c);
+  void expect_word(std::string_view word);
+  /// Start of any value: the depth limit, then whitespace.
+  void enter();
+  std::string_view read_string();
+  unsigned parse_unit();
+  void append_codepoint(unsigned cp);
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  /// Containers open around the reader.
+  int depth_ = 0;
+  /// True right after a `begin_*`: the next `next_key`/`next_element`
+  /// reads the container's first entry, not a separator.
+  bool first_ = false;
+  /// Unescaped text of the last key or string that held an escape.
+  std::string buf_;
 };
 
 /// Writes `value` (plus a trailing newline) to `path`, failing loudly.

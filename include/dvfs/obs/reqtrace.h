@@ -231,8 +231,9 @@ struct Exemplar {
 };
 
 /// Per-bucket exemplar slots for one histogram family. `observe()` is a
-/// handful of relaxed stores guarded by a seqlock-style version counter,
-/// cheap enough to run alongside every `Histogram::observe()`. Readers
+/// handful of release stores (plain moves on x86) guarded by a
+/// seqlock-style version counter, cheap enough to run alongside every
+/// `Histogram::observe()`; readers load the fields with acquire. Readers
 /// retry a few times and give up (no exemplar this scrape) rather than
 /// spin. Two producers racing on the same bucket may interleave fields;
 /// each field still comes from a real observation in that bucket, which

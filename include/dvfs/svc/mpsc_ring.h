@@ -17,8 +17,12 @@
 ///  * the consumer owns `head_` outright (no atomicity needed beyond the
 ///    acquire load of the slot sequence that makes the payload visible)
 ///    and recycles a slot by storing `ticket + capacity` back into it;
-///  * a full ring rejects the push (`try_push` returns false) instead of
-///    blocking or overwriting — admission backpressure is a first-class
+///  * a batch push (`try_push_n`) claims as many consecutive tickets as
+///    have free slots with the same one CAS, so a batch costs one
+///    contended operation, not one per message;
+///  * a full ring rejects the push (`try_push` returns false,
+///    `try_push_n` the prefix that fit) instead of blocking or
+///    overwriting — admission backpressure is a first-class
 ///    outcome that the service surfaces as HTTP 503, so the ring must
 ///    report it, not hide it.
 ///
@@ -68,18 +72,40 @@ class MpscRing {
   /// Multi-producer push. Returns false when the ring is full (the
   /// message is NOT enqueued; the caller owns the backpressure policy).
   bool try_push(const T& value) noexcept {
+    return try_push_n(std::span<const T>(&value, 1)) == 1;
+  }
+
+  /// Multi-producer batch push: claims the longest prefix of `values`
+  /// that has free slots with one CAS on `tail_`, then writes and
+  /// publishes it. Returns the prefix length; the rest is NOT enqueued
+  /// (0 = the ring is full). The claimed messages stay contiguous, so a
+  /// batch is never interleaved with another producer's messages.
+  std::size_t try_push_n(std::span<const T> values) noexcept {
+    if (values.empty()) return 0;
     std::uint64_t ticket = tail_.load(std::memory_order_relaxed);
     for (;;) {
-      Slot& slot = slots_[ticket & mask_];
-      const std::uint64_t seq = slot.seq.load(std::memory_order_acquire);
-      const std::int64_t dif =
-          static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(ticket);
-      if (dif == 0) {
-        if (tail_.compare_exchange_weak(ticket, ticket + 1,
+      // A slot whose sequence equals its ticket is free; the prefix
+      // stops at the first one that is not (still unconsumed, or already
+      // claimed by a producer that beat us — then the CAS fails).
+      std::size_t n = 0;
+      std::int64_t dif = 0;
+      while (n < values.size()) {
+        const std::uint64_t seq =
+            slots_[(ticket + n) & mask_].seq.load(std::memory_order_acquire);
+        dif = static_cast<std::int64_t>(seq) -
+              static_cast<std::int64_t>(ticket + n);
+        if (dif != 0) break;
+        ++n;
+      }
+      if (n > 0) {
+        if (tail_.compare_exchange_weak(ticket, ticket + n,
                                         std::memory_order_relaxed)) {
-          slot.value = value;
-          slot.seq.store(ticket + 1, std::memory_order_release);
-          return true;
+          for (std::size_t i = 0; i < n; ++i) {
+            Slot& slot = slots_[(ticket + i) & mask_];
+            slot.value = values[i];
+            slot.seq.store(ticket + i + 1, std::memory_order_release);
+          }
+          return n;
         }
         // CAS failure reloaded `ticket`; retry with the fresh value.
       } else if (dif < 0) {
@@ -87,7 +113,7 @@ class MpscRing {
         // the ring is full *unless* the tail moved while we looked (a
         // slow producer's slot can read stale for one check).
         const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-        if (tail == ticket) return false;
+        if (tail == ticket) return 0;
         ticket = tail;
       } else {
         ticket = tail_.load(std::memory_order_relaxed);

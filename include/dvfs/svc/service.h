@@ -6,9 +6,10 @@
 ///
 ///  * **Admission.** `submit()` routes each task by a stable hash of its
 ///    id to one of N shards and pushes a fixed-size message into that
-///    shard's lock-free MPSC ring (svc/mpsc_ring.h). A full ring rejects
-///    the submission — backpressure is returned to the caller (the HTTP
-///    layer answers 503), never silently queued.
+///    shard's lock-free MPSC ring (svc/mpsc_ring.h). A batch is grouped
+///    by shard and each group claimed with one ring operation. A full
+///    ring rejects the submission — backpressure is returned to the
+///    caller (the HTTP layer answers 503), never silently queued.
 ///
 ///  * **Shards.** Each shard owns a contiguous subset of the platform's
 ///    cores and runs a private `core::LmcScheduler` over exactly those
@@ -45,6 +46,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -87,6 +89,12 @@ struct Msg {
   /// 64-bit request-trace id assigned at ingress; preserved across
   /// steal hops (0 when the origin's task record was already evicted).
   std::uint64_t trace = 0;
+};
+
+/// One task to admit: what a `POST /submit` body names per task.
+struct Submission {
+  core::TaskId id = 0;
+  Cycles cycles = 0;
 };
 
 struct ServiceOptions {
@@ -148,8 +156,18 @@ class SchedulingService {
     std::uint64_t trace = 0;
   };
 
-  /// Lock-free admission from any thread. Rejects (accepted = false)
-  /// when the target shard's ring is full or the service is draining.
+  /// Lock-free admission of a batch from any thread. The tasks share one
+  /// receive instant and consecutive trace ids in request order (one
+  /// submitter mints the ids task-by-task admission would). Each shard
+  /// gets its tasks in request order with one ring claim; when its ring
+  /// is full it takes the prefix that fits and rejects the rest. The
+  /// draining service rejects everything. Returns the number accepted;
+  /// a non-empty `tickets` must be as long as `tasks` and receives each
+  /// task's ticket.
+  std::size_t submit(std::span<const Submission> tasks,
+                     std::span<Ticket> tickets = {});
+
+  /// One-task admission: a batch of one.
   Ticket submit(core::TaskId id, Cycles cycles);
 
   /// Closes admission, waits until every in-flight message (submissions

@@ -101,200 +101,310 @@ void dump_impl(const Json& v, std::string& out, int indent, int depth) {
   }
 }
 
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Json run() {
-    Json v = value(0);
-    skip_ws();
-    DVFS_REQUIRE(pos_ == text_.size(), "trailing characters after JSON value");
-    return v;
-  }
-
- private:
-  static constexpr int kMaxDepth = 128;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    DVFS_REQUIRE(false,
-                 "JSON parse error at offset " + std::to_string(pos_) + ": " +
-                     what);
-    std::abort();  // unreachable; DVFS_REQUIRE(false, ...) always throws
-  }
-
-  [[nodiscard]] char peek() const {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-  char next() {
-    const char c = peek();
-    ++pos_;
-    return c;
-  }
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-  void expect(char c) {
-    if (next() != c) fail(std::string("expected '") + c + "'");
-  }
-  void expect_word(std::string_view word) {
-    for (const char c : word) expect(c);
-  }
-
-  Json value(int depth) {
-    if (depth > kMaxDepth) fail("nesting too deep");
-    skip_ws();
-    switch (peek()) {
-      case '{': return object(depth);
-      case '[': return array(depth);
-      case '"': return Json(string());
-      case 't': expect_word("true"); return Json(true);
-      case 'f': expect_word("false"); return Json(false);
-      case 'n': expect_word("null"); return Json(nullptr);
-      default: return number();
-    }
-  }
-
-  Json object(int depth) {
-    expect('{');
-    Json::Object o;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
+/// The tree `Json::parse` returns, read off `r` value by value.
+Json read_tree(JsonReader& r) {
+  switch (r.peek()) {
+    case JsonReader::Kind::kObject: {
+      Json::Object o;
+      r.begin_object();
+      std::string_view key;
+      while (r.next_key(key)) {
+        std::string name(key);  // `key` dies with the next string read
+        o.insert_or_assign(std::move(name), read_tree(r));
+      }
       return Json(std::move(o));
     }
-    while (true) {
-      skip_ws();
-      std::string key = string();
-      skip_ws();
-      expect(':');
-      o.insert_or_assign(std::move(key), value(depth + 1));
-      skip_ws();
-      const char c = next();
-      if (c == '}') break;
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-    return Json(std::move(o));
-  }
-
-  Json array(int depth) {
-    expect('[');
-    Json::Array a;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
+    case JsonReader::Kind::kArray: {
+      Json::Array a;
+      r.begin_array();
+      while (r.next_element()) a.push_back(read_tree(r));
       return Json(std::move(a));
     }
-    while (true) {
-      a.push_back(value(depth + 1));
-      skip_ws();
-      const char c = next();
-      if (c == ']') break;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
-    return Json(std::move(a));
+    case JsonReader::Kind::kString: return Json(std::string(r.string()));
+    case JsonReader::Kind::kBool: return Json(r.boolean());
+    case JsonReader::Kind::kNull: r.null(); return Json(nullptr);
+    case JsonReader::Kind::kNumber: break;
   }
-
-  std::string string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      const char c = next();
-      if (c == '"') break;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      const char esc = next();
-      switch (esc) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': append_codepoint(out, parse_unit()); break;
-        default: fail("invalid escape sequence");
-      }
-    }
-    return out;
-  }
-
-  unsigned parse_unit() {
-    unsigned cp = 0;
-    for (int i = 0; i < 4; ++i) {
-      const char c = next();
-      cp <<= 4;
-      if (c >= '0' && c <= '9') {
-        cp += static_cast<unsigned>(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        cp += static_cast<unsigned>(c - 'a' + 10);
-      } else if (c >= 'A' && c <= 'F') {
-        cp += static_cast<unsigned>(c - 'A' + 10);
-      } else {
-        fail("invalid \\u escape");
-      }
-    }
-    return cp;
-  }
-
-  void append_codepoint(std::string& out, unsigned cp) {
-    // Combine surrogate pairs (trace names never need them, but a parser
-    // that corrupts them would be worse than none).
-    if (cp >= 0xD800 && cp <= 0xDBFF) {
-      expect('\\');
-      expect('u');
-      const unsigned lo = parse_unit();
-      if (lo < 0xDC00 || lo > 0xDFFF) fail("unpaired surrogate");
-      cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-    } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-      fail("unpaired surrogate");
-    }
-    if (cp < 0x80) {
-      out.push_back(static_cast<char>(cp));
-    } else if (cp < 0x800) {
-      out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else if (cp < 0x10000) {
-      out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    } else {
-      out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-      out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-    }
-  }
-
-  Json number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    double d = 0.0;
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + pos_;
-    const auto [ptr, ec] = std::from_chars(first, last, d);
-    if (ec != std::errc{} || ptr != last) fail("malformed number");
-    return Json(d);
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+  return Json(r.number());
+}
 
 }  // namespace
+
+void JsonReader::fail(const std::string& what) const {
+  DVFS_REQUIRE(false,
+               "JSON parse error at offset " + std::to_string(pos_) + ": " +
+                   what);
+  std::abort();  // unreachable; DVFS_REQUIRE(false, ...) always throws
+}
+
+void JsonReader::fail_expected(char c) const {
+  fail(std::string("expected '") + c + "'");
+}
+
+inline char JsonReader::peek_char() const {
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  return text_[pos_];
+}
+
+inline char JsonReader::next() {
+  const char c = peek_char();
+  ++pos_;
+  return c;
+}
+
+inline void JsonReader::skip_ws() {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+    ++pos_;
+  }
+}
+
+inline void JsonReader::expect(char c) {
+  if (next() != c) fail_expected(c);
+}
+
+inline void JsonReader::expect_word(std::string_view word) {
+  for (const char c : word) expect(c);
+}
+
+inline void JsonReader::enter() {
+  if (depth_ > kMaxDepth) fail("nesting too deep");
+  skip_ws();
+}
+
+JsonReader::Kind JsonReader::peek() {
+  enter();
+  switch (peek_char()) {
+    case '{': return Kind::kObject;
+    case '[': return Kind::kArray;
+    case '"': return Kind::kString;
+    case 't':
+    case 'f': return Kind::kBool;
+    case 'n': return Kind::kNull;
+    default: return Kind::kNumber;
+  }
+}
+
+void JsonReader::begin_object() {
+  enter();
+  expect('{');
+  ++depth_;
+  first_ = true;
+}
+
+bool JsonReader::next_key(std::string_view& key) {
+  skip_ws();
+  if (first_) {
+    first_ = false;
+    if (peek_char() == '}') {
+      ++pos_;
+      --depth_;
+      return false;
+    }
+  } else {
+    const char c = next();
+    if (c == '}') {
+      --depth_;
+      return false;
+    }
+    if (c != ',') fail("expected ',' or '}' in object");
+    skip_ws();
+  }
+  key = read_string();
+  skip_ws();
+  expect(':');
+  return true;
+}
+
+void JsonReader::begin_array() {
+  enter();
+  expect('[');
+  ++depth_;
+  first_ = true;
+}
+
+bool JsonReader::next_element() {
+  skip_ws();
+  if (first_) {
+    first_ = false;
+    if (peek_char() == ']') {
+      ++pos_;
+      --depth_;
+      return false;
+    }
+    return true;
+  }
+  const char c = next();
+  if (c == ']') {
+    --depth_;
+    return false;
+  }
+  if (c != ',') fail("expected ',' or ']' in array");
+  return true;
+}
+
+double JsonReader::number() {
+  enter();
+  const std::size_t start = pos_;
+  if (peek_char() == '-') ++pos_;
+  // One scan: the token's extent, and its value if it is a plain
+  // integer of at most 18 digits (what request bodies and counters
+  // hold), which converts exactly without from_chars to the same double.
+  const std::size_t digits = pos_;
+  std::uint64_t integer = 0;
+  bool plain = true;
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c >= '0' && c <= '9') {
+      integer = integer * 10 + static_cast<unsigned>(c - '0');
+    } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
+      plain = false;
+    } else {
+      break;
+    }
+    ++pos_;
+  }
+  if (plain && pos_ > digits && pos_ - digits <= 18) {
+    const auto d = static_cast<double>(integer);
+    return digits == start ? d : -d;
+  }
+  double d = 0.0;
+  const char* first = text_.data() + start;
+  const char* last = text_.data() + pos_;
+  const auto [ptr, ec] = std::from_chars(first, last, d);
+  if (ec != std::errc{} || ptr != last) fail("malformed number");
+  return d;
+}
+
+std::string_view JsonReader::string() {
+  enter();
+  return read_string();
+}
+
+bool JsonReader::boolean() {
+  enter();
+  if (peek_char() == 't') {
+    expect_word("true");
+    return true;
+  }
+  expect_word("false");
+  return false;
+}
+
+void JsonReader::null() {
+  enter();
+  expect_word("null");
+}
+
+void JsonReader::skip_value() {
+  switch (peek()) {
+    case Kind::kObject: {
+      begin_object();
+      std::string_view key;
+      while (next_key(key)) skip_value();
+      return;
+    }
+    case Kind::kArray:
+      begin_array();
+      while (next_element()) skip_value();
+      return;
+    case Kind::kString: (void)string(); return;
+    case Kind::kNumber: (void)number(); return;
+    case Kind::kBool: (void)boolean(); return;
+    case Kind::kNull: null(); return;
+  }
+}
+
+void JsonReader::finish() {
+  skip_ws();
+  DVFS_REQUIRE(pos_ == text_.size(), "trailing characters after JSON value");
+}
+
+std::string_view JsonReader::read_string() {
+  expect('"');
+  // Fast path: no escape before the closing quote, so the value is the
+  // text itself.
+  const std::size_t start = pos_;
+  while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+    ++pos_;
+  }
+  if (peek_char() == '"') {
+    ++pos_;
+    return text_.substr(start, pos_ - 1 - start);
+  }
+  buf_.assign(text_.data() + start, pos_ - start);
+  while (true) {
+    const char c = next();
+    if (c == '"') break;
+    if (c != '\\') {
+      buf_.push_back(c);
+      continue;
+    }
+    const char esc = next();
+    switch (esc) {
+      case '"': buf_.push_back('"'); break;
+      case '\\': buf_.push_back('\\'); break;
+      case '/': buf_.push_back('/'); break;
+      case 'b': buf_.push_back('\b'); break;
+      case 'f': buf_.push_back('\f'); break;
+      case 'n': buf_.push_back('\n'); break;
+      case 'r': buf_.push_back('\r'); break;
+      case 't': buf_.push_back('\t'); break;
+      case 'u': append_codepoint(parse_unit()); break;
+      default: fail("invalid escape sequence");
+    }
+  }
+  return buf_;
+}
+
+unsigned JsonReader::parse_unit() {
+  unsigned cp = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char c = next();
+    cp <<= 4;
+    if (c >= '0' && c <= '9') {
+      cp += static_cast<unsigned>(c - '0');
+    } else if (c >= 'a' && c <= 'f') {
+      cp += static_cast<unsigned>(c - 'a' + 10);
+    } else if (c >= 'A' && c <= 'F') {
+      cp += static_cast<unsigned>(c - 'A' + 10);
+    } else {
+      fail("invalid \\u escape");
+    }
+  }
+  return cp;
+}
+
+void JsonReader::append_codepoint(unsigned cp) {
+  // Combine surrogate pairs (trace names never need them, but a parser
+  // that corrupts them would be worse than none).
+  if (cp >= 0xD800 && cp <= 0xDBFF) {
+    expect('\\');
+    expect('u');
+    const unsigned lo = parse_unit();
+    if (lo < 0xDC00 || lo > 0xDFFF) fail("unpaired surrogate");
+    cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
+  } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+    fail("unpaired surrogate");
+  }
+  std::string& out = buf_;
+  if (cp < 0x80) {
+    out.push_back(static_cast<char>(cp));
+  } else if (cp < 0x800) {
+    out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else if (cp < 0x10000) {
+    out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  } else {
+    out.push_back(static_cast<char>(0xF0 | (cp >> 18)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
+    out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  }
+}
 
 std::string Json::dump(int indent) const {
   std::string out;
@@ -302,7 +412,12 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
-Json Json::parse(std::string_view text) { return Parser(text).run(); }
+Json Json::parse(std::string_view text) {
+  JsonReader r(text);
+  Json v = read_tree(r);
+  r.finish();
+  return v;
+}
 
 void write_json_file(const std::string& path, const Json& value, int indent) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);

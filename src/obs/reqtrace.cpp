@@ -199,11 +199,13 @@ void ExemplarSeries::observe(std::uint64_t value, std::uint64_t trace_id,
   // Seqlock write: odd while the fields are in flux. Racing writers can
   // leave interleaved fields (see header) — every field is still a real
   // sample from this bucket.
+  // The field stores are release so that a reader whose acquire load
+  // sees one also sees the odd count before it.
   s.seq.fetch_add(1, std::memory_order_acq_rel);
-  s.trace.store(trace_id, std::memory_order_relaxed);
-  s.value.store(value, std::memory_order_relaxed);
+  s.trace.store(trace_id, std::memory_order_release);
+  s.value.store(value, std::memory_order_release);
   s.t_bits.store(std::bit_cast<std::uint64_t>(t_s),
-                 std::memory_order_relaxed);
+                 std::memory_order_release);
   s.seq.fetch_add(1, std::memory_order_acq_rel);
 }
 
@@ -214,11 +216,12 @@ std::optional<Exemplar> ExemplarSeries::bucket(std::size_t i) const noexcept {
     const std::uint64_t s1 = s.seq.load(std::memory_order_acquire);
     if (s1 == 0) return std::nullopt;  // never written
     if ((s1 & 1) != 0) continue;       // writer in flight
+    // Acquire loads keep the recheck below after the field reads (no
+    // fence: GCC rejects atomic_thread_fence under -fsanitize=thread).
     Exemplar e;
-    e.trace_id = s.trace.load(std::memory_order_relaxed);
-    e.value = s.value.load(std::memory_order_relaxed);
-    e.t_s = std::bit_cast<double>(s.t_bits.load(std::memory_order_relaxed));
-    std::atomic_thread_fence(std::memory_order_acquire);
+    e.trace_id = s.trace.load(std::memory_order_acquire);
+    e.value = s.value.load(std::memory_order_acquire);
+    e.t_s = std::bit_cast<double>(s.t_bits.load(std::memory_order_acquire));
     if (s.seq.load(std::memory_order_relaxed) == s1) return e;
   }
   return std::nullopt;  // writer storm; skip the exemplar this scrape

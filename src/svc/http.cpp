@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <optional>
-#include <span>
 #include <string>
 
 #include "dvfs/common.h"
@@ -44,35 +43,138 @@ bool exact_integer(double v, double lo) {
   return v >= lo && v <= kMaxExact && std::floor(v) == v;
 }
 
-/// One {"id":...,"cycles":...} object of a /submit body, or the schema
-/// rule it breaks.
-struct TaskFields {
-  const char* error = nullptr;
-  core::TaskId id = 0;
-  Cycles cycles = 0;
+using Kind = obs::JsonReader::Kind;
+
+constexpr const char* kBadJson = "bad JSON";
+constexpr const char* kNeedFields =
+    "task needs numeric \"id\" and \"cycles\" fields";
+constexpr const char* kOutOfRange =
+    "id and cycles must be integers in [0, 2^53] and [1, 2^53]";
+constexpr const char* kTasksNotArray = "\"tasks\" must be an array";
+
+/// An `id` or `cycles` member as its last occurrence left it.
+struct Field {
+  enum class State : std::uint8_t { kMissing, kNumber, kOther };
+  State state = State::kMissing;
+  double value = 0.0;
+
+  void read(obs::JsonReader& r) {
+    if (r.peek() == Kind::kNumber) {
+      *this = {State::kNumber, r.number()};
+    } else {
+      r.skip_value();
+      *this = {State::kOther};
+    }
+  }
 };
 
-TaskFields read_task(const obs::Json& task) {
-  const char* const kNeedFields =
-      "task needs numeric \"id\" and \"cycles\" fields";
-  if (!task.is_object()) return {kNeedFields};
-  const obs::Json::Object& fields = task.as_object();
-  const auto id = fields.find("id");
-  const auto cycles = fields.find("cycles");
-  if (id == fields.end() || cycles == fields.end() ||
-      !id->second.is_number() || !cycles->second.is_number()) {
-    return {kNeedFields};
+/// The schema rule an object's `id`/`cycles` break, or nullptr with
+/// `out` set.
+const char* check_task(const Field& id, const Field& cycles,
+                       Submission& out) {
+  if (id.state != Field::State::kNumber ||
+      cycles.state != Field::State::kNumber) {
+    return kNeedFields;
   }
-  const double id_v = id->second.as_double();
-  const double cycles_v = cycles->second.as_double();
-  if (!exact_integer(id_v, 0.0) || !exact_integer(cycles_v, 1.0)) {
-    return {"id and cycles must be integers in [0, 2^53] and [1, 2^53]"};
+  if (!exact_integer(id.value, 0.0) || !exact_integer(cycles.value, 1.0)) {
+    return kOutOfRange;
   }
-  return {nullptr, static_cast<core::TaskId>(id_v),
-          static_cast<Cycles>(cycles_v)};
+  out = {static_cast<core::TaskId>(id.value),
+         static_cast<Cycles>(cycles.value)};
+  return nullptr;
+}
+
+/// Reads one element of a `"tasks"` array.
+const char* read_task(obs::JsonReader& r, Submission& out) {
+  if (r.peek() != Kind::kObject) {
+    r.skip_value();
+    return kNeedFields;
+  }
+  r.begin_object();
+  Field id;
+  Field cycles;
+  std::string_view key;
+  while (r.next_key(key)) {
+    if (key == "id") {
+      id.read(r);
+    } else if (key == "cycles") {
+      cycles.read(r);
+    } else {
+      r.skip_value();
+    }
+  }
+  return check_task(id, cycles, out);
+}
+
+/// Reads a `"tasks"` value into `tasks` (cleared first): the first bad
+/// task's rule, or nullptr. Every element is read, bad or not.
+const char* read_tasks(obs::JsonReader& r, std::vector<Submission>& tasks) {
+  tasks.clear();
+  if (r.peek() != Kind::kArray) {
+    r.skip_value();
+    return kTasksNotArray;
+  }
+  const char* first_error = nullptr;
+  r.begin_array();
+  while (r.next_element()) {
+    Submission task;
+    const char* error = read_task(r, task);
+    if (first_error != nullptr) continue;
+    if (error != nullptr) {
+      first_error = error;
+    } else {
+      tasks.push_back(task);
+    }
+  }
+  return first_error;
+}
+
+/// The body's schema error (syntax errors throw), or nullptr with
+/// `tasks` filled.
+const char* read_body(obs::JsonReader& r, std::vector<Submission>& tasks) {
+  if (r.peek() != Kind::kObject) {
+    r.skip_value();
+    r.finish();
+    return kNeedFields;
+  }
+  r.begin_object();
+  // Set by a "tasks" member (the last one wins): its verdict.
+  std::optional<const char*> batch;
+  Field id;
+  Field cycles;
+  std::string_view key;
+  while (r.next_key(key)) {
+    if (key == "tasks") {
+      batch = read_tasks(r, tasks);
+    } else if (key == "id") {
+      id.read(r);
+    } else if (key == "cycles") {
+      cycles.read(r);
+    } else {
+      r.skip_value();
+    }
+  }
+  r.finish();
+  if (batch.has_value()) return *batch;
+  tasks.emplace_back();
+  return check_task(id, cycles, tasks.back());
 }
 
 }  // namespace
+
+const char* decode_submit(std::string_view body,
+                          std::vector<Submission>& tasks) {
+  tasks.clear();
+  const char* error = nullptr;
+  try {
+    obs::JsonReader reader(body);
+    error = read_body(reader, tasks);
+  } catch (const std::exception&) {
+    error = kBadJson;
+  }
+  if (error != nullptr) tasks.clear();
+  return error;
+}
 
 void register_service_routes(obs::MetricsHttpServer& server,
                              SchedulingService& svc) {
@@ -81,26 +183,14 @@ void register_service_routes(obs::MetricsHttpServer& server,
   server.add_route(
       "POST", "/submit",
       [s](const obs::MetricsHttpServer::Request& req) {
-        obs::Json doc;
-        try {
-          doc = obs::Json::parse(req.body);
-        } catch (const std::exception&) {
-          return error_response(400, "bad JSON");
+        // Reused by every request on the serving thread. Nothing is
+        // admitted unless the whole body is valid.
+        thread_local std::vector<Submission> tasks;
+        if (const char* error = decode_submit(req.body, tasks)) {
+          return error_response(400, error);
         }
-        const bool batch = doc.contains("tasks");
-        if (batch && !doc.at("tasks").is_array()) {
-          return error_response(400, "\"tasks\" must be an array");
-        }
-        const std::span<const obs::Json> tasks =
-            batch ? std::span(doc.at("tasks").as_array())
-                  : std::span<const obs::Json>(&doc, 1);
-        std::uint64_t accepted = 0;
-        std::uint64_t rejected = 0;
-        for (const obs::Json& t : tasks) {
-          const TaskFields task = read_task(t);
-          if (task.error != nullptr) return error_response(400, task.error);
-          s->submit(task.id, task.cycles).accepted ? ++accepted : ++rejected;
-        }
+        const std::size_t accepted = s->submit(tasks);
+        const std::size_t rejected = tasks.size() - accepted;
         // All-rejected = pure backpressure (full rings or draining):
         // 503 so callers and the smoke test see the overload distinctly.
         const int status = (accepted == 0 && rejected > 0) ? 503 : 202;

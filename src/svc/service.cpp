@@ -4,6 +4,7 @@
 #include <chrono>
 #include <deque>
 #include <span>
+#include <utility>
 
 #include "dvfs/core/task.h"
 #include "dvfs/obs/prof.h"
@@ -84,14 +85,18 @@ struct SchedulingService::Shard {
   std::vector<Running> running;
   std::uint64_t idle_iters = 0;
 
-  // Published / drain-protocol state.
+  // Published / drain-protocol state. Producers write `enqueued` on
+  // every submit and the worker writes the rest after every batch, so
+  // the two groups sit on separate cache lines.
+
+  /// Messages ever admitted to this ring. Incremented *before* the push
+  /// (decremented again by what a full ring refused), so
+  /// `enqueued == processed` with an empty ring proves no message is in
+  /// flight anywhere.
+  alignas(64) std::atomic<std::uint64_t> enqueued{0};
+  alignas(64) std::atomic<std::uint64_t> processed{0};
   std::atomic<double> published_cost{0.0};
   std::atomic<std::uint64_t> published_len{0};
-  /// Messages ever admitted to this ring. Incremented *before* the push
-  /// (decremented again on a full ring), so `enqueued == processed` with
-  /// an empty ring proves no message is in flight anywhere.
-  std::atomic<std::uint64_t> enqueued{0};
-  std::atomic<std::uint64_t> processed{0};
   /// Steal requests this shard has posted that the rich shard has not
   /// finished serving. Raised before the request message exists, lowered
   /// only after every forwarded task is enqueued at its destination.
@@ -185,39 +190,100 @@ std::size_t SchedulingService::route(core::TaskId id, std::size_t shards) {
 
 SchedulingService::Ticket SchedulingService::submit(core::TaskId id,
                                                     Cycles cycles) {
-  const auto shard_idx =
-      static_cast<std::uint16_t>(route(id, shards_.size()));
+  const Submission task{id, cycles};
+  Ticket ticket;
+  (void)submit(std::span(&task, 1), std::span(&ticket, 1));
+  return ticket;
+}
+
+std::size_t SchedulingService::submit(std::span<const Submission> tasks,
+                                      std::span<Ticket> tickets) {
+  DVFS_REQUIRE(tickets.empty() || tickets.size() == tasks.size(),
+               "submit needs one ticket per task");
+  DVFS_REQUIRE(tasks.size() <= UINT32_MAX, "submit batch too large");
+  const std::size_t n = tasks.size();
+  if (n == 0) return 0;
+  const std::size_t num_shards = shards_.size();
+  // The batch grouped by shard with a counting sort, request order kept
+  // within each group: `msgs[end[s - 1], end[s])` go to shard s (end[-1]
+  // reads as 0), `shard_of[i]` is request i's shard and `request[k]` the
+  // request index of `msgs[k]`. Reused per submitting thread.
+  thread_local std::vector<Msg> msgs;
+  thread_local std::vector<std::uint32_t> shard_of;
+  thread_local std::vector<std::uint32_t> request;
+  thread_local std::vector<std::size_t> end;
+  shard_of.resize(n);
+  end.assign(num_shards, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    shard_of[i] = static_cast<std::uint32_t>(route(tasks[i].id, num_shards));
+    ++end[shard_of[i]];
+  }
+  // Exclusive prefix sums: end[s] becomes group s's first slot, and the
+  // fill below advances it to one past the group's last.
+  std::size_t sum = 0;
+  for (std::size_t& e : end) sum += std::exchange(e, sum);
+
   // The in-flight count lets drain() wait out every submitter that
   // passed the phase gate before the flip — no accepted ticket can land
   // in a ring the drain no longer watches.
   inflight_submits_.fetch_add(1, std::memory_order_seq_cst);
   if (phase_.load(std::memory_order_seq_cst) != Phase::kRunning) {
     inflight_submits_.fetch_sub(1, std::memory_order_seq_cst);
-    rejected_.inc();
-    return {false, shard_idx};
+    rejected_.add(n);
+    for (std::size_t i = 0; i < tickets.size(); ++i) {
+      tickets[i] = {false, static_cast<std::uint16_t>(shard_of[i])};
+    }
+    return 0;
   }
-  Shard& shard = *shards_[shard_idx];
-  Msg msg;
-  msg.kind = Msg::Kind::kSubmit;
-  msg.id = id;
-  msg.cycles = cycles;
-  msg.recv_ns = now_ns_since(start_time_);
+  const std::uint64_t recv_ns = now_ns_since(start_time_);
   // Trace ids come from a mixed sequence so they look (and dedupe) like
-  // real distributed-tracing ids while staying deterministic per run.
-  msg.trace = mix64(trace_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
-  if (msg.trace == 0) msg.trace = 1;
-  msg.enqueue_ns = now_ns_since(start_time_);
-  shard.enqueued.fetch_add(1, std::memory_order_seq_cst);
-  const bool ok = shard.ring.try_push(msg);
-  if (!ok) {
-    shard.enqueued.fetch_sub(1, std::memory_order_seq_cst);
-    rejected_.inc();
-    shard.rejected_counter.inc();
-  } else {
-    submitted_.inc();
+  // real distributed-tracing ids while staying deterministic per run;
+  // request i takes the i-th id of one reservation.
+  const std::uint64_t first_seq =
+      trace_seq_.fetch_add(n, std::memory_order_relaxed) + 1;
+  msgs.resize(n);
+  request.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t k = end[shard_of[i]]++;
+    Msg& msg = msgs[k];
+    msg = Msg{};
+    msg.id = tasks[i].id;
+    msg.cycles = tasks[i].cycles;
+    msg.recv_ns = recv_ns;
+    msg.trace = mix64(first_seq + i);
+    if (msg.trace == 0) msg.trace = 1;
+    request[k] = static_cast<std::uint32_t>(i);
+  }
+
+  std::size_t accepted = 0;
+  std::size_t begin = 0;
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    const std::size_t want = end[s] - begin;
+    if (want == 0) continue;
+    Shard& shard = *shards_[s];
+    const std::span<Msg> group(msgs.data() + begin, want);
+    const std::uint64_t enqueue_ns = now_ns_since(start_time_);
+    for (Msg& msg : group) msg.enqueue_ns = enqueue_ns;
+    shard.enqueued.fetch_add(want, std::memory_order_seq_cst);
+    const std::size_t pushed = shard.ring.try_push_n(group);
+    if (pushed < want) {
+      shard.enqueued.fetch_sub(want - pushed, std::memory_order_seq_cst);
+      rejected_.add(want - pushed);
+      shard.rejected_counter.add(want - pushed);
+    }
+    if (pushed > 0) submitted_.add(pushed);
+    accepted += pushed;
+    if (!tickets.empty()) {
+      for (std::size_t j = 0; j < want; ++j) {
+        const bool ok = j < pushed;
+        tickets[request[begin + j]] = {ok, static_cast<std::uint16_t>(s),
+                                       ok ? group[j].trace : 0};
+      }
+    }
+    begin = end[s];
   }
   inflight_submits_.fetch_sub(1, std::memory_order_seq_cst);
-  return {ok, shard_idx, ok ? msg.trace : 0};
+  return accepted;
 }
 
 void SchedulingService::drain() {

@@ -4,9 +4,11 @@
 /// backpressure, work stealing, status eviction, virtual execution, and
 /// the recorder integration. Run under TSan in CI.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -406,6 +408,176 @@ TEST(SchedulingService, ConcurrentSubmittersAllLandExactlyOnce) {
   std::size_t total_len = 0;
   for (std::size_t s = 0; s < 4; ++s) total_len += svc.shard_queue_len(s);
   EXPECT_EQ(total_len, kThreads * kPerThread);
+}
+
+// Batch admission decides what task-by-task admission decides: one
+// submitter's trace ids come out in the same order, and each shard gets
+// its tasks in request order, so every placement matches.
+TEST(SchedulingService, BatchSubmitMatchesTaskByTaskSubmit) {
+  constexpr std::size_t kShards = 3;
+  proptest::SplitMix64 rng(0xba7c4);
+  std::vector<Submission> stream;
+  for (core::TaskId id = 1; id <= 500; ++id) {
+    stream.push_back({id * 7919 % 100'003, rng.uniform_u64(10'000, 90'000'000)});
+  }
+  obs::Registry one_registry;
+  obs::Registry batch_registry;
+  ServiceOptions opts = quiet_options(kShards, 7);
+  opts.registry = &one_registry;
+  SchedulingService one(test_model(), kParams, opts);
+  opts.registry = &batch_registry;
+  SchedulingService batch(test_model(), kParams, opts);
+  one.start();
+  batch.start();
+
+  std::vector<SchedulingService::Ticket> one_tickets;
+  for (const Submission& t : stream) {
+    one_tickets.push_back(one.submit(t.id, t.cycles));
+  }
+  std::vector<SchedulingService::Ticket> batch_tickets(stream.size());
+  for (std::size_t at = 0; at < stream.size();) {
+    const std::size_t n =
+        std::min<std::size_t>(rng.uniform_u64(1, 64), stream.size() - at);
+    EXPECT_EQ(batch.submit(std::span(stream).subspan(at, n),
+                           std::span(batch_tickets).subspan(at, n)),
+              n);
+    at += n;
+  }
+  one.drain();
+  batch.drain();
+
+  ASSERT_EQ(batch.placed(), stream.size());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_TRUE(batch_tickets[i].accepted);
+    EXPECT_EQ(batch_tickets[i].shard, one_tickets[i].shard) << i;
+    EXPECT_EQ(batch_tickets[i].trace, one_tickets[i].trace) << i;
+    const auto want = one.status(stream[i].id);
+    const auto got = batch.status(stream[i].id);
+    ASSERT_TRUE(want.has_value() && got.has_value()) << i;
+    EXPECT_EQ(got->trace, batch_tickets[i].trace) << i;
+    EXPECT_EQ(got->core, want->core) << i;
+    EXPECT_EQ(got->rate_idx, want->rate_idx) << i;
+    EXPECT_EQ(got->marginal, want->marginal) << i;
+  }
+}
+
+TEST(SchedulingService, FullRingTakesThePrefixOfItsShardsTasks) {
+  obs::Registry registry;
+  ServiceOptions opts = quiet_options(2, 2);
+  opts.max_batch = 0;  // shards never consume while serving
+  opts.ring_capacity = 8;
+  opts.registry = &registry;
+  SchedulingService svc(test_model(), kParams, opts);
+  svc.start();
+  // Three tasks on each shard first, then a 40-task batch.
+  std::vector<Submission> first;
+  std::size_t per_shard[2] = {0, 0};
+  for (core::TaskId id = 1000; first.size() < 6; ++id) {
+    const std::size_t s = SchedulingService::route(id, 2);
+    if (per_shard[s] == 3) continue;
+    ++per_shard[s];
+    first.push_back({id, 1'000'000});
+  }
+  ASSERT_EQ(svc.submit(first), 6u);
+  std::vector<Submission> tasks;
+  for (core::TaskId id = 1; id <= 40; ++id) tasks.push_back({id, 1'000'000});
+  std::vector<SchedulingService::Ticket> tickets(tasks.size());
+  // Each ring has five free slots: each shard takes its first five.
+  EXPECT_EQ(svc.submit(tasks, tickets), 10u);
+  std::size_t seen[2] = {0, 0};
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    const std::size_t s = SchedulingService::route(tasks[i].id, 2);
+    EXPECT_EQ(tickets[i].shard, s);
+    EXPECT_EQ(tickets[i].accepted, seen[s] < 5) << "task " << tasks[i].id;
+    EXPECT_EQ(tickets[i].trace != 0, tickets[i].accepted);
+    ++seen[s];
+  }
+  EXPECT_EQ(svc.rejected(), 30u);
+  EXPECT_EQ(registry.counter("svc.submit.rejected{shard=\"0\"}").value(),
+            seen[0] - 5);
+  EXPECT_EQ(registry.counter("svc.submit.rejected{shard=\"1\"}").value(),
+            seen[1] - 5);
+  svc.drain();
+  EXPECT_EQ(svc.placed(), 16u);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    EXPECT_EQ(svc.status(tasks[i].id).has_value(), tickets[i].accepted);
+  }
+  // After drain every batch is rejected whole.
+  EXPECT_EQ(svc.submit(tasks, tickets), 0u);
+  for (const auto& t : tickets) EXPECT_FALSE(t.accepted);
+  EXPECT_EQ(svc.rejected(), 70u);
+}
+
+// Batch producers racing a single-task producer into small, slowly
+// drained rings, with work stealing on. Producers resubmit what a full
+// ring refused, so partial claims are frequent and every task is
+// admitted in the end. drain() returns only once every shard's
+// `enqueued == processed` and its ring is empty, and the counts close:
+// every task placed once, plus one placement per steal.
+TEST(SchedulingService, BatchProducersWithStealingDrainExactly) {
+  obs::Registry registry;
+  ServiceOptions opts;
+  opts.shards = 3;
+  opts.cores = 6;
+  opts.ring_capacity = 64;
+  opts.max_batch = 4;  // slow consumers: batches meet full rings
+  opts.steal_ratio = 1.5;
+  opts.steal_min_queue = 4;
+  opts.registry = &registry;
+  SchedulingService svc(test_model(), kParams, opts);
+  svc.start();
+  constexpr std::size_t kProducers = 4;  // the last submits one at a time
+  constexpr core::TaskId kPerProducer = 3000;
+  std::vector<std::thread> producers;
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      proptest::SplitMix64 rng(p + 11);
+      std::vector<Submission> batch;
+      std::vector<SchedulingService::Ticket> tickets;
+      core::TaskId id = p * kPerProducer + 1;
+      for (core::TaskId left = kPerProducer; left > 0;) {
+        const std::size_t n =
+            p + 1 == kProducers
+                ? 1
+                : std::min<std::size_t>(rng.uniform_u64(1, 64), left);
+        batch.clear();
+        // Every other task on shard 0, so the other shards run dry first.
+        while (batch.size() < n) {
+          if (batch.size() % 2 == 0 ||
+              SchedulingService::route(id, opts.shards) == 0) {
+            batch.push_back({id, 2'000'000 + id % 97 * 10'000});
+          }
+          ++id;
+        }
+        left -= n;
+        while (!batch.empty()) {
+          tickets.resize(batch.size());
+          const std::size_t accepted = svc.submit(batch, tickets);
+          std::size_t kept = 0;
+          for (std::size_t i = 0; i < batch.size(); ++i) {
+            if (!tickets[i].accepted) batch[kept++] = batch[i];
+          }
+          EXPECT_EQ(batch.size() - kept, accepted);
+          batch.resize(kept);
+          if (kept > 0) std::this_thread::yield();
+        }
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  // Queues only grow (no virtual execution), so the idle shards steal.
+  ASSERT_TRUE(eventually([&] { return svc.stolen() > 0; }))
+      << "no task migrated within the timeout";
+  svc.drain();
+  const std::uint64_t tasks = kProducers * kPerProducer;
+  EXPECT_EQ(svc.submitted(), tasks);
+  EXPECT_GT(svc.rejected(), 0u);
+  EXPECT_EQ(svc.placed(), tasks + svc.stolen());
+  std::size_t queued = 0;
+  for (std::size_t s = 0; s < opts.shards; ++s) {
+    queued += svc.shard_queue_len(s);
+  }
+  EXPECT_EQ(queued, tasks);
 }
 
 }  // namespace

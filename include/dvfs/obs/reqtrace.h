@@ -8,14 +8,19 @@
 /// queue insertion, virtual execution — becomes one `Step` on the task's
 /// timeline. The same step stream exists in two places:
 ///
-///  * **Live**: the service appends steps into its bounded task table
-///    (svc/task_table.h), which backs `GET /tasks/{id}/trace` while the
-///    daemon runs.
+///  * **Live**: the service keeps each task's lifecycle as facts in its
+///    bounded task table (svc/task_table.h), which rebuilds the steps
+///    for `GET /tasks/{id}/trace` while the daemon runs.
 ///  * **Recorded**: shard workers emit the steps as `.dfr` v4 events
 ///    (dfr::EventType::kSubmitRecv..kExecEnd), so `build_timelines()`
 ///    can reconstruct every task's causal chain from a recording —
 ///    including after a crash, since the channels are drained through
 ///    the ordinary flight-recorder path.
+///
+/// Both copies take their steps from the same two functions:
+/// `placement_steps()` turns the facts of one placement into its five
+/// steps and `exec_step()` writes an execution step, each time from
+/// integer nanoseconds through `ns_to_s()`.
 ///
 /// A stage is defined in one place: its row of the `kStages` table —
 /// the event it is recorded as (which also names it), the event fields
@@ -181,6 +186,42 @@ constexpr void for_each_detail(const Step& s, F&& f) {
 /// The step an event records; nullopt for events that are not a stage.
 /// The only decoder of a step.
 [[nodiscard]] std::optional<Step> to_step(const dfr::Event& e);
+
+/// Steady nanoseconds since service start as the seconds a step carries.
+/// Every daemon-side step time is formed this way (as
+/// `std::chrono::duration<double>` forms it from nanoseconds), so an
+/// instant kept in integer nanoseconds rebuilds to the same double.
+[[nodiscard]] constexpr double ns_to_s(std::uint64_t ns) {
+  return static_cast<double>(ns) / 1e9;
+}
+
+/// The facts one pass of a task through a shard leaves behind: when it
+/// arrived (or was forwarded by a steal), crossed the shard's admission
+/// ring and was placed, and what the placement chose.
+struct Placement {
+  std::uint64_t recv_ns = 0;     ///< submission boundary (first hop only)
+  std::uint64_t enqueue_ns = 0;  ///< ring push (the steal forward on a hop)
+  std::uint64_t dequeue_ns = 0;  ///< worker pop
+  std::uint64_t place_ns = 0;    ///< placement decision
+  std::uint16_t shard = 0;       ///< shard that placed the task
+  std::uint16_t from_shard = 0;  ///< steal victim (stolen hops only)
+  bool stolen = false;           ///< forwarded by a work steal
+  std::uint16_t core = 0;        ///< global core index
+  std::uint16_t rate_idx = 0;
+  std::uint32_t depth = 0;  ///< the core's queue length after the insert
+};
+
+/// The steps of one placement, in causal order: submit_recv (steal_hop
+/// for a stolen hop, whose ingress was recorded on its first hop),
+/// ring_enqueue, ring_dequeue, placement, shard_queue. The only writer
+/// of these steps: the shard records them and the task table rebuilds
+/// them from the same facts.
+[[nodiscard]] std::array<Step, 5> placement_steps(const Placement& p);
+
+/// The step `core` leaves when it begins (kExecBegin) or ends
+/// (kExecEnd) a task at `ns`.
+[[nodiscard]] Step exec_step(Stage stage, std::uint16_t core,
+                             std::uint64_t ns);
 
 /// A task's reconstructed lifecycle: time-sorted steps plus derived
 /// stage accounting.

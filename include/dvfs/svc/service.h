@@ -222,7 +222,6 @@ class SchedulingService {
   void maybe_request_steal(Shard& shard);
   void virtual_execute(Shard& shard);
   void publish_gauges(Shard& shard);
-  [[nodiscard]] double now_s() const;
 
   core::EnergyModel model_;
   core::CostParams params_;

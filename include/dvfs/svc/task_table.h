@@ -1,14 +1,22 @@
 /// \file task_table.h
 /// \brief Bounded per-task memory of the scheduling service: decision
-///        status and request timeline in one flat record.
+///        status and request timeline in one compact record of facts.
 ///
 /// Every admitted task leaves one record behind: where it was placed
 /// (`TaskStatus`, served by GET /schedule/{id}), its request-trace id, and
-/// the lifecycle steps of its timeline (served by GET /tasks/{id}/trace).
-/// A shard worker touches the record once at placement, once when
-/// virtual execution begins and once when it ends, each time under one
-/// stripe lock and, for a task that was never stolen, with no heap
-/// allocation.
+/// the instants of its lifecycle (its timeline, served by GET
+/// /tasks/{id}/trace). A shard worker touches the record once at
+/// placement, once when virtual execution begins and once when it ends,
+/// each time under one stripe lock and, for a task that was never
+/// stolen, with no heap allocation.
+///
+/// A record stores facts, not steps: the id, trace id, cycles, marginal
+/// cost, core, rate index and queue depth of the placement, the
+/// submission instant in integer nanoseconds and each later instant as a
+/// 32-bit nanosecond gap after the one before it. The status's state,
+/// shard, `stolen` and `placed_s`, and every step with its details, are
+/// derived on read (`obs::reqtrace::placement_steps`), so each time comes
+/// back bit for bit as the shard recorded it.
 ///
 /// Layout, per stripe:
 ///
@@ -20,20 +28,23 @@
 ///  * **Index**: open addressing from task id to ring slot, linear
 ///    probing with backward-shift deletion. It doubles whenever it would
 ///    pass half full, so it too grows with occupancy.
-///  * **Spill**: a never-stolen task has exactly `kInlineSteps` steps
-///    (submit_recv … exec_end), which fit in the record. The extra steps
-///    of a stolen task go to a side map that only stolen tasks use.
+///  * **Spill**: a task whose facts do not fit the record moves its
+///    whole status and step list to a side map: a task placed again (a
+///    steal, or a reused id), a placement on a shard other than its
+///    stripe's, an instant before the one it follows or more than
+///    2^32 - 1 ns after it, and execution steps out of lifecycle order
+///    or on a core other than the placement's.
 ///
 /// Stripes follow the service's admission route, so a shard's worker
-/// writes mostly its own stripe; the index hashes on bits independent of
-/// that choice.
+/// writes mostly its own stripe, and stripe i holds the tasks shard i
+/// placed without a steal; the index hashes on bits independent of that
+/// choice.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "dvfs/common.h"
@@ -57,18 +68,28 @@ struct TaskStatus {
   double placed_s = 0.0;    ///< placement instant (steady s since start)
 };
 
+/// One placement of a task: what it decided and the facts its timeline
+/// steps derive from.
+struct Placed {
+  std::uint64_t trace = 0;  ///< request-trace id; 0 keeps the recorded one
+  Cycles cycles = 0;
+  Money marginal = 0.0;  ///< exact queue-cost delta of the placement
+  obs::reqtrace::Placement at;
+};
+
 class TaskTable {
  public:
-  using Step = obs::reqtrace::Step;
-
-  /// Steps a record holds without spilling: the full lifecycle of a task
-  /// that was never stolen.
-  static constexpr std::size_t kInlineSteps = 7;
+  /// Bytes of one ring slot on LP64 targets (checked where the record is
+  /// defined).
+  static constexpr std::size_t kRecordBytes = 72;
 
   /// Remembers at most max(1, capacity / stripes) tasks per stripe;
-  /// `evicted` counts every record the bound overwrites.
+  /// `evicted` counts every record the bound overwrites, and `bytes`
+  /// follows the bytes the table retains (records allocated, index
+  /// slots, spill entries). The table adds to `bytes` and takes its
+  /// share back when destroyed.
   TaskTable(std::size_t capacity, std::size_t stripes,
-            obs::Counter& evicted);
+            obs::Counter& evicted, obs::Gauge& bytes);
   ~TaskTable();
 
   TaskTable(const TaskTable&) = delete;
@@ -76,15 +97,16 @@ class TaskTable {
 
   /// Records a placement: inserts `id` (evicting its stripe's oldest
   /// record when full) or, for a task placed again after a steal,
-  /// overwrites its status. A zero `st.trace` keeps the trace id already
-  /// recorded. `steps` are appended to the timeline.
-  void place(core::TaskId id, const TaskStatus& st,
-             std::span<const Step> steps);
+  /// overwrites its status and appends the new placement's steps.
+  void place(core::TaskId id, const Placed& p);
 
-  /// Appends `step` to a remembered task and moves it to the state the
-  /// step's stage implies. Returns the updated status; nullopt (and
-  /// nothing recorded) for an unknown or evicted id.
-  std::optional<TaskStatus> advance(core::TaskId id, const Step& step);
+  /// Records that `core` began (kExecBegin) or ended (kExecEnd) the
+  /// task at `ns` and moves it to the state the stage implies. Returns
+  /// the updated status; nullopt (and nothing recorded) for an unknown
+  /// or evicted id.
+  std::optional<TaskStatus> advance(core::TaskId id,
+                                    obs::reqtrace::Stage stage,
+                                    std::uint16_t core, std::uint64_t ns);
 
   /// The task's trace id; 0 for an unknown or evicted id.
   [[nodiscard]] std::uint64_t trace_of(core::TaskId id) const;
@@ -110,13 +132,17 @@ class TaskTable {
 
  private:
   struct Record;
+  struct Spilled;
   struct Stripe;
 
   [[nodiscard]] Stripe& stripe_for(core::TaskId id) const;
+  /// Moves the stripe's change in retained bytes into the gauge.
+  void account(Stripe& s);
 
   std::size_t per_stripe_capacity_;
   std::vector<std::unique_ptr<Stripe>> stripes_;
   obs::Counter& evicted_;
+  obs::Gauge& bytes_;
 };
 
 }  // namespace dvfs::svc

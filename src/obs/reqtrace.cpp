@@ -58,6 +58,24 @@ std::optional<Step> to_step(const dfr::Event& e) {
   return std::nullopt;
 }
 
+std::array<Step, 5> placement_steps(const Placement& p) {
+  const double enqueue_s = ns_to_s(p.enqueue_ns);
+  const double place_s = ns_to_s(p.place_ns);
+  return {
+      p.stolen ? Step{Stage::kStealHop, enqueue_s, p.from_shard, p.shard}
+               : Step{Stage::kSubmitRecv, ns_to_s(p.recv_ns), 0, 0},
+      Step{Stage::kRingEnqueue, enqueue_s, p.shard, 0},
+      Step{Stage::kRingDequeue, ns_to_s(p.dequeue_ns), p.shard, 0},
+      Step{Stage::kPlacement, place_s, p.core, p.rate_idx},
+      Step{Stage::kShardQueue, place_s, p.core, p.depth}};
+}
+
+Step exec_step(Stage stage, std::uint16_t core, std::uint64_t ns) {
+  DVFS_REQUIRE(stage == Stage::kExecBegin || stage == Stage::kExecEnd,
+               "exec_step takes an execution stage");
+  return Step{stage, ns_to_s(ns), core, 0};
+}
+
 void sort_steps(std::vector<Step>& steps) {
   std::stable_sort(steps.begin(), steps.end(),
                    [](const Step& x, const Step& y) {

@@ -125,7 +125,8 @@ SchedulingService::SchedulingService(core::EnergyModel model,
       admission_exemplars_(exemplars_.series("svc.admission.latency_us")),
       queue_wait_exemplars_(exemplars_.series("sim.task.queue_wait_us")),
       tasks_(options.status_capacity, options.shards,
-             registry_->counter("svc.status.evicted")) {
+             registry_->counter("svc.status.evicted"),
+             registry_->gauge("svc.status.bytes")) {
   DVFS_REQUIRE(options_.shards >= 1, "service needs at least one shard");
   DVFS_REQUIRE(options_.cores >= options_.shards,
                "service needs at least one core per shard");
@@ -335,10 +336,6 @@ std::optional<TaskStatus> SchedulingService::status(core::TaskId id) const {
   return tasks_.status(id);
 }
 
-double SchedulingService::now_s() const {
-  return std::chrono::duration<double>(Clock::now() - start_time_).count();
-}
-
 void SchedulingService::worker(Shard& shard) {
   // Opt into CPU profiling: the guard registers this thread's stack and
   // CPU clock with the profiler pool (a no-op when no profiler ever
@@ -416,54 +413,41 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
   placed_.inc();
   if (msg.stolen) stolen_.inc();
   const std::uint64_t place_ns = now_ns_since(start_time_);
-  const double place_s = static_cast<double>(place_ns) / 1e9;
+  const double place_s = obs::reqtrace::ns_to_s(place_ns);
   const std::uint64_t latency_us = (place_ns - msg.enqueue_ns) / 1000;
   admission_latency_us_.observe(latency_us);
   admission_exemplars_.observe(latency_us, msg.trace, place_s);
 
-  TaskStatus st;
-  st.shard = static_cast<std::uint16_t>(shard.index);
-  st.core =
-      static_cast<std::uint16_t>(shard.base_core + placement.core);
-  st.rate_idx = static_cast<std::uint16_t>(
-      shard.lmc.queue(placement.core).table().best_rate(placement.rank));
-  st.stolen = msg.stolen;
-  st.cycles = msg.cycles;
-  st.marginal = placement.marginal;
-  st.trace = msg.trace;
-  st.placed_s = place_s;
-
-  const double enqueue_s = static_cast<double>(msg.enqueue_ns) / 1e9;
-  const double dequeue_s = static_cast<double>(dequeue_ns) / 1e9;
-  const double recv_s = static_cast<double>(msg.recv_ns) / 1e9;
-  const auto depth = static_cast<std::uint32_t>(
-      shard.lmc.queue(placement.core).size());
-  const auto shard_u32 = static_cast<std::uint32_t>(shard.index);
-
-  using obs::reqtrace::Stage;
-  using obs::reqtrace::Step;
-  // A stolen task's ingress step was recorded on its first hop; this hop
-  // starts at the steal forward.
-  const Step steps[] = {
-      msg.stolen ? Step{Stage::kStealHop, enqueue_s, msg.from_shard, shard_u32}
-                 : Step{Stage::kSubmitRecv, recv_s, 0, 0},
-      Step{Stage::kRingEnqueue, enqueue_s, shard_u32, 0},
-      Step{Stage::kRingDequeue, dequeue_s, shard_u32, 0},
-      Step{Stage::kPlacement, place_s, st.core, st.rate_idx},
-      Step{Stage::kShardQueue, place_s, st.core, depth}};
-  tasks_.place(msg.id, st, steps);
+  const obs::reqtrace::Placement at{
+      .recv_ns = msg.recv_ns,
+      .enqueue_ns = msg.enqueue_ns,
+      .dequeue_ns = dequeue_ns,
+      .place_ns = place_ns,
+      .shard = static_cast<std::uint16_t>(shard.index),
+      .from_shard = msg.from_shard,
+      .stolen = msg.stolen,
+      .core = static_cast<std::uint16_t>(shard.base_core + placement.core),
+      .rate_idx = static_cast<std::uint16_t>(
+          shard.lmc.queue(placement.core).table().best_rate(placement.rank)),
+      .depth = static_cast<std::uint32_t>(
+          shard.lmc.queue(placement.core).size())};
+  tasks_.place(msg.id, {.trace = msg.trace,
+                        .cycles = msg.cycles,
+                        .marginal = placement.marginal,
+                        .at = at});
 
   if (shard.channel != nullptr) {
     using obs::dfr::Event;
     using obs::dfr::EventType;
+    const auto steps = obs::reqtrace::placement_steps(at);
     // steps[3], the placement, is recorded as the decision record below.
-    for (const Step& s : std::span(steps).first<3>()) {
+    for (const obs::reqtrace::Step& s : std::span(steps).first<3>()) {
       shard.channel->record(obs::reqtrace::to_event(msg.id, msg.trace, s));
     }
 
     Event arrival;
     arrival.type = static_cast<std::uint8_t>(EventType::kTaskArrival);
-    arrival.time_s = enqueue_s;
+    arrival.time_s = obs::reqtrace::ns_to_s(msg.enqueue_ns);
     arrival.task = msg.id;
     arrival.u0 = msg.cycles;
     arrival.aux = static_cast<std::uint16_t>(core::TaskClass::kBatch);
@@ -474,15 +458,15 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
         {.time_s = place_s,
          .scope = obs::dfr::DecisionScope::kNonInteractive,
          .task = msg.id,
-         .core = st.core,
+         .core = at.core,
          .cycles = msg.cycles,
-         .rate_idx = st.rate_idx,
+         .rate_idx = at.rate_idx,
          .flags = msg.stolen ? obs::dfr::kFlagStolen : std::uint8_t{0},
          .cost = placement.marginal,
          .f1 = shard.lmc.total_queue_cost()});
 
     Event shardq = obs::reqtrace::to_event(msg.id, msg.trace, steps[4]);
-    shardq.rate_idx = st.rate_idx;
+    shardq.rate_idx = at.rate_idx;
     shard.channel->record(shardq);
   }
 }
@@ -576,8 +560,8 @@ void SchedulingService::maybe_request_steal(Shard& shard) {
 void SchedulingService::virtual_execute(Shard& shard) {
   const obs::prof::ScopedStage prof_stage(obs::prof::Stage::kExec);
   using obs::reqtrace::Stage;
-  using obs::reqtrace::Step;
-  const double now = now_s();
+  const std::uint64_t now_ns = now_ns_since(start_time_);
+  const double now = obs::reqtrace::ns_to_s(now_ns);
   bool changed = false;
   for (std::size_t c = 0; c < shard.num_cores; ++c) {
     const auto core = static_cast<std::uint16_t>(shard.base_core + c);
@@ -585,10 +569,11 @@ void SchedulingService::virtual_execute(Shard& shard) {
     if (run.active && now >= run.finish_s) {
       run.active = false;
       completed_.inc();
-      const Step end{Stage::kExecEnd, now, core, 0};
-      tasks_.advance(run.id, end);
+      tasks_.advance(run.id, Stage::kExecEnd, core, now_ns);
       if (shard.channel != nullptr) {
-        obs::dfr::Event e = obs::reqtrace::to_event(run.id, run.trace, end);
+        obs::dfr::Event e = obs::reqtrace::to_event(
+            run.id, run.trace,
+            obs::reqtrace::exec_step(Stage::kExecEnd, core, now_ns));
         e.f0 = run.begin_s;
         shard.channel->record(e);
       }
@@ -605,8 +590,9 @@ void SchedulingService::virtual_execute(Shard& shard) {
                                options_.time_scale;
       // The placement recorded trace id and placement instant;
       // dispatching is where queue wait becomes known.
-      const Step begin{Stage::kExecBegin, now, core, 0};
-      if (const auto st = tasks_.advance(next->id, begin); st.has_value()) {
+      if (const auto st =
+              tasks_.advance(next->id, Stage::kExecBegin, core, now_ns);
+          st.has_value()) {
         run.trace = st->trace;
         const auto waited_us = static_cast<std::uint64_t>(
             std::max(0.0, now - st->placed_s) * 1e6);
@@ -614,8 +600,9 @@ void SchedulingService::virtual_execute(Shard& shard) {
         queue_wait_exemplars_.observe(waited_us, run.trace, now);
       }
       if (shard.channel != nullptr) {
-        shard.channel->record(
-            obs::reqtrace::to_event(next->id, run.trace, begin));
+        shard.channel->record(obs::reqtrace::to_event(
+            next->id, run.trace,
+            obs::reqtrace::exec_step(Stage::kExecBegin, core, now_ns)));
       }
     }
   }

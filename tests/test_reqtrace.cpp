@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -252,6 +253,56 @@ TEST(ReqTrace, TimelineJsonMatchesGolden) {
             R"("stage":"exec_begin","t_s":3.5},{"core":5,"dt_s":0.75,)"
             R"("stage":"exec_end","t_s":4.25}],"stolen":true,"task":9,)"
             R"("trace_id":"0123456789abcdef"})");
+}
+
+// The steps of one placement, local and stolen, spelled out field by
+// field: details where the stage rows name them, times through ns_to_s.
+TEST(ReqTrace, PlacementStepsSpellOutOnePlacement) {
+  Placement p{.recv_ns = 1'000,
+              .enqueue_ns = 3'000,
+              .dequeue_ns = 7'000,
+              .place_ns = 15'000,
+              .shard = 1,
+              .from_shard = 0,
+              .stolen = false,
+              .core = 6,
+              .rate_idx = 2,
+              .depth = 70'000};
+  const auto local = placement_steps(p);
+  const Step want[] = {step(Stage::kSubmitRecv, 1e-6),
+                       step(Stage::kRingEnqueue, 3e-6, 1),
+                       step(Stage::kRingDequeue, 7e-6, 1),
+                       step(Stage::kPlacement, 15e-6, 6, 2),
+                       step(Stage::kShardQueue, 15e-6, 6, 70'000)};
+  ASSERT_EQ(local.size(), std::size(want));
+  for (std::size_t i = 0; i < local.size(); ++i) {
+    EXPECT_EQ(local[i], want[i]) << to_string(want[i].stage);
+  }
+  p.stolen = true;
+  p.from_shard = 3;
+  const auto hop = placement_steps(p);
+  EXPECT_EQ(hop[0], step(Stage::kStealHop, 3e-6, 3, 1));
+  for (std::size_t i = 1; i < hop.size(); ++i) EXPECT_EQ(hop[i], local[i]);
+  EXPECT_EQ(exec_step(Stage::kExecBegin, 6, 20'000),
+            step(Stage::kExecBegin, 20e-6, 6));
+  EXPECT_EQ(exec_step(Stage::kExecEnd, 6, 25'000),
+            step(Stage::kExecEnd, 25e-6, 6));
+  EXPECT_THROW((void)exec_step(Stage::kPlacement, 6, 0), std::exception);
+}
+
+// ns_to_s is the conversion std::chrono performs for duration<double>,
+// so times kept in integer nanoseconds rebuild bit for bit.
+TEST(ReqTrace, NsToSecondsMatchesChronoDuration) {
+  for (const std::uint64_t ns :
+       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{999'999'999},
+        std::uint64_t{1} << 32, (std::uint64_t{1} << 53) + 1,
+        std::uint64_t{123'456'789'012'345}}) {
+    const std::chrono::nanoseconds d(static_cast<std::int64_t>(ns));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ns_to_s(ns)),
+              std::bit_cast<std::uint64_t>(
+                  std::chrono::duration<double>(d).count()))
+        << ns;
+  }
 }
 
 // One step per stage, with the details the `.dfr` format documents for

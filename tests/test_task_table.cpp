@@ -1,59 +1,110 @@
-/// Task-table tests: the merged status + timeline record against a
-/// std::unordered_map plus per-stripe FIFO std::deque oracle under seeded
+/// Task-table tests: the compact record of facts against a
+/// std::unordered_map plus per-stripe FIFO std::deque oracle that keeps
+/// every status and step as the shard spelled them out, under seeded
 /// churn (eviction beyond capacity, updates to live and evicted ids,
 /// collisions on one home slot, wrap-around at the end of the index,
-/// index doublings, stolen tasks spilling steps), and concurrent writers
-/// and readers for TSan.
+/// index doublings, stolen tasks and facts that spill), bit-exact times
+/// across the gap widths the record's 32-bit fields hold or spill, the
+/// retained-bytes gauge, and concurrent writers and readers for TSan.
 #include "dvfs/svc/task_table.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <deque>
-#include <initializer_list>
 #include <optional>
-#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "proptest/rng.h"
+#include "dvfs/core/energy_model.h"
 #include "dvfs/svc/service.h"
 
 namespace dvfs::svc {
 namespace {
 
+using obs::reqtrace::Placement;
 using obs::reqtrace::Stage;
 using obs::reqtrace::Step;
 
-Step step(Stage stage, double t, std::uint32_t a = 0, std::uint32_t b = 0) {
-  return Step{stage, t, a, b};
+static_assert(TaskTable::kRecordBytes <= 80,
+              "a never-stolen task's record must stay within 80 bytes");
+
+constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
+constexpr std::uint64_t kMs = 1'000'000;
+
+/// The shard that places `id` when nothing steals it.
+std::uint16_t home(core::TaskId id, std::size_t stripes) {
+  return static_cast<std::uint16_t>(SchedulingService::route(id, stripes));
 }
 
-/// place() with the steps spelled inline.
-void place(TaskTable& table, core::TaskId id, const TaskStatus& st,
-           std::initializer_list<Step> steps) {
-  table.place(id, st, std::span<const Step>(steps.begin(), steps.size()));
+/// A placement of `id` on its home shard: received at `t_ns`, every
+/// later instant 1 ms after the one before.
+Placed placed(core::TaskId id, std::size_t stripes, std::uint64_t trace,
+              std::uint64_t t_ns, std::uint16_t core = 0) {
+  Placed p;
+  p.trace = trace;
+  p.cycles = 1000 + id;
+  p.marginal = 0.5;
+  p.at.recv_ns = t_ns;
+  p.at.enqueue_ns = t_ns + kMs;
+  p.at.dequeue_ns = t_ns + 2 * kMs;
+  p.at.place_ns = t_ns + 3 * kMs;
+  p.at.shard = home(id, stripes);
+  p.at.core = core;
+  p.at.depth = 1;
+  return p;
 }
 
-TaskStatus status_with(std::uint64_t trace, std::uint16_t core = 0) {
+double seconds(std::uint64_t ns) { return static_cast<double>(ns) / 1e9; }
+
+/// The status a placement leaves, spelled out field by field.
+TaskStatus status_from(const Placed& p) {
   TaskStatus st;
-  st.trace = trace;
-  st.core = core;
+  st.shard = p.at.shard;
+  st.core = p.at.core;
+  st.rate_idx = p.at.rate_idx;
+  st.stolen = p.at.stolen;
+  st.cycles = p.cycles;
+  st.marginal = p.marginal;
+  st.trace = p.trace;
+  st.placed_s = seconds(p.at.place_ns);
   return st;
+}
+
+/// The steps a placement leaves, spelled out as the shard wrote them
+/// before the table derived them.
+std::vector<Step> steps_from(const Placement& at) {
+  const double enqueue_s = seconds(at.enqueue_ns);
+  const double place_s = seconds(at.place_ns);
+  return {at.stolen ? Step{Stage::kStealHop, enqueue_s, at.from_shard,
+                           at.shard}
+                    : Step{Stage::kSubmitRecv, seconds(at.recv_ns), 0, 0},
+          Step{Stage::kRingEnqueue, enqueue_s, at.shard, 0},
+          Step{Stage::kRingDequeue, seconds(at.dequeue_ns), at.shard, 0},
+          Step{Stage::kPlacement, place_s, at.core, at.rate_idx},
+          Step{Stage::kShardQueue, place_s, at.core, at.depth}};
+}
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
 }
 
 ::testing::AssertionResult same_status(const TaskStatus& x,
                                        const TaskStatus& y) {
   if (x.state != y.state || x.shard != y.shard || x.core != y.core ||
       x.rate_idx != y.rate_idx || x.stolen != y.stolen ||
-      x.cycles != y.cycles || x.marginal != y.marginal ||
-      x.trace != y.trace || x.placed_s != y.placed_s) {
+      x.cycles != y.cycles || !same_bits(x.marginal, y.marginal) ||
+      x.trace != y.trace || !same_bits(x.placed_s, y.placed_s)) {
     return ::testing::AssertionFailure()
            << "status differs (trace " << x.trace << " vs " << y.trace
-           << ", core " << x.core << " vs " << y.core << ", state "
-           << to_string(x.state) << " vs " << to_string(y.state) << ")";
+           << ", core " << x.core << " vs " << y.core << ", shard "
+           << x.shard << " vs " << y.shard << ", state "
+           << to_string(x.state) << " vs " << to_string(y.state)
+           << ", placed_s " << x.placed_s << " vs " << y.placed_s << ")";
   }
   return ::testing::AssertionSuccess();
 }
@@ -88,6 +139,10 @@ class Oracle {
                             steps.end());
   }
 
+  void place(core::TaskId id, const Placed& p) {
+    place(id, status_from(p), steps_from(p.at));
+  }
+
   std::optional<TaskStatus> advance(core::TaskId id, TaskStatus::State state,
                                     const Step& s) {
     const auto it = by_id_.find(id);
@@ -95,6 +150,20 @@ class Oracle {
     it->second.status.state = state;
     it->second.steps.push_back(s);
     return it->second.status;
+  }
+
+  /// Exec begin or end of `id` on `core` at `ns`, spelled out.
+  std::optional<TaskStatus> advance(core::TaskId id, Stage stage,
+                                    std::uint16_t core, std::uint64_t ns) {
+    return advance(id,
+                   stage == Stage::kExecBegin ? TaskStatus::State::kRunning
+                                              : TaskStatus::State::kCompleted,
+                   Step{stage, seconds(ns), core, 0});
+  }
+
+  [[nodiscard]] const TaskStatus* find(core::TaskId id) const {
+    const auto it = by_id_.find(id);
+    return it == by_id_.end() ? nullptr : &it->second.status;
   }
 
   void expect_matches(const TaskTable& table, core::TaskId id) const {
@@ -118,7 +187,9 @@ class Oracle {
     ASSERT_EQ(tl->steps.size(), want.size()) << "id " << id;
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(tl->steps[i].stage, want[i].stage) << "id " << id;
-      EXPECT_EQ(tl->steps[i].t_s, want[i].t_s) << "id " << id;
+      EXPECT_TRUE(same_bits(tl->steps[i].t_s, want[i].t_s))
+          << "id " << id << " step " << i << ": " << tl->steps[i].t_s
+          << " vs " << want[i].t_s;
       EXPECT_EQ(tl->steps[i].a, want[i].a) << "id " << id;
       EXPECT_EQ(tl->steps[i].b, want[i].b) << "id " << id;
     }
@@ -138,67 +209,111 @@ class Oracle {
   std::uint64_t evicted_ = 0;
 };
 
+/// Advances the table and the oracle alike; their answers must agree.
+::testing::AssertionResult advance_both(TaskTable& table, Oracle& oracle,
+                                        core::TaskId id, Stage stage,
+                                        std::uint16_t core,
+                                        std::uint64_t ns) {
+  const auto got = table.advance(id, stage, core, ns);
+  const auto want = oracle.advance(id, stage, core, ns);
+  if (got.has_value() != want.has_value()) {
+    return ::testing::AssertionFailure()
+           << "id " << id << (got.has_value() ? " answered" : " lost");
+  }
+  return got.has_value() ? same_status(*got, *want)
+                         : ::testing::AssertionSuccess();
+}
+
 /// Drives the table and the oracle through the same seeded operations
-/// over `ids`: first placements, re-placements (the steal path, whose
-/// five extra steps overflow the inline ones), exec begin/end, and
+/// over `ids`: first placements, re-placements (the steal path, and
+/// reused ids), exec begin/end mostly in lifecycle order, and
 /// re-insertion of evicted ids; checks every id after every batch.
+/// Instants advance by gaps at the edges of the record's 32-bit fields
+/// and sometimes step back; placements are sometimes stolen or land on
+/// a shard other than the stripe's, and execution sometimes runs on
+/// another core, so both the compact and the spilled form are exercised.
 /// Stores the index size the table ended with in `*slots`.
 void churn(std::uint64_t seed, std::size_t capacity, std::size_t stripes,
            const std::vector<core::TaskId>& ids, std::size_t ops,
            std::size_t* slots = nullptr) {
   obs::Counter evicted;
-  TaskTable table(capacity, stripes, evicted);
-  Oracle oracle(capacity, stripes);
-  proptest::SplitMix64 rng(seed);
-  double t = 0.0;
-  const auto next_steps = [&](std::size_t n) {
-    std::vector<Step> steps;
-    for (std::size_t i = 0; i < n; ++i) {
-      t += 1.0;  // distinct times: the sorted order is unambiguous
-      steps.push_back(step(static_cast<Stage>(rng.uniform_u64(0, 7)), t,
-                           static_cast<std::uint32_t>(rng.next()),
-                           static_cast<std::uint32_t>(rng.next())));
-    }
-    return steps;
-  };
-  for (std::size_t op = 0; op < ops; ++op) {
-    const core::TaskId id = ids[rng.uniform_index(ids.size())];
-    const std::uint64_t pick = rng.uniform_u64(0, 9);
-    if (pick < 6) {
-      TaskStatus st = status_with(rng.chance(0.2) ? 0 : rng.next() | 1,
-                                  static_cast<std::uint16_t>(op));
-      st.marginal = rng.uniform_real(0.0, 1.0);
-      st.stolen = rng.chance(0.5);
-      const std::vector<Step> steps = next_steps(5);
-      table.place(id, st, steps);
-      oracle.place(id, st, steps);
-    } else {
-      // The table derives the state from the stage; the oracle is told.
-      const bool begin = pick < 8;
-      Step s = next_steps(1).front();
-      s.stage = begin ? Stage::kExecBegin : Stage::kExecEnd;
-      const auto got = table.advance(id, s);
-      const auto want = oracle.advance(
-          id, begin ? TaskStatus::State::kRunning
-                    : TaskStatus::State::kCompleted,
-          s);
-      ASSERT_EQ(got.has_value(), want.has_value()) << "id " << id;
-      if (got.has_value()) {
-        ASSERT_TRUE(same_status(*got, *want));
+  obs::Gauge bytes;
+  {
+    TaskTable table(capacity, stripes, evicted, bytes);
+    Oracle oracle(capacity, stripes);
+    proptest::SplitMix64 rng(seed);
+    std::uint64_t t = std::uint64_t{1} << 40;
+    const auto next_ns = [&] {
+      switch (rng.uniform_u64(0, 15)) {
+        case 0: break;  // the same instant
+        case 1: t += 1; break;
+        case 2: t += k32 - 1; break;
+        case 3: t += k32; break;
+        case 4: t += k32 + rng.uniform_u64(1, 4 * k32); break;
+        case 5: t -= rng.uniform_u64(1, 1000); break;  // a clock step back
+        default: t += rng.uniform_u64(2, 10 * kMs); break;
       }
-    }
-    if (op % 64 == 63 || op + 1 == ops) {
-      for (const core::TaskId check : ids) {
-        oracle.expect_matches(table, check);
-        if (::testing::Test::HasFailure()) {
-          FAIL() << "seed " << seed << " diverged by op " << op;
+      return t;
+    };
+    for (std::size_t op = 0; op < ops; ++op) {
+      const core::TaskId id = ids[rng.uniform_index(ids.size())];
+      const std::uint64_t pick = rng.uniform_u64(0, 9);
+      const TaskStatus* known = oracle.find(id);
+      if (pick < 5) {
+        Placed p;
+        p.trace = rng.chance(0.2) ? 0 : rng.next() | 1;
+        p.cycles = rng.next();
+        p.marginal = rng.uniform_real(0.0, 1.0);
+        p.at.recv_ns = next_ns();
+        p.at.enqueue_ns = next_ns();
+        p.at.dequeue_ns = next_ns();
+        p.at.place_ns = next_ns();
+        p.at.stolen = rng.chance(0.15);
+        p.at.shard = rng.chance(0.85)
+                         ? home(id, stripes)
+                         : static_cast<std::uint16_t>(rng.next());
+        p.at.from_shard = static_cast<std::uint16_t>(rng.next());
+        p.at.core = static_cast<std::uint16_t>(op);
+        p.at.rate_idx = static_cast<std::uint16_t>(rng.next());
+        p.at.depth = static_cast<std::uint32_t>(rng.next());
+        table.place(id, p);
+        oracle.place(id, p);
+      } else {
+        // Mostly the lifecycle order (begin while queued, end while
+        // running) on the placement's core; the table derives the state
+        // from the stage, the oracle is told.
+        const TaskStatus::State state =
+            known != nullptr ? known->state : TaskStatus::State::kQueued;
+        const double p_begin =
+            state == TaskStatus::State::kQueued    ? 0.85
+            : state == TaskStatus::State::kRunning ? 0.15
+                                                   : 0.5;
+        const Stage stage =
+            rng.chance(p_begin) ? Stage::kExecBegin : Stage::kExecEnd;
+        const auto core = known != nullptr && rng.chance(0.8)
+                              ? known->core
+                              : static_cast<std::uint16_t>(rng.next());
+        ASSERT_TRUE(advance_both(table, oracle, id, stage, core, next_ns()));
+      }
+      if (op % 64 == 63 || op + 1 == ops) {
+        for (const core::TaskId check : ids) {
+          oracle.expect_matches(table, check);
+          if (::testing::Test::HasFailure()) {
+            FAIL() << "seed " << seed << " diverged by op " << op;
+          }
         }
+        ASSERT_EQ(table.evicted(), oracle.evicted()) << "seed " << seed;
+        ASSERT_EQ(evicted.value(), oracle.evicted());
+        // The gauge never runs below what the index alone holds (an
+        // unbalanced spill account would wrap far above any bound).
+        ASSERT_GE(bytes.value(),
+                  static_cast<double>(table.index_slots() * 8));
+        ASSERT_LT(bytes.value(), 1e9);
       }
-      ASSERT_EQ(table.evicted(), oracle.evicted()) << "seed " << seed;
-      ASSERT_EQ(evicted.value(), oracle.evicted());
     }
+    if (slots != nullptr) *slots = table.index_slots();
   }
-  if (slots != nullptr) *slots = table.index_slots();
+  EXPECT_EQ(bytes.value(), 0.0) << "a destroyed table takes its bytes back";
 }
 
 /// Ids whose index hash has `bits` low bits all equal to `home`: they
@@ -218,21 +333,30 @@ std::vector<core::TaskId> ids_homing_to(std::uint32_t home, unsigned bits,
 // back sorted; a zero trace id keeps the one recorded.
 TEST(TaskTable, AppendsMergesAndSortsSteps) {
   obs::Counter evicted;
-  TaskTable table(100, 16, evicted);
-  place(table, 1, status_with(42), {step(Stage::kRingEnqueue, 0.5, 0)});
-  place(table, 1, status_with(0), {step(Stage::kSubmitRecv, 0.25)});
-  const auto st = table.advance(1, step(Stage::kExecBegin, 1.0, 2));
+  obs::Gauge bytes;
+  TaskTable table(100, 16, evicted, bytes);
+  table.place(1, placed(1, 16, 42, 500 * kMs));
+  // Placed again with earlier instants and no trace id.
+  table.place(1, placed(1, 16, 0, 250 * kMs));
+  const auto st = table.advance(1, Stage::kExecBegin, 0, 1000 * kMs);
   ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->state, TaskStatus::State::kRunning);
+  EXPECT_EQ(st->placed_s, 0.253);
   const auto t = table.get(1);
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->trace_id, 42u);
-  ASSERT_EQ(t->steps.size(), 3u);
+  ASSERT_EQ(t->steps.size(), 11u);
   EXPECT_EQ(t->steps.front().stage, Stage::kSubmitRecv);
+  EXPECT_EQ(t->steps.front().t_s, 0.25);
+  EXPECT_EQ(t->steps[5].stage, Stage::kSubmitRecv);
+  EXPECT_EQ(t->steps[5].t_s, 0.5);
   EXPECT_EQ(t->steps.back().stage, Stage::kExecBegin);
+  for (std::size_t i = 1; i < t->steps.size(); ++i) {
+    EXPECT_LE(t->steps[i - 1].t_s, t->steps[i].t_s) << i;
+  }
   EXPECT_FALSE(table.get(2).has_value());
   EXPECT_FALSE(table.status(2).has_value());
-  EXPECT_FALSE(table.advance(2, step(Stage::kExecEnd, 2.0)).has_value());
+  EXPECT_FALSE(table.advance(2, Stage::kExecEnd, 0, 2000 * kMs).has_value());
   EXPECT_FALSE(table.get(2).has_value());  // advance never creates
   EXPECT_EQ(table.evicted(), 0u);
 }
@@ -241,9 +365,10 @@ TEST(TaskTable, AppendsMergesAndSortsSteps) {
 // timeline together.
 TEST(TaskTable, EvictsOldestPerStripeBeyondCapacity) {
   obs::Counter evicted;
-  TaskTable table(64, 4, evicted);  // 16 tasks per stripe
+  obs::Gauge bytes;
+  TaskTable table(64, 4, evicted, bytes);  // 16 tasks per stripe
   for (std::uint64_t task = 1; task <= 500; ++task) {
-    place(table, task, status_with(task), {step(Stage::kSubmitRecv, 0.0)});
+    table.place(task, placed(task, 4, task, task * kMs));
   }
   std::size_t found = 0;
   for (std::uint64_t task = 1; task <= 500; ++task) {
@@ -291,14 +416,15 @@ TEST(TaskTable, OneHomeSlotAcrossIndexDoublings) {
 
 TEST(TaskTable, IndexGrowsWithOccupancyNotCapacity) {
   obs::Counter evicted;
-  TaskTable table(std::size_t{1} << 20, 1, evicted);
+  obs::Gauge bytes;
+  TaskTable table(std::size_t{1} << 20, 1, evicted, bytes);
   EXPECT_EQ(table.index_slots(), 16u);
   for (core::TaskId id = 1; id <= 100; ++id) {
-    place(table, id, status_with(id), {step(Stage::kSubmitRecv, 0.0)});
+    table.place(id, placed(id, 1, id, id * kMs));
   }
   EXPECT_EQ(table.index_slots(), 256u);  // >= 2 x live, a power of two
   for (core::TaskId id = 101; id <= 3000; ++id) {
-    place(table, id, status_with(id), {step(Stage::kSubmitRecv, 0.0)});
+    table.place(id, placed(id, 1, id, id * kMs));
   }
   EXPECT_EQ(table.index_slots(), 8192u);  // nine doublings from 16
   for (core::TaskId id = 1; id <= 3000; id += 37) {
@@ -310,22 +436,21 @@ TEST(TaskTable, IndexGrowsWithOccupancyNotCapacity) {
 
 TEST(TaskTable, StolenTaskSpillsStepsAndEvictionDropsThem) {
   obs::Counter evicted;
-  TaskTable table(2, 1, evicted);
-  // First placement, then a steal re-placement: ten steps, three spill.
-  place(table, 7, status_with(99), {step(Stage::kSubmitRecv, 0.0),
-                                   step(Stage::kRingEnqueue, 0.1),
-                                   step(Stage::kRingDequeue, 0.2),
-                                   step(Stage::kPlacement, 0.3, 1, 2),
-                                   step(Stage::kShardQueue, 0.3, 1, 5)});
-  TaskStatus moved = status_with(99, 6);
-  moved.stolen = true;
-  place(table, 7, moved, {step(Stage::kStealHop, 0.4, 0, 1),
-                         step(Stage::kRingEnqueue, 0.4, 1),
-                         step(Stage::kRingDequeue, 0.5, 1),
-                         step(Stage::kPlacement, 0.6, 6, 0),
-                         step(Stage::kShardQueue, 0.6, 6, 1)});
-  table.advance(7, step(Stage::kExecBegin, 0.7, 6));
-  table.advance(7, step(Stage::kExecEnd, 0.9, 6));
+  obs::Gauge bytes;
+  TaskTable table(2, 1, evicted, bytes);
+  // First placement, then a steal re-placement on another shard: ten
+  // steps, all in the spill map from then on.
+  table.place(7, placed(7, 1, 99, 0, 1));
+  const double compact = bytes.value();
+  Placed moved = placed(7, 1, 99, 400 * kMs, 6);
+  moved.at.stolen = true;
+  moved.at.from_shard = 0;
+  moved.at.shard = 1;
+  table.place(7, moved);
+  EXPECT_GT(bytes.value(), compact);
+  table.advance(7, Stage::kExecBegin, 6, 700 * kMs);
+  table.advance(7, Stage::kExecEnd, 6, 900 * kMs);
+  const double spilled = bytes.value();
   const auto t = table.get(7);
   ASSERT_TRUE(t.has_value());
   ASSERT_EQ(t->steps.size(), 12u);
@@ -337,31 +462,243 @@ TEST(TaskTable, StolenTaskSpillsStepsAndEvictionDropsThem) {
   ASSERT_TRUE(st.has_value());
   EXPECT_TRUE(st->stolen);
   EXPECT_EQ(st->core, 6u);
+  EXPECT_EQ(st->shard, 1u);
   EXPECT_EQ(st->state, TaskStatus::State::kCompleted);
   // Evict 7, then bring the id back: none of its old steps may return.
-  place(table, 8, status_with(1), {step(Stage::kSubmitRecv, 1.0)});
-  place(table, 9, status_with(2), {step(Stage::kSubmitRecv, 1.1)});
+  // The spill entry's bytes go with it (its map keeps its buckets).
+  table.place(8, placed(8, 1, 1, 1000 * kMs));
+  table.place(9, placed(9, 1, 2, 1100 * kMs));
   EXPECT_FALSE(table.get(7).has_value());
-  place(table, 7, status_with(3), {step(Stage::kSubmitRecv, 2.0)});
+  table.place(7, placed(7, 1, 3, 2000 * kMs));
   const auto again = table.get(7);
   ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->steps.size(), 1u);
+  EXPECT_EQ(again->steps.size(), 5u);
   EXPECT_EQ(again->trace_id, 3u);
   EXPECT_EQ(table.evicted(), 2u);
+  EXPECT_LT(bytes.value(), spilled);
+  EXPECT_LT(bytes.value() - compact, 1024.0);
+  // A stream of stolen tasks through the full ring holds steady: each
+  // eviction takes its task's spill entry and step bytes along.
+  double steady = 0.0;
+  for (core::TaskId id = 100; id < 1100; ++id) {
+    table.place(id, placed(id, 1, id, id * kMs));
+    table.place(id, moved);
+    if (id == 199) steady = bytes.value();
+  }
+  EXPECT_EQ(bytes.value(), steady);
+}
+
+// Every gap between consecutive instants is either held exactly in the
+// record or, from 2^32 ns up, spilled; either way each time comes back
+// bit for bit as the shard formed it, for every one of the five gaps.
+TEST(TaskTable, ExactTimesAcrossGapWidths) {
+  const std::uint64_t widths[] = {0, 1, k32 - 1, k32, k32 + 1, 5 * k32 + 3};
+  proptest::SplitMix64 rng(0x5eed);
+  core::TaskId id = 0;
+  for (const std::uint64_t width : widths) {
+    for (std::size_t at_gap = 0; at_gap < 5; ++at_gap) {
+      obs::Counter evicted;
+      obs::Gauge bytes;
+      TaskTable table(64, 2, evicted, bytes);
+      Oracle oracle(64, 2);
+      const double empty = bytes.value();
+      ++id;
+      // Seeded instants: a base anywhere in ~52 days of uptime, gaps of
+      // up to 10 ms except the one under test.
+      std::uint64_t instants[6];
+      instants[0] = rng.uniform_u64(0, std::uint64_t{1} << 52);
+      for (std::size_t i = 1; i < 6; ++i) {
+        instants[i] = instants[i - 1] +
+                      (i - 1 == at_gap ? width : rng.uniform_u64(0, 10 * kMs));
+      }
+      Placed p = placed(id, 2, rng.next() | 1, instants[0], 3);
+      p.at.enqueue_ns = instants[1];
+      p.at.dequeue_ns = instants[2];
+      p.at.place_ns = instants[3];
+      p.at.rate_idx = 2;
+      p.at.depth = static_cast<std::uint32_t>(rng.next());
+      p.marginal = rng.uniform_real(0.0, 1e6);
+      table.place(id, p);
+      oracle.place(id, p);
+      oracle.expect_matches(table, id);
+      EXPECT_TRUE(advance_both(table, oracle, id, Stage::kExecBegin, 3,
+                               instants[4]));
+      oracle.expect_matches(table, id);
+      EXPECT_TRUE(
+          advance_both(table, oracle, id, Stage::kExecEnd, 3, instants[5]));
+      oracle.expect_matches(table, id);
+      // Only a gap the 32-bit field cannot hold costs a spill entry; the
+      // rest is the chunk the first record allocated.
+      const double chunk = 64.0 / 2 * TaskTable::kRecordBytes;
+      if (width < k32) {
+        EXPECT_EQ(bytes.value() - empty, chunk)
+            << "width " << width << " at gap " << at_gap;
+      } else {
+        EXPECT_GT(bytes.value() - empty, chunk)
+            << "width " << width << " at gap " << at_gap;
+      }
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "width " << width << " at gap " << at_gap;
+      }
+    }
+  }
+}
+
+// An id evicted before it runs records nothing when execution reaches
+// it: no status, no timeline, no bytes.
+TEST(TaskTable, ExecAfterEvictionRecordsNothing) {
+  obs::Counter evicted;
+  obs::Gauge bytes;
+  TaskTable table(2, 1, evicted, bytes);
+  Oracle oracle(2, 1);
+  for (core::TaskId id = 1; id <= 3; ++id) {
+    const Placed p = placed(id, 1, 10 + id, id * kMs, 1);
+    table.place(id, p);
+    oracle.place(id, p);
+  }
+  const double held = bytes.value();
+  EXPECT_FALSE(table.advance(1, Stage::kExecBegin, 1, 10 * kMs).has_value());
+  EXPECT_FALSE(table.advance(1, Stage::kExecEnd, 1, 11 * kMs).has_value());
+  EXPECT_FALSE(table.get(1).has_value());
+  // The live ones still take their steps.
+  for (core::TaskId id = 2; id <= 3; ++id) {
+    EXPECT_TRUE(
+        advance_both(table, oracle, id, Stage::kExecBegin, 1, 12 * kMs));
+    EXPECT_TRUE(advance_both(table, oracle, id, Stage::kExecEnd, 1, 13 * kMs));
+  }
+  for (core::TaskId id = 1; id <= 3; ++id) oracle.expect_matches(table, id);
+  EXPECT_EQ(bytes.value(), held);
+  EXPECT_EQ(table.evicted(), 1u);
+}
+
+// A task whose first record is a steal hop (its origin record already
+// evicted) and which is then stolen again and placed a third time.
+TEST(TaskTable, StolenTaskPlacedAgainMatchesOracle) {
+  obs::Counter evicted;
+  obs::Gauge bytes;
+  TaskTable table(16, 4, evicted, bytes);
+  Oracle oracle(16, 4);
+  const core::TaskId id = 77;
+  Placed hop = placed(id, 4, 0, 100 * kMs, 5);
+  hop.at.stolen = true;
+  hop.at.from_shard = home(id, 4);
+  hop.at.shard = static_cast<std::uint16_t>((home(id, 4) + 1) % 4);
+  table.place(id, hop);
+  oracle.place(id, hop);
+  oracle.expect_matches(table, id);
+  Placed again = placed(id, 4, 0, 200 * kMs, 2);
+  again.at.stolen = true;
+  again.at.from_shard = hop.at.shard;
+  again.at.shard = home(id, 4);
+  table.place(id, again);
+  oracle.place(id, again);
+  oracle.expect_matches(table, id);
+  const Placed third = placed(id, 4, 0, 300 * kMs, 2);
+  table.place(id, third);
+  oracle.place(id, third);
+  EXPECT_TRUE(advance_both(table, oracle, id, Stage::kExecBegin, 2, 400 * kMs));
+  EXPECT_TRUE(advance_both(table, oracle, id, Stage::kExecEnd, 2, 500 * kMs));
+  oracle.expect_matches(table, id);
+  const auto t = table.get(id);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_EQ(t->hops(), 2u);
+  EXPECT_EQ(t->steps.size(), 17u);
+  EXPECT_FALSE(table.status(id)->stolen);  // the last placement was local
+}
+
+// A placement without a trace id keeps the one recorded, whether the
+// record is still compact or already spilled; a first placement without
+// one records 0 until a later placement brings one.
+TEST(TaskTable, ZeroTraceIdKeepsTheRecordedOne) {
+  obs::Counter evicted;
+  obs::Gauge bytes;
+  TaskTable table(32, 2, evicted, bytes);
+  Oracle oracle(32, 2);
+  const auto both = [&](core::TaskId id, const Placed& p) {
+    table.place(id, p);
+    oracle.place(id, p);
+    oracle.expect_matches(table, id);
+  };
+  both(1, placed(1, 2, 9, 0));
+  both(1, placed(1, 2, 0, kMs));  // compact → spilled, trace kept
+  EXPECT_EQ(table.trace_of(1), 9u);
+  both(1, placed(1, 2, 0, 2 * kMs));  // already spilled, trace kept
+  EXPECT_EQ(table.get(1)->trace_id, 9u);
+  both(2, placed(2, 2, 0, 0));
+  EXPECT_EQ(table.trace_of(2), 0u);
+  both(2, placed(2, 2, 5, kMs));
+  EXPECT_EQ(table.status(2)->trace, 5u);
+}
+
+// svc.status.bytes follows occupancy one 1024-record chunk at a time,
+// whatever the capacity, and 100k never-stolen tasks retain at most
+// 100 bytes each with the index counted.
+TEST(TaskTable, RetainedBytesGrowByChunkWithOccupancy) {
+  obs::Counter evicted;
+  obs::Gauge big_bytes;
+  obs::Gauge huge_bytes;
+  constexpr double kChunk = 1024.0 * TaskTable::kRecordBytes;
+  {
+    TaskTable big(std::size_t{1} << 20, 1, evicted, big_bytes);
+    TaskTable huge(std::size_t{1} << 22, 1, evicted, huge_bytes);
+    const double empty = big_bytes.value();
+    EXPECT_EQ(huge_bytes.value(), empty);
+    EXPECT_LT(empty, 1024.0);  // no record allocated up front
+    const auto index_bytes = [&] {
+      return static_cast<double>(big.index_slots()) * 8.0;
+    };
+    const double fixed = empty - index_bytes();
+    for (core::TaskId id = 1; id <= 100'000; ++id) {
+      big.place(id, placed(id, 1, id, id * kMs));
+      huge.place(id, placed(id, 1, id, id * kMs));
+      if (id == 1 || id == 1024 || id == 1025 || id == 2048 || id == 2049) {
+        const double chunks = static_cast<double>((id + 1023) / 1024);
+        EXPECT_EQ(big_bytes.value(), fixed + chunks * kChunk + index_bytes())
+            << "after " << id << " tasks";
+      }
+    }
+    EXPECT_EQ(huge_bytes.value(), big_bytes.value());
+    EXPECT_LE((big_bytes.value() - fixed) / 100'000, 100.0);
+    EXPECT_EQ(big.evicted(), 0u);
+  }
+  EXPECT_EQ(big_bytes.value(), 0.0);
+  EXPECT_EQ(huge_bytes.value(), 0.0);
+}
+
+// The service publishes the gauge in its registry (so on /metrics).
+TEST(TaskTable, ServicePublishesRetainedBytes) {
+  obs::Registry registry;
+  ServiceOptions opts;
+  opts.registry = &registry;
+  {
+    SchedulingService svc(core::EnergyModel::icpp2014_table2(),
+                          core::CostParams{.re = 0.4, .rt = 0.1}, opts);
+    const double empty = registry.gauge("svc.status.bytes").value();
+    EXPECT_GT(empty, 0.0);
+    svc.start();
+    for (core::TaskId id = 1; id <= 10; ++id) {
+      ASSERT_TRUE(svc.submit(id, 1'000'000).accepted);
+    }
+    svc.drain();
+    EXPECT_GE(registry.gauge("svc.status.bytes").value(),
+              empty + 1024.0 * TaskTable::kRecordBytes);
+  }
+  EXPECT_EQ(registry.gauge("svc.status.bytes").value(), 0.0);
 }
 
 TEST(TaskTable, ConcurrentWritersAndReaders) {
   // Two writers on disjoint ids (like two shard workers) share stripes
   // with a reader polling both; run under TSan in CI.
   obs::Counter evicted;
-  TaskTable table(4096, 2, evicted);
+  obs::Gauge bytes;
+  TaskTable table(4096, 2, evicted, bytes);
   constexpr core::TaskId kPerWriter = 20'000;
   std::atomic<bool> done{false};
   const auto writer = [&](core::TaskId base) {
     for (core::TaskId i = 1; i <= kPerWriter; ++i) {
       const core::TaskId id = base + i;
-      place(table, id, status_with(id), {step(Stage::kPlacement, 0.0)});
-      table.advance(id, step(Stage::kExecBegin, 1.0));
+      table.place(id, placed(id, 2, id, i * kMs));
+      table.advance(id, Stage::kExecBegin, 0, i * kMs + 5 * kMs);
     }
   };
   std::thread reader([&] {
@@ -384,7 +721,7 @@ TEST(TaskTable, ConcurrentWritersAndReaders) {
   for (core::TaskId id = 1; id <= 2 * kPerWriter; ++id) {
     if (const auto tl = table.get(id); tl.has_value()) {
       ++found;
-      EXPECT_EQ(tl->steps.size(), 2u) << id;
+      EXPECT_EQ(tl->steps.size(), 6u) << id;
     }
   }
   EXPECT_EQ(found, 4096u);

@@ -76,7 +76,8 @@ constexpr const char* kUsage =
     "  --steal-ratio R      steal when max/min shard queue cost exceeds\n"
     "                       R (4.0; 0 disables work stealing)\n"
     "  --status-capacity N  remembered tasks for /schedule and\n"
-    "                       /tasks/{id}/trace, FIFO-evicted (1M)\n"
+    "                       /tasks/{id}/trace, FIFO-evicted (1M;\n"
+    "                       ~88 MiB when full, held as it fills)\n"
     "  --serve-seconds N    exit after N s (0 = until SIGINT/SIGTERM;\n"
     "                       both drain gracefully and flush outputs)\n";
 

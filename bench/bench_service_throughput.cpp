@@ -70,7 +70,6 @@ Outcome run_config(const Config& cfg, bool profiled = false) {
   // most ring_capacity placements deep) while staying large enough that
   // producers rarely spin.
   opts.ring_capacity = std::size_t{1} << 10;
-  opts.steal_ratio = 0.0;  // measure pure admission, not migration
   opts.registry = &registry;
   svc::SchedulingService svc(core::EnergyModel::icpp2014_table2(),
                              core::CostParams{0.4, 0.1}, opts);

@@ -23,7 +23,7 @@
 ///    thread drains the rings every few milliseconds.
 ///
 ///  * **Attribution.** Thread-local stage/shard markers — plain TLS
-///    stores, set by the scheduler at drain/placement/steal/exec
+///    stores, set by the scheduler at drain/placement/exec
 ///    boundaries — ride inside every sample, so profiles break down by
 ///    pipeline stage and join against PR 8 trace timelines.
 ///
@@ -68,7 +68,7 @@ enum class Stage : std::uint8_t {
   kDrain = 2,      ///< popping + routing admission-ring batches
   kPlacement = 3,  ///< LMC placement (Eq. 27 / range-tree work)
   kExec = 4,       ///< (virtual) execution bookkeeping
-  kSteal = 5,      ///< serving a work-steal request
+  kSteal = 5,      ///< serving a work-steal request (older recordings)
   kHttp = 6,       ///< HTTP request handling
 };
 inline constexpr std::size_t kNumStages = 7;

@@ -133,14 +133,16 @@ enum class EventType : std::uint8_t {
   kSubmitRecv = 16,
   /// The admission message was pushed onto a shard's MPSC ring.
   /// core = shard index, time = the push instant. Emitted once per hop
-  /// (a steal forward re-enqueues, so stolen tasks have two).
+  /// (older recordings' steal forwards re-enqueue, so their stolen tasks
+  /// have two).
   kRingEnqueue = 17,
   /// The shard worker popped the message from its ring. core = shard
   /// index, time = the batch-pop instant.
   kRingDequeue = 18,
   /// The task migrated shards through a work-steal forward. aux = the
   /// shard it left (the steal victim), core = the shard it joined,
-  /// time = the forward instant.
+  /// time = the forward instant. Only older recordings hold it: the
+  /// service now balances shards at admission and never migrates.
   kStealHop = 19,
   /// The task entered a per-core run queue after placement.
   /// core = global core index, rate_idx = assigned rate step,
@@ -168,6 +170,7 @@ inline constexpr std::uint8_t kFlagPreempted = 0x01;
 inline constexpr std::uint8_t kFlagChosen = 0x02;
 /// kPlacement by the scheduling service for a task that migrated shards
 /// through a work-steal forward (flag addition only — no version bump).
+/// Only older recordings set it.
 inline constexpr std::uint8_t kFlagStolen = 0x04;
 
 /// Which policy callback a kDecision event closed (Event::aux).

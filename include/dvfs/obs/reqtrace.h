@@ -4,9 +4,10 @@
 /// Aggregate histograms answer "how slow is admission p99"; this layer
 /// answers "why was *this* task slow". Every submitted task gets a 64-bit
 /// trace id at ingress, and each lifecycle stage — submission receipt,
-/// admission-ring enqueue/dequeue, steal migration, LMC placement, run-
-/// queue insertion, virtual execution — becomes one `Step` on the task's
-/// timeline. The same step stream exists in two places:
+/// admission-ring enqueue/dequeue, LMC placement, run-queue insertion,
+/// virtual execution — becomes one `Step` on the task's timeline (steal
+/// migrations, too, in recordings of daemons that still stole work). The
+/// same step stream exists in two places:
 ///
 ///  * **Live**: the service keeps each task's lifecycle as facts in its
 ///    bounded task table (svc/task_table.h), which rebuilds the steps
@@ -63,7 +64,8 @@ namespace dvfs::obs::reqtrace {
 /// causal order.
 enum class Stage : std::uint8_t {
   kSubmitRecv = 0,   ///< accepted at the submission boundary
-  kStealHop = 1,     ///< migrated shards via a work-steal forward
+  kStealHop = 1,     ///< migrated shards via a work-steal forward (older
+                     ///< recordings only)
   kRingEnqueue = 2,  ///< pushed onto a shard's admission ring
   kRingDequeue = 3,  ///< popped by the shard worker
   kPlacement = 4,    ///< LMC placement decision
@@ -196,23 +198,20 @@ constexpr void for_each_detail(const Step& s, F&& f) {
 }
 
 /// The facts one pass of a task through a shard leaves behind: when it
-/// arrived (or was forwarded by a steal), crossed the shard's admission
-/// ring and was placed, and what the placement chose.
+/// arrived, crossed the shard's admission ring and was placed, and what
+/// the placement chose.
 struct Placement {
-  std::uint64_t recv_ns = 0;     ///< submission boundary (first hop only)
-  std::uint64_t enqueue_ns = 0;  ///< ring push (the steal forward on a hop)
+  std::uint64_t recv_ns = 0;     ///< submission boundary
+  std::uint64_t enqueue_ns = 0;  ///< ring push
   std::uint64_t dequeue_ns = 0;  ///< worker pop
   std::uint64_t place_ns = 0;    ///< placement decision
   std::uint16_t shard = 0;       ///< shard that placed the task
-  std::uint16_t from_shard = 0;  ///< steal victim (stolen hops only)
-  bool stolen = false;           ///< forwarded by a work steal
   std::uint16_t core = 0;        ///< global core index
   std::uint16_t rate_idx = 0;
   std::uint32_t depth = 0;  ///< the core's queue length after the insert
 };
 
-/// The steps of one placement, in causal order: submit_recv (steal_hop
-/// for a stolen hop, whose ingress was recorded on its first hop),
+/// The steps of one placement, in causal order: submit_recv,
 /// ring_enqueue, ring_dequeue, placement, shard_queue. The only writer
 /// of these steps: the shard records them and the task table rebuilds
 /// them from the same facts.

@@ -12,11 +12,11 @@
 ///                           backpressure), 400 on malformed JSON or
 ///                           any invalid task (then nothing is admitted)
 ///   GET  /schedule/{id}     → 200 placement decision JSON (state,
-///                           shard, core, rate_idx, stolen, trace_id,
+///                           shard, core, rate_idx, trace_id,
 ///                           ...) | 400 bad id | 404 unknown
 ///   GET  /tasks/{id}/trace  → 200 reconstructed request timeline JSON
-///                           (steps with per-stage durations, steal
-///                           hops, the admission critical stage) | 400 |
+///                           (steps with per-stage durations, the
+///                           admission critical stage) | 400 |
 ///                           404 unknown or evicted
 ///
 /// Handlers run on the server thread and only touch the service's

@@ -2,10 +2,10 @@
 /// \brief Bounded lock-free multi-producer/single-consumer ring.
 ///
 /// The admission path of the scheduling service (svc/service.h): any
-/// number of submitter threads (HTTP handler, bench producers, peer
-/// shards forwarding stolen work) push fixed-size messages into the ring
-/// of the shard that owns the task; the shard's worker thread is the only
-/// consumer.
+/// number of submitter threads (the HTTP handler, bench producers,
+/// in-process callers of `submit()`) push fixed-size messages into the
+/// ring of the shard admission chose; the shard's worker thread is the
+/// only consumer.
 ///
 /// The design is the classic bounded sequence-number queue (Vyukov),
 /// restricted to one consumer:

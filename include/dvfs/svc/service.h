@@ -4,12 +4,17 @@
 /// Promotes the paper's run-to-completion Least Marginal Cost scheduler
 /// into an online service that admits a continuous task stream:
 ///
-///  * **Admission.** `submit()` routes each task by a stable hash of its
-///    id to one of N shards and pushes a fixed-size message into that
-///    shard's lock-free MPSC ring (svc/mpsc_ring.h). A batch is grouped
-///    by shard and each group claimed with one ring operation. A full
-///    ring rejects the submission — backpressure is returned to the
-///    caller (the HTTP layer answers 503), never silently queued.
+///  * **Admission.** `submit()` sends each task to the shard with the
+///    least outstanding cycles per owned core (ties go to the shard with
+///    more cores, then to `route(id)`, a stable hash of the id) and
+///    pushes a fixed-size message into that shard's lock-free MPSC ring
+///    (svc/mpsc_ring.h). Producers add the cycles they admit to a
+///    per-shard tally and take back what a full ring refused; the
+///    shard's worker subtracts what it dispatches. A batch is routed
+///    task by task against the tallies plus its own earlier tasks,
+///    grouped by shard, and each group claimed with one ring operation.
+///    A full ring rejects the submission — backpressure is returned to
+///    the caller (the HTTP layer answers 503), never silently queued.
 ///
 ///  * **Shards.** Each shard owns a contiguous subset of the platform's
 ///    cores and runs a private `core::LmcScheduler` over exactly those
@@ -18,22 +23,15 @@
 ///    places every task with the Eq. 27 / Algorithm 4–6 machinery,
 ///    untouched. All LMC state is thread-confined: no locks on the
 ///    decision path, and a sharded run over a partitioned core set makes
-///    *identical* decisions to N independent schedulers (the
-///    differential oracle in test_svc_service.cpp holds this).
+///    *identical* decisions to N independent schedulers fed the streams
+///    the tickets name (the differential oracle in test_svc_service.cpp
+///    holds this).
 ///
-///  * **Work stealing.** Shards publish their queue cost after every
-///    batch. An idle shard whose cost has fallen behind the richest
-///    shard's by `steal_ratio` posts a steal *request* into the rich
-///    shard's ring; the rich shard pops tasks from its own queues (its
-///    thread owns them) and forwards them as ordinary submissions to the
-///    requester. Stealing is therefore pure message passing — shard
-///    state never crosses a thread boundary.
-///
-///  * **Drain.** `drain()` closes admission, lets every in-flight
-///    message (including outstanding steals) reach a queue, then stops
-///    the workers. Queued-but-unexecuted decisions stay queryable; the
-///    caller flushes the recorder/metrics epilogue afterwards. This is
-///    what `dvfs_execute --serve` runs on SIGINT/SIGTERM.
+///  * **Drain.** `drain()` closes admission, waits for in-flight
+///    submits, then stops the workers, each once its ring reads empty.
+///    Queued-but-unexecuted decisions stay queryable; the caller flushes
+///    the recorder/metrics epilogue afterwards. This is what
+///    `dvfs_execute --serve` runs on SIGINT/SIGTERM.
 ///
 /// Everything observable goes through the metrics registry (`svc.*`
 /// counters/gauges/histograms; `svc.admission.latency_us` feeds the
@@ -66,28 +64,17 @@ namespace dvfs::svc {
 
 /// Fixed-size admission-ring message (POD, like a recorder event).
 struct Msg {
-  enum class Kind : std::uint8_t {
-    kSubmit = 0,        ///< place `id`/`cycles` on the receiving shard
-    kStealRequest = 1,  ///< `from_shard` asks for up to `steal_want` tasks
-  };
-  Kind kind = Kind::kSubmit;
-  bool stolen = false;  ///< submit forwarded by a rich shard's steal reply
-  std::uint16_t from_shard = 0;
-  std::uint16_t steal_want = 0;
   core::TaskId id = 0;
   Cycles cycles = 0;
-  /// steady-clock nanoseconds at the ring push of *this hop* (a steal
-  /// forward resets it); admission latency is measured against the
-  /// placement instant.
+  /// steady-clock nanoseconds at the ring push; admission latency is
+  /// measured against the placement instant.
   std::uint64_t enqueue_ns = 0;
-  /// steady-clock nanoseconds at the original submission boundary.
-  /// Rides in the message because the shard worker — the only thread
-  /// allowed to write the shard's SPSC recorder channel — emits the
-  /// ingress span event after dequeue. 0 on steal forwards (the ingress
-  /// event was already emitted on the first hop).
+  /// steady-clock nanoseconds at the submission boundary. Rides in the
+  /// message because the shard worker — the only thread allowed to write
+  /// the shard's SPSC recorder channel — emits the ingress span event
+  /// after dequeue.
   std::uint64_t recv_ns = 0;
-  /// 64-bit request-trace id assigned at ingress; preserved across
-  /// steal hops (0 when the origin's task record was already evicted).
+  /// 64-bit request-trace id assigned at ingress.
   std::uint64_t trace = 0;
 };
 
@@ -109,12 +96,6 @@ struct ServiceOptions {
   /// shard on purpose (never drains while serving) — the backpressure /
   /// 503 smoke-test hook; `drain()` still flushes.
   std::size_t max_batch = 256;
-  /// Steal when the richest shard's queue cost exceeds an idle shard's
-  /// by this factor. 0 disables work stealing.
-  double steal_ratio = 4.0;
-  /// The rich shard must hold at least this many queued tasks before
-  /// anyone bothers stealing from it.
-  std::size_t steal_min_queue = 8;
   /// Bound on remembered tasks, covering both the decision status and
   /// the request timeline; oldest entries are evicted first (a
   /// long-running daemon cannot keep every ticket forever).
@@ -170,18 +151,17 @@ class SchedulingService {
   /// One-task admission: a batch of one.
   Ticket submit(core::TaskId id, Cycles cycles);
 
-  /// Closes admission, waits until every in-flight message (submissions
-  /// and steals) has been handled, then joins the workers. Idempotent.
-  /// Shards flush their rings with a real batch size even under
-  /// max_batch = 0.
+  /// Closes admission, waits for in-flight submits, then joins the
+  /// workers, each of which exits once it has emptied its ring.
+  /// Idempotent. Shards flush their rings with a real batch size even
+  /// under max_batch = 0.
   void drain();
 
   /// Decision lookup; nullopt for unknown (or evicted) ids.
   [[nodiscard]] std::optional<TaskStatus> status(core::TaskId id) const;
 
-  /// The shard submit() would route `id` to — exposed so tests can
-  /// reconstruct per-shard admission streams, and so clients can aim at
-  /// a shard deliberately.
+  /// The stable hash shard of `id`: where submit() sends it when shards
+  /// tie on load and core count, and the task table's stripe for it.
   [[nodiscard]] static std::size_t route(core::TaskId id,
                                          std::size_t shards);
 
@@ -196,7 +176,6 @@ class SchedulingService {
   [[nodiscard]] std::uint64_t rejected() const;
   [[nodiscard]] std::uint64_t placed() const;
   [[nodiscard]] std::uint64_t completed() const;
-  [[nodiscard]] std::uint64_t stolen() const;
 
   /// Per-shard introspection (tests, /metrics labels).
   [[nodiscard]] std::size_t shard_queue_len(std::size_t shard) const;
@@ -218,8 +197,6 @@ class SchedulingService {
 
   void worker(Shard& shard);
   void handle_submit(Shard& shard, const Msg& msg, std::uint64_t dequeue_ns);
-  void serve_steal(Shard& shard, const Msg& msg);
-  void maybe_request_steal(Shard& shard);
   void virtual_execute(Shard& shard);
   void publish_gauges(Shard& shard);
 
@@ -246,17 +223,15 @@ class SchedulingService {
   obs::Counter& rejected_;
   obs::Counter& placed_;
   obs::Counter& completed_;
-  obs::Counter& stolen_;
-  obs::Counter& steal_requests_;
   obs::Histogram& admission_latency_us_;
   obs::Histogram& batch_size_;
   obs::Histogram& queue_wait_us_;
   obs::reqtrace::ExemplarSeries& admission_exemplars_;
   obs::reqtrace::ExemplarSeries& queue_wait_exemplars_;
 
-  // Per-task status and timeline, striped by the admission route so a
-  // stolen task is still found under its original stripe. Writes come
-  // from the shard threads, reads from HTTP lookups.
+  // Per-task status and timeline, striped by route(id) so a lookup needs
+  // only the id. Writes come from the shard threads, reads from HTTP
+  // lookups.
   TaskTable tasks_;
 };
 

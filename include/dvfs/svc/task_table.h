@@ -7,16 +7,16 @@
 /// the instants of its lifecycle (its timeline, served by GET
 /// /tasks/{id}/trace). A shard worker touches the record once at
 /// placement, once when virtual execution begins and once when it ends,
-/// each time under one stripe lock and, for a task that was never
-/// stolen, with no heap allocation.
+/// each time under one stripe lock and, for a task placed once, with no
+/// heap allocation.
 ///
 /// A record stores facts, not steps: the id, trace id, cycles, marginal
-/// cost, core, rate index and queue depth of the placement, the
+/// cost, shard, core, rate index and queue depth of the placement, the
 /// submission instant in integer nanoseconds and each later instant as a
-/// 32-bit nanosecond gap after the one before it. The status's state,
-/// shard, `stolen` and `placed_s`, and every step with its details, are
-/// derived on read (`obs::reqtrace::placement_steps`), so each time comes
-/// back bit for bit as the shard recorded it.
+/// 32-bit nanosecond gap after the one before it. The status's state and
+/// `placed_s`, and every step with its details, are derived on read
+/// (`obs::reqtrace::placement_steps`), so each time comes back bit for
+/// bit as the shard recorded it.
 ///
 /// Layout, per stripe:
 ///
@@ -30,15 +30,13 @@
 ///    pass half full, so it too grows with occupancy.
 ///  * **Spill**: a task whose facts do not fit the record moves its
 ///    whole status and step list to a side map: a task placed again (a
-///    steal, or a reused id), a placement on a shard other than its
-///    stripe's, an instant before the one it follows or more than
+///    reused id), an instant before the one it follows or more than
 ///    2^32 - 1 ns after it, and execution steps out of lifecycle order
 ///    or on a core other than the placement's.
 ///
-/// Stripes follow the service's admission route, so a shard's worker
-/// writes mostly its own stripe, and stripe i holds the tasks shard i
-/// placed without a steal; the index hashes on bits independent of that
-/// choice.
+/// Stripes follow the service's id hash (`SchedulingService::route`), so
+/// a lookup needs only the id wherever admission placed the task; the
+/// index hashes on bits independent of that choice.
 #pragma once
 
 #include <cstddef>
@@ -61,7 +59,6 @@ struct TaskStatus {
   std::uint16_t shard = 0;
   std::uint16_t core = 0;  ///< global core index
   std::uint16_t rate_idx = 0;
-  bool stolen = false;  ///< placed after a work-steal migration
   Cycles cycles = 0;
   Money marginal = 0.0;  ///< exact queue-cost delta of the placement
   std::uint64_t trace = 0;  ///< request-trace id assigned at ingress
@@ -96,8 +93,8 @@ class TaskTable {
   TaskTable& operator=(const TaskTable&) = delete;
 
   /// Records a placement: inserts `id` (evicting its stripe's oldest
-  /// record when full) or, for a task placed again after a steal,
-  /// overwrites its status and appends the new placement's steps.
+  /// record when full) or, for an id placed again, overwrites its status
+  /// and appends the new placement's steps.
   void place(core::TaskId id, const Placed& p);
 
   /// Records that `core` began (kExecBegin) or ended (kExecEnd) the
@@ -107,9 +104,6 @@ class TaskTable {
   std::optional<TaskStatus> advance(core::TaskId id,
                                     obs::reqtrace::Stage stage,
                                     std::uint16_t core, std::uint64_t ns);
-
-  /// The task's trace id; 0 for an unknown or evicted id.
-  [[nodiscard]] std::uint64_t trace_of(core::TaskId id) const;
 
   /// Decision lookup; nullopt for unknown (or evicted) ids.
   [[nodiscard]] std::optional<TaskStatus> status(core::TaskId id) const;

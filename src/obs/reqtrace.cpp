@@ -59,12 +59,10 @@ std::optional<Step> to_step(const dfr::Event& e) {
 }
 
 std::array<Step, 5> placement_steps(const Placement& p) {
-  const double enqueue_s = ns_to_s(p.enqueue_ns);
   const double place_s = ns_to_s(p.place_ns);
   return {
-      p.stolen ? Step{Stage::kStealHop, enqueue_s, p.from_shard, p.shard}
-               : Step{Stage::kSubmitRecv, ns_to_s(p.recv_ns), 0, 0},
-      Step{Stage::kRingEnqueue, enqueue_s, p.shard, 0},
+      Step{Stage::kSubmitRecv, ns_to_s(p.recv_ns), 0, 0},
+      Step{Stage::kRingEnqueue, ns_to_s(p.enqueue_ns), p.shard, 0},
       Step{Stage::kRingDequeue, ns_to_s(p.dequeue_ns), p.shard, 0},
       Step{Stage::kPlacement, place_s, p.core, p.rate_idx},
       Step{Stage::kShardQueue, place_s, p.core, p.depth}};

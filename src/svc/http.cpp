@@ -218,7 +218,6 @@ void register_service_routes(obs::MetricsHttpServer& server,
         out["shard"] = obs::Json(static_cast<double>(st->shard));
         out["core"] = obs::Json(static_cast<double>(st->core));
         out["rate_idx"] = obs::Json(static_cast<double>(st->rate_idx));
-        out["stolen"] = obs::Json(st->stolen);
         out["cycles"] = obs::Json(static_cast<double>(st->cycles));
         out["marginal_cost"] = obs::Json(st->marginal);
         out["trace_id"] = obs::Json(obs::reqtrace::trace_id_hex(st->trace));

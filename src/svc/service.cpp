@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <span>
 #include <utility>
 
@@ -33,14 +32,12 @@ std::uint64_t mix64(std::uint64_t x) {
 }
 
 constexpr std::size_t kDrainBatch = 256;
-constexpr std::size_t kStealCooldownIters = 64;
-constexpr std::uint16_t kStealMaxTasks = 32;
 
 }  // namespace
 
 /// Everything one shard's worker thread owns. The LMC scheduler, the
 /// virtual-execution state and `queue_len` are thread-confined; the
-/// atomics are the published view peers and the drain coordinator read.
+/// atomics are what producers route by and what readers see.
 struct SchedulingService::Shard {
   Shard(std::size_t idx, std::size_t base, std::size_t n,
         std::vector<core::CostTable> tables, std::size_t ring_capacity,
@@ -85,23 +82,14 @@ struct SchedulingService::Shard {
   std::vector<Running> running;
   std::uint64_t idle_iters = 0;
 
-  // Published / drain-protocol state. Producers write `enqueued` on
-  // every submit and the worker writes the rest after every batch, so
-  // the two groups sit on separate cache lines.
-
-  /// Messages ever admitted to this ring. Incremented *before* the push
-  /// (decremented again by what a full ring refused), so
-  /// `enqueued == processed` with an empty ring proves no message is in
-  /// flight anywhere.
-  alignas(64) std::atomic<std::uint64_t> enqueued{0};
-  alignas(64) std::atomic<std::uint64_t> processed{0};
-  std::atomic<double> published_cost{0.0};
-  std::atomic<std::uint64_t> published_len{0};
-  /// Steal requests this shard has posted that the rich shard has not
-  /// finished serving. Raised before the request message exists, lowered
-  /// only after every forwarded task is enqueued at its destination.
-  std::atomic<std::uint64_t> steal_pending{0};
-  std::atomic<bool> saw_draining{false};
+  /// Cycles admitted to this shard and not yet dispatched, what
+  /// admission routes by: producers add what they push and take back
+  /// what a full ring refused, the worker subtracts what virtual
+  /// execution dispatches. A double, because POST /submit admits up to
+  /// 2^53 cycles per task and a 64-bit sum of those wraps after 2^11.
+  alignas(64) std::atomic<double> outstanding{0.0};
+  /// queue_len as the worker last published it.
+  alignas(64) std::atomic<std::uint64_t> published_len{0};
 };
 
 SchedulingService::SchedulingService(core::EnergyModel model,
@@ -116,8 +104,6 @@ SchedulingService::SchedulingService(core::EnergyModel model,
       rejected_(registry_->counter("svc.rejected")),
       placed_(registry_->counter("svc.placed")),
       completed_(registry_->counter("svc.completed")),
-      stolen_(registry_->counter("svc.stolen_tasks")),
-      steal_requests_(registry_->counter("svc.steal.requests")),
       admission_latency_us_(
           registry_->histogram("svc.admission.latency_us")),
       batch_size_(registry_->histogram("svc.admission.batch")),
@@ -208,16 +194,42 @@ std::size_t SchedulingService::submit(std::span<const Submission> tasks,
   // The batch grouped by shard with a counting sort, request order kept
   // within each group: `msgs[end[s - 1], end[s])` go to shard s (end[-1]
   // reads as 0), `shard_of[i]` is request i's shard and `request[k]` the
-  // request index of `msgs[k]`. Reused per submitting thread.
+  // request index of `msgs[k]`. `tally[s]` is shard s's outstanding
+  // cycles with this batch's earlier tasks on it, `per_core[s]` that
+  // over its cores. Reused per submitting thread.
   thread_local std::vector<Msg> msgs;
   thread_local std::vector<std::uint32_t> shard_of;
   thread_local std::vector<std::uint32_t> request;
   thread_local std::vector<std::size_t> end;
+  thread_local std::vector<double> tally;
+  thread_local std::vector<double> per_core;
   shard_of.resize(n);
   end.assign(num_shards, 0);
+  tally.resize(num_shards);
+  per_core.resize(num_shards);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    tally[s] = shards_[s]->outstanding.load(std::memory_order_relaxed);
+    per_core[s] = tally[s] / static_cast<double>(shards_[s]->num_cores);
+  }
+  // Each task goes to the shard with the least outstanding cycles per
+  // owned core, as one LMC over all cores would weigh the queues. A tie
+  // goes to the shard with more cores, which the task loads less per
+  // core, then to the id's hash shard: so ids decide only between shards
+  // alike in both, and a skewed id stream routes like a uniform one.
   for (std::size_t i = 0; i < n; ++i) {
-    shard_of[i] = static_cast<std::uint32_t>(route(tasks[i].id, num_shards));
-    ++end[shard_of[i]];
+    std::size_t best = route(tasks[i].id, num_shards);
+    for (std::size_t s = 0; s < num_shards; ++s) {
+      if (per_core[s] < per_core[best] ||
+          (per_core[s] == per_core[best] &&
+           shards_[s]->num_cores > shards_[best]->num_cores)) {
+        best = s;
+      }
+    }
+    tally[best] += static_cast<double>(tasks[i].cycles);
+    per_core[best] =
+        tally[best] / static_cast<double>(shards_[best]->num_cores);
+    shard_of[i] = static_cast<std::uint32_t>(best);
+    ++end[best];
   }
   // Exclusive prefix sums: end[s] becomes group s's first slot, and the
   // fill below advances it to one past the group's last.
@@ -264,11 +276,19 @@ std::size_t SchedulingService::submit(std::span<const Submission> tasks,
     Shard& shard = *shards_[s];
     const std::span<Msg> group(msgs.data() + begin, want);
     const std::uint64_t enqueue_ns = now_ns_since(start_time_);
-    for (Msg& msg : group) msg.enqueue_ns = enqueue_ns;
-    shard.enqueued.fetch_add(want, std::memory_order_seq_cst);
+    double cycles = 0.0;
+    for (Msg& msg : group) {
+      msg.enqueue_ns = enqueue_ns;
+      cycles += static_cast<double>(msg.cycles);
+    }
+    shard.outstanding.fetch_add(cycles, std::memory_order_relaxed);
     const std::size_t pushed = shard.ring.try_push_n(group);
     if (pushed < want) {
-      shard.enqueued.fetch_sub(want - pushed, std::memory_order_seq_cst);
+      double refused = 0.0;
+      for (const Msg& msg : group.subspan(pushed)) {
+        refused += static_cast<double>(msg.cycles);
+      }
+      shard.outstanding.fetch_sub(refused, std::memory_order_relaxed);
       rejected_.add(want - pushed);
       shard.rejected_counter.add(want - pushed);
     }
@@ -296,35 +316,11 @@ void SchedulingService::drain() {
     }
     return;  // never started, already draining, or already stopped
   }
-  // 1. Wait out submitters that passed the admission gate pre-flip.
+  // Wait out submitters that passed the admission gate pre-flip: after
+  // that every accepted message is in a ring, and a worker that reads
+  // kStopped and then an empty ring has handled all of its own.
   while (inflight_submits_.load(std::memory_order_seq_cst) != 0) {
     std::this_thread::yield();
-  }
-  // 2. Wait until every worker has observed the drain phase — after
-  //    that, no shard issues a *new* steal request, so the message
-  //    population can only shrink.
-  for (auto& s : shards_) {
-    while (!s->saw_draining.load(std::memory_order_seq_cst)) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-  // 3. Quiescence: every ring empty, every admitted message handled,
-  //    every steal fully served (pending counters are raised before the
-  //    request exists and lowered after its replies are enqueued, so
-  //    zero everywhere + empty rings = nothing in flight).
-  for (;;) {
-    bool quiet = true;
-    for (auto& s : shards_) {
-      if (!s->ring.empty() || s->steal_pending.load(
-                                  std::memory_order_seq_cst) != 0 ||
-          s->enqueued.load(std::memory_order_seq_cst) !=
-              s->processed.load(std::memory_order_seq_cst)) {
-        quiet = false;
-        break;
-      }
-    }
-    if (quiet) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   phase_.store(Phase::kStopped, std::memory_order_seq_cst);
   for (auto& s : shards_) {
@@ -347,9 +343,6 @@ void SchedulingService::worker(Shard& shard) {
   for (;;) {
     obs::prof::set_stage(obs::prof::Stage::kDrain);
     const Phase phase = phase_.load(std::memory_order_seq_cst);
-    if (phase != Phase::kRunning) {
-      shard.saw_draining.store(true, std::memory_order_seq_cst);
-    }
     // A deliberately starved shard (max_batch = 0) still flushes during
     // drain — drain means "finish the admitted work", not "freeze".
     std::size_t budget = options_.max_batch;
@@ -369,14 +362,8 @@ void SchedulingService::worker(Shard& shard) {
       // this instant as far as the trace is concerned.
       const std::uint64_t dequeue_ns = now_ns_since(start_time_);
       for (std::size_t i = 0; i < n; ++i) {
-        const Msg& msg = batch[i];
-        if (msg.kind == Msg::Kind::kSubmit) {
-          handle_submit(shard, msg, dequeue_ns);
-        } else {
-          serve_steal(shard, msg);
-        }
+        handle_submit(shard, batch[i], dequeue_ns);
       }
-      shard.processed.fetch_add(n, std::memory_order_seq_cst);
       batch_size_.observe(n);
       publish_gauges(shard);
       shard.idle_iters = 0;
@@ -389,10 +376,6 @@ void SchedulingService::worker(Shard& shard) {
     if (phase == Phase::kStopped) break;
     obs::prof::set_stage(obs::prof::Stage::kIdle);
     ++shard.idle_iters;
-    if (phase == Phase::kRunning &&
-        shard.idle_iters % kStealCooldownIters == 0) {
-      maybe_request_steal(shard);
-    }
     if (shard.idle_iters > 1024) {
       // Long idle: stop burning the core; admission latency pays at most
       // this sleep, far under the health rule's threshold.
@@ -411,7 +394,6 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
       shard.lmc.place_non_interactive(msg.cycles, msg.id);
   ++shard.queue_len;
   placed_.inc();
-  if (msg.stolen) stolen_.inc();
   const std::uint64_t place_ns = now_ns_since(start_time_);
   const double place_s = obs::reqtrace::ns_to_s(place_ns);
   const std::uint64_t latency_us = (place_ns - msg.enqueue_ns) / 1000;
@@ -424,8 +406,6 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
       .dequeue_ns = dequeue_ns,
       .place_ns = place_ns,
       .shard = static_cast<std::uint16_t>(shard.index),
-      .from_shard = msg.from_shard,
-      .stolen = msg.stolen,
       .core = static_cast<std::uint16_t>(shard.base_core + placement.core),
       .rate_idx = static_cast<std::uint16_t>(
           shard.lmc.queue(placement.core).table().best_rate(placement.rank)),
@@ -461,7 +441,6 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
          .core = at.core,
          .cycles = msg.cycles,
          .rate_idx = at.rate_idx,
-         .flags = msg.stolen ? obs::dfr::kFlagStolen : std::uint8_t{0},
          .cost = placement.marginal,
          .f1 = shard.lmc.total_queue_cost()});
 
@@ -471,98 +450,13 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
   }
 }
 
-void SchedulingService::serve_steal(Shard& shard, const Msg& msg) {
-  const obs::prof::ScopedStage prof_stage(obs::prof::Stage::kSteal);
-  Shard& requester = *shards_[msg.from_shard];
-  std::uint16_t given = 0;
-  while (given < msg.steal_want) {
-    // Give away from the longest local queue; stop when the shard is
-    // down to its own fair share.
-    std::size_t victim = 0;
-    std::size_t victim_len = 0;
-    for (std::size_t c = 0; c < shard.num_cores; ++c) {
-      const std::size_t len = shard.lmc.queue(c).size();
-      if (len > victim_len) {
-        victim = c;
-        victim_len = len;
-      }
-    }
-    if (victim_len <= 1) break;  // keep at least the head per queue
-    const auto dispatched = shard.lmc.pop_next(victim);
-    if (!dispatched.has_value()) break;
-    --shard.queue_len;
-    Msg forward;
-    forward.kind = Msg::Kind::kSubmit;
-    forward.stolen = true;
-    forward.from_shard = static_cast<std::uint16_t>(shard.index);
-    forward.id = dispatched->id;
-    forward.cycles = dispatched->cycles;
-    forward.enqueue_ns = now_ns_since(start_time_);
-    // The trace id lives in the record written at first placement (0 if
-    // it was already evicted: the hop still traces, unlinked).
-    forward.trace = tasks_.trace_of(dispatched->id);
-    requester.enqueued.fetch_add(1, std::memory_order_seq_cst);
-    // The requester's worker is live and consuming, so this push can
-    // only stall while its ring is momentarily full.
-    while (!requester.ring.try_push(forward)) {
-      std::this_thread::yield();
-    }
-    ++given;
-  }
-  publish_gauges(shard);
-  // Serving complete (even when nothing could be given): the requester
-  // may ask again.
-  requester.steal_pending.fetch_sub(1, std::memory_order_seq_cst);
-}
-
-void SchedulingService::maybe_request_steal(Shard& shard) {
-  if (options_.steal_ratio <= 0.0 || shards_.size() < 2) return;
-  if (shard.steal_pending.load(std::memory_order_seq_cst) != 0) return;
-  const double my_cost =
-      shard.published_cost.load(std::memory_order_relaxed);
-  std::size_t rich = shard.index;
-  double rich_cost = 0.0;
-  std::uint64_t rich_len = 0;
-  for (const auto& other : shards_) {
-    if (other->index == shard.index) continue;
-    const double cost =
-        other->published_cost.load(std::memory_order_relaxed);
-    if (cost > rich_cost) {
-      rich = other->index;
-      rich_cost = cost;
-      rich_len = other->published_len.load(std::memory_order_relaxed);
-    }
-  }
-  if (rich == shard.index) return;
-  if (rich_len < options_.steal_min_queue) return;
-  if (rich_cost <= options_.steal_ratio * std::max(my_cost, 1e-12)) return;
-  const std::uint64_t my_len =
-      shard.published_len.load(std::memory_order_relaxed);
-  const std::uint64_t gap = rich_len > my_len ? rich_len - my_len : 0;
-  if (gap < 2) return;
-  Msg request;
-  request.kind = Msg::Kind::kStealRequest;
-  request.from_shard = static_cast<std::uint16_t>(shard.index);
-  request.steal_want = static_cast<std::uint16_t>(
-      std::min<std::uint64_t>(gap / 2, kStealMaxTasks));
-  Shard& target = *shards_[rich];
-  shard.steal_pending.fetch_add(1, std::memory_order_seq_cst);
-  target.enqueued.fetch_add(1, std::memory_order_seq_cst);
-  if (!target.ring.try_push(request)) {
-    // Rich shard's ring is full — it has plenty to do; try again later.
-    target.enqueued.fetch_sub(1, std::memory_order_seq_cst);
-    shard.steal_pending.fetch_sub(1, std::memory_order_seq_cst);
-    return;
-  }
-  steal_requests_.inc();
-}
-
 void SchedulingService::virtual_execute(Shard& shard) {
   const obs::prof::ScopedStage prof_stage(obs::prof::Stage::kExec);
   using obs::reqtrace::Stage;
   const std::uint64_t now_ns = now_ns_since(start_time_);
   const double now = obs::reqtrace::ns_to_s(now_ns);
   bool changed = false;
+  double dispatched = 0.0;
   for (std::size_t c = 0; c < shard.num_cores; ++c) {
     const auto core = static_cast<std::uint16_t>(shard.base_core + c);
     Shard::Running& run = shard.running[c];
@@ -582,6 +476,7 @@ void SchedulingService::virtual_execute(Shard& shard) {
       const auto next = shard.lmc.pop_next(c);
       --shard.queue_len;
       changed = true;
+      dispatched += static_cast<double>(next->cycles);
       run.active = true;
       run.id = next->id;
       run.begin_s = now;
@@ -606,12 +501,14 @@ void SchedulingService::virtual_execute(Shard& shard) {
       }
     }
   }
-  if (changed) publish_gauges(shard);
+  if (changed) {
+    shard.outstanding.fetch_sub(dispatched, std::memory_order_relaxed);
+    publish_gauges(shard);
+  }
 }
 
 void SchedulingService::publish_gauges(Shard& shard) {
   const Money cost = shard.lmc.total_queue_cost();
-  shard.published_cost.store(cost, std::memory_order_relaxed);
   shard.published_len.store(shard.queue_len, std::memory_order_relaxed);
   shard.cost_gauge.set(cost);
   shard.len_gauge.set(static_cast<double>(shard.queue_len));
@@ -628,7 +525,6 @@ std::uint64_t SchedulingService::placed() const { return placed_.value(); }
 std::uint64_t SchedulingService::completed() const {
   return completed_.value();
 }
-std::uint64_t SchedulingService::stolen() const { return stolen_.value(); }
 
 std::size_t SchedulingService::shard_queue_len(std::size_t shard) const {
   DVFS_REQUIRE(shard < shards_.size(), "shard index out of range");

@@ -49,7 +49,6 @@ TaskStatus status_of(const Placed& p, std::uint64_t trace) {
   st.shard = p.at.shard;
   st.core = p.at.core;
   st.rate_idx = p.at.rate_idx;
-  st.stolen = p.at.stolen;
   st.cycles = p.cycles;
   st.marginal = p.marginal;
   st.trace = trace;
@@ -60,9 +59,8 @@ TaskStatus status_of(const Placed& p, std::uint64_t trace) {
 }  // namespace
 
 /// One task, as facts. A compact record holds its first `held` instants
-/// (kPlace + 1 once placed, one more per execution step); the shard is
-/// its stripe's and it was never stolen. A spilled record keeps only
-/// `id`, `trace` and `held`.
+/// (kPlace + 1 once placed, one more per execution step). A spilled
+/// record keeps only `id`, `trace` and `held`.
 struct TaskTable::Record {
   core::TaskId id;
   std::uint64_t trace;
@@ -73,6 +71,9 @@ struct TaskTable::Record {
   std::uint32_t depth;
   std::uint16_t core;
   std::uint16_t rate_idx;
+  /// The placing shard, which admission balancing may choose apart from
+  /// the stripe; it sits in what would otherwise be padding.
+  std::uint16_t shard;
   std::uint8_t held;  ///< instants recorded, or kSpilled
 
   [[nodiscard]] std::uint64_t at(std::size_t instant) const {
@@ -89,9 +90,8 @@ struct TaskTable::Spilled {
 };
 
 struct TaskTable::Stripe {
-  Stripe(std::size_t shard, std::size_t capacity)
-      : shard(shard),
-        capacity(capacity),
+  explicit Stripe(std::size_t capacity)
+      : capacity(capacity),
         chunk_shift(static_cast<unsigned>(std::countr_zero(
             std::min(kMaxChunkRecords, std::bit_ceil(capacity))))),
         index(kInitialIndexSlots) {}
@@ -161,7 +161,7 @@ struct TaskTable::Stripe {
     st.state = r.held > kExecEnd     ? TaskStatus::State::kCompleted
                : r.held > kExecBegin ? TaskStatus::State::kRunning
                                      : TaskStatus::State::kQueued;
-    st.shard = static_cast<std::uint16_t>(shard);
+    st.shard = r.shard;
     st.core = r.core;
     st.rate_idx = r.rate_idx;
     st.cycles = r.cycles;
@@ -183,7 +183,7 @@ struct TaskTable::Stripe {
          .enqueue_ns = r.at(kEnqueue),
          .dequeue_ns = r.at(kDequeue),
          .place_ns = r.at(kPlace),
-         .shard = static_cast<std::uint16_t>(shard),
+         .shard = r.shard,
          .core = r.core,
          .rate_idx = r.rate_idx,
          .depth = r.depth});
@@ -233,7 +233,6 @@ struct TaskTable::Stripe {
   }
 
   mutable std::mutex mu;
-  const std::size_t shard;  ///< the shard whose unstolen tasks land here
   const std::size_t capacity;
   const unsigned chunk_shift;
   /// Ring storage, one chunk allocated each time the ring first reaches
@@ -259,7 +258,7 @@ TaskTable::TaskTable(std::size_t capacity, std::size_t stripes,
   const std::size_t n = std::max<std::size_t>(1, stripes);
   stripes_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>(i, per_stripe_capacity_));
+    stripes_.push_back(std::make_unique<Stripe>(per_stripe_capacity_));
     account(*stripes_.back());
   }
 }
@@ -293,8 +292,8 @@ void TaskTable::place(core::TaskId id, const Placed& p) {
   std::lock_guard<std::mutex> lock(s.mu);
   const std::uint32_t pos = s.find(id, hash);
   if (pos != kEmpty) {
-    // Placed again (a steal, or a reused id): one record holds one
-    // placement, so the task moves to the spill map.
+    // Placed again (a reused id): one record holds one placement, so the
+    // task moves to the spill map.
     Record& r = s.record(s.index[pos].slot);
     Spilled& sp = s.spill_out(r);
     if (p.trace != 0) r.trace = p.trace;
@@ -327,8 +326,7 @@ void TaskTable::place(core::TaskId id, const Placed& p) {
   const auto enqueue = gap(p.at.recv_ns, p.at.enqueue_ns);
   const auto dequeue = gap(p.at.enqueue_ns, p.at.dequeue_ns);
   const auto placed = gap(p.at.dequeue_ns, p.at.place_ns);
-  if (!p.at.stolen && p.at.shard == s.shard && enqueue && dequeue &&
-      placed) {
+  if (enqueue && dequeue && placed) {
     r.cycles = p.cycles;
     r.marginal = p.marginal;
     r.recv_ns = p.at.recv_ns;
@@ -338,6 +336,7 @@ void TaskTable::place(core::TaskId id, const Placed& p) {
     r.depth = p.at.depth;
     r.core = p.at.core;
     r.rate_idx = p.at.rate_idx;
+    r.shard = p.at.shard;
     r.held = kPlace + 1;
   } else {
     r.held = kSpilled;
@@ -376,14 +375,6 @@ std::optional<TaskStatus> TaskTable::advance(core::TaskId id, Stage stage,
   s.append(sp, std::span(&step, 1));
   account(s);
   return sp.status;
-}
-
-std::uint64_t TaskTable::trace_of(core::TaskId id) const {
-  const Stripe& s = stripe_for(id);
-  const std::uint32_t hash = index_hash(id);
-  std::lock_guard<std::mutex> lock(s.mu);
-  const std::uint32_t pos = s.find(id, hash);
-  return pos == kEmpty ? 0 : s.record(s.index[pos].slot).trace;
 }
 
 std::optional<TaskStatus> TaskTable::status(core::TaskId id) const {

@@ -1,7 +1,6 @@
 /// End-to-end tests for the service's HTTP API over a real loopback
-/// socket: POST /submit admission, GET /schedule/{id} placement lookups
-/// (including `"stolen": true` after a migration), and the per-task
-/// GET /tasks/{id}/trace timeline endpoint — the same routes
+/// socket: POST /submit admission, GET /schedule/{id} placement lookups,
+/// and the per-task GET /tasks/{id}/trace timeline endpoint — the same routes
 /// `dvfs_execute --serve` registers. The one-pass `/submit` body decoder
 /// is checked against the tree-based rules (tests/submit_oracle.h) on
 /// seeded valid and mutated bodies.
@@ -63,7 +62,6 @@ class ServiceHttpTest : public ::testing::Test {
     ServiceOptions opts;
     opts.shards = 2;
     opts.cores = 4;
-    opts.steal_ratio = 0.0;
     opts.registry = &registry_;
     svc_ = std::make_unique<SchedulingService>(
         core::EnergyModel::icpp2014_table2(), core::CostParams{0.4, 0.1},
@@ -101,7 +99,7 @@ TEST_F(ServiceHttpTest, SubmitThenScheduleAndTraceRoundTrip) {
   const obs::Json decision = obs::Json::parse(body_of(schedule));
   EXPECT_EQ(decision.at("id").as_double(), 7.0);
   EXPECT_EQ(decision.at("state").as_string(), "queued");
-  EXPECT_FALSE(decision.at("stolen").as_bool());
+  EXPECT_FALSE(decision.contains("stolen"));
   const std::string trace_id = decision.at("trace_id").as_string();
   EXPECT_EQ(trace_id.size(), 16u);
   EXPECT_TRUE(obs::reqtrace::parse_trace_id(trace_id).has_value());
@@ -205,69 +203,6 @@ TEST_F(ServiceHttpTest, MetricsExposeExemplarLinkedHistograms) {
             std::string::npos);
   EXPECT_NE(metrics.find("dvfs_svc_ring_occupancy{shard=\"1\"}"),
             std::string::npos);
-}
-
-// A migrated task reports `"stolen": true` on GET /schedule/{id} and its
-// trace carries the steal hop — over the live HTTP path.
-TEST(ServiceHttpSteal, StolenTaskVisibleThroughScheduleAndTrace) {
-  obs::Registry registry;
-  ServiceOptions opts;
-  opts.shards = 2;
-  opts.cores = 4;
-  opts.steal_ratio = 1.5;
-  opts.steal_min_queue = 4;
-  opts.registry = &registry;
-  SchedulingService svc(core::EnergyModel::icpp2014_table2(),
-                        core::CostParams{0.4, 0.1}, opts);
-  svc.start();
-  obs::MetricsHttpServer server(
-      {.host = "127.0.0.1", .port = 0},
-      [&registry] { return obs::prometheus_text(registry); });
-  register_service_routes(server, svc);
-  server.start();
-
-  std::size_t submitted = 0;
-  for (core::TaskId id = 1; submitted < 400; ++id) {
-    if (SchedulingService::route(id, 2) != 0) continue;
-    ASSERT_TRUE(svc.submit(id, 5'000'000).accepted);
-    ++submitted;
-  }
-  ASSERT_TRUE(eventually([&] { return svc.stolen() > 0; }))
-      << "no task migrated within the timeout";
-  svc.drain();
-
-  core::TaskId stolen_id = 0;
-  for (core::TaskId id = 1; id < 2000 && stolen_id == 0; ++id) {
-    const auto st = svc.status(id);
-    if (st.has_value() && st->stolen) stolen_id = id;
-  }
-  ASSERT_NE(stolen_id, 0u);
-
-  const std::string schedule =
-      http_get(server.port(), "/schedule/" + std::to_string(stolen_id));
-  EXPECT_NE(schedule.find("HTTP/1.1 200"), std::string::npos);
-  const obs::Json decision = obs::Json::parse(body_of(schedule));
-  EXPECT_TRUE(decision.at("stolen").as_bool());
-  EXPECT_EQ(decision.at("shard").as_double(), 1.0);
-
-  const std::string trace =
-      http_get(server.port(), "/tasks/" + std::to_string(stolen_id) + "/trace");
-  EXPECT_NE(trace.find("HTTP/1.1 200"), std::string::npos);
-  const obs::Json timeline = obs::Json::parse(body_of(trace));
-  EXPECT_TRUE(timeline.at("stolen").as_bool());
-  EXPECT_EQ(timeline.at("hops").as_double(), 1.0);
-  EXPECT_EQ(timeline.at("trace_id").as_string(),
-            decision.at("trace_id").as_string());
-  bool hop_seen = false;
-  for (const obs::Json& s : timeline.at("steps").as_array()) {
-    if (s.at("stage").as_string() == "steal_hop") {
-      hop_seen = true;
-      EXPECT_EQ(s.at("from_shard").as_double(), 0.0);
-      EXPECT_EQ(s.at("to_shard").as_double(), 1.0);
-    }
-  }
-  EXPECT_TRUE(hop_seen);
-  server.stop();
 }
 
 /// Seeded `/submit` bodies: task objects and batches built from edge

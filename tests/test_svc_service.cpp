@@ -1,8 +1,10 @@
 /// Tests for svc::SchedulingService: the sharded-vs-independent
 /// differential oracle (a sharded run over a partitioned core set must
-/// make decisions identical to N standalone LMC schedulers), admission
-/// backpressure, work stealing, status eviction, virtual execution, and
-/// the recorder integration. Run under TSan in CI.
+/// make decisions identical to N standalone LMC schedulers fed the
+/// streams its tickets name), the cost of admission balancing against
+/// one LMC over all cores, admission backpressure, status eviction,
+/// virtual execution, and the recorder integration. Run under TSan in
+/// CI.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -17,6 +19,7 @@
 #include "dvfs/core/energy_model.h"
 #include "dvfs/core/online_lmc.h"
 #include "dvfs/obs/recorder.h"
+#include "dvfs/workload/spec2006int.h"
 #include "proptest/rng.h"
 #include "dvfs/svc/service.h"
 
@@ -26,11 +29,10 @@ namespace {
 core::EnergyModel test_model() { return core::EnergyModel::icpp2014_table2(); }
 constexpr core::CostParams kParams{0.4, 0.1};
 
-ServiceOptions quiet_options(std::size_t shards, std::size_t cores) {
+ServiceOptions shard_options(std::size_t shards, std::size_t cores) {
   ServiceOptions opts;
   opts.shards = shards;
   opts.cores = cores;
-  opts.steal_ratio = 0.0;  // determinism: no cross-shard migration
   return opts;
 }
 
@@ -60,15 +62,15 @@ TEST(SchedulingService, RouteIsStableAndCoversShards) {
 
 TEST(SchedulingService, PlacesEverySubmittedTask) {
   obs::Registry registry;
-  ServiceOptions opts = quiet_options(2, 4);
+  ServiceOptions opts = shard_options(2, 4);
   opts.registry = &registry;
   SchedulingService svc(test_model(), kParams, opts);
   svc.start();
   proptest::SplitMix64 rng(42);
+  std::vector<SchedulingService::Ticket> tickets(201);
   for (core::TaskId id = 1; id <= 200; ++id) {
-    const auto ticket = svc.submit(id, rng.uniform_u64(100'000, 50'000'000));
-    ASSERT_TRUE(ticket.accepted);
-    EXPECT_EQ(ticket.shard, SchedulingService::route(id, 2));
+    tickets[id] = svc.submit(id, rng.uniform_u64(100'000, 50'000'000));
+    ASSERT_TRUE(tickets[id].accepted);
   }
   svc.drain();
   EXPECT_EQ(svc.submitted(), 200u);
@@ -77,24 +79,23 @@ TEST(SchedulingService, PlacesEverySubmittedTask) {
   for (core::TaskId id = 1; id <= 200; ++id) {
     const std::optional<TaskStatus> st = svc.status(id);
     ASSERT_TRUE(st.has_value()) << "task " << id;
-    EXPECT_EQ(st->shard, SchedulingService::route(id, 2));
+    EXPECT_EQ(st->shard, tickets[id].shard);
     ASSERT_LT(st->core, 4u);
     // Shard 0 owns cores [0,2), shard 1 owns [2,4).
     EXPECT_EQ(st->core / 2, st->shard);
-    EXPECT_FALSE(st->stolen);
   }
   EXPECT_EQ(svc.shard_queue_len(0) + svc.shard_queue_len(1), 200u);
 }
 
-// The tentpole correctness property: a sharded service over a
+// The central correctness property: a sharded service over a
 // partitioned core set makes exactly the decisions of N independent
-// single-shard LMC schedulers fed the same per-shard submission streams
-// in the same order. Any cross-shard state leak, reordering, or
+// single-shard LMC schedulers fed the per-shard submission streams its
+// tickets name, in the same order. Any cross-shard state leak, reordering, or
 // shard-local cost drift breaks the bit-exact comparison.
 TEST(SchedulingService, DifferentialOracleMatchesIndependentSchedulers) {
   constexpr std::size_t kShards = 3;
   constexpr std::size_t kCores = 7;  // uneven split: 2+2+3 partition
-  ServiceOptions opts = quiet_options(kShards, kCores);
+  ServiceOptions opts = shard_options(kShards, kCores);
   obs::Registry registry;
   opts.registry = &registry;
   SchedulingService svc(test_model(), kParams, opts);
@@ -104,12 +105,14 @@ TEST(SchedulingService, DifferentialOracleMatchesIndependentSchedulers) {
   struct Submitted {
     core::TaskId id;
     Cycles cycles;
+    std::uint16_t shard;
   };
   std::vector<Submitted> stream;
   for (core::TaskId id = 1; id <= 600; ++id) {
     const Cycles cycles = rng.uniform_u64(10'000, 100'000'000);
-    stream.push_back({id, cycles});
-    ASSERT_TRUE(svc.submit(id, cycles).accepted);
+    const SchedulingService::Ticket ticket = svc.submit(id, cycles);
+    ASSERT_TRUE(ticket.accepted);
+    stream.push_back({id, cycles, ticket.shard});
   }
   svc.drain();
   ASSERT_EQ(svc.placed(), stream.size());
@@ -129,7 +132,7 @@ TEST(SchedulingService, DifferentialOracleMatchesIndependentSchedulers) {
     core::LmcScheduler replica(std::vector<core::CostTable>(
         n, core::CostTable(test_model(), kParams)));
     for (const Submitted& sub : stream) {
-      if (SchedulingService::route(sub.id, kShards) != s) continue;
+      if (sub.shard != s) continue;
       const auto p = replica.place_non_interactive(sub.cycles, sub.id);
       expected[sub.id] = {
           static_cast<std::uint16_t>(base + p.core),
@@ -147,43 +150,9 @@ TEST(SchedulingService, DifferentialOracleMatchesIndependentSchedulers) {
   }
 }
 
-TEST(SchedulingService, WorkStealingRebalancesALopsidedLoad) {
-  obs::Registry registry;
-  ServiceOptions opts;
-  opts.shards = 2;
-  opts.cores = 4;
-  opts.steal_ratio = 1.5;
-  opts.steal_min_queue = 4;
-  opts.registry = &registry;
-  SchedulingService svc(test_model(), kParams, opts);
-  svc.start();
-  // Aim the entire load at one shard; the idle peer must pull work over.
-  std::size_t submitted = 0;
-  for (core::TaskId id = 1; submitted < 400; ++id) {
-    if (SchedulingService::route(id, 2) != 0) continue;
-    ASSERT_TRUE(svc.submit(id, 5'000'000).accepted);
-    ++submitted;
-  }
-  EXPECT_TRUE(eventually([&] { return svc.stolen() > 0; }))
-      << "no task migrated within the timeout";
-  svc.drain();
-  EXPECT_EQ(svc.placed(), 400u + svc.stolen());  // re-placed after migration
-  EXPECT_GT(svc.shard_queue_len(1), 0u);
-  // A stolen task stays queryable under its original route, flagged.
-  // (Its final shard may be either one: a later steal can migrate it
-  // again, so only the flag is asserted per task.)
-  std::size_t stolen_visible = 0;
-  for (core::TaskId id = 1; id < 2000; ++id) {
-    const std::optional<TaskStatus> st = svc.status(id);
-    if (st.has_value() && st->stolen) ++stolen_visible;
-  }
-  EXPECT_GT(stolen_visible, 0u);
-  EXPECT_GT(registry.counter("svc.steal.requests").value(), 0u);
-}
-
 TEST(SchedulingService, StarvedShardsExertBackpressureButStillDrain) {
   obs::Registry registry;
-  ServiceOptions opts = quiet_options(2, 2);
+  ServiceOptions opts = shard_options(2, 2);
   opts.max_batch = 0;  // shards never consume while serving
   opts.ring_capacity = 8;
   opts.registry = &registry;
@@ -199,9 +168,10 @@ TEST(SchedulingService, StarvedShardsExertBackpressureButStillDrain) {
   EXPECT_EQ(accepted, 16u);
   EXPECT_EQ(rejected, 48u);
   EXPECT_EQ(svc.rejected(), rejected);
-  // The aggregate also breaks down per shard: with round-robin-ish id
-  // routing the two 8-slot rings bounce 24 each, and the labeled
-  // counters must account for every rejection exactly.
+  // The aggregate also breaks down per shard: once both rings are full
+  // the shards tie on load and each task bounces off its hash shard's
+  // ring, and the labeled counters must account for every rejection
+  // exactly.
   const std::uint64_t shard0 =
       registry.counter("svc.submit.rejected{shard=\"0\"}").value();
   const std::uint64_t shard1 =
@@ -215,7 +185,7 @@ TEST(SchedulingService, StarvedShardsExertBackpressureButStillDrain) {
 }
 
 TEST(SchedulingService, SubmitAfterDrainIsRejected) {
-  SchedulingService svc(test_model(), kParams, quiet_options(1, 1));
+  SchedulingService svc(test_model(), kParams, shard_options(1, 1));
   svc.start();
   ASSERT_TRUE(svc.submit(1, 1000).accepted);
   svc.drain();
@@ -226,7 +196,7 @@ TEST(SchedulingService, SubmitAfterDrainIsRejected) {
 
 TEST(SchedulingService, StatusStoreEvictsOldestBeyondCapacity) {
   obs::Registry registry;
-  ServiceOptions opts = quiet_options(2, 2);
+  ServiceOptions opts = shard_options(2, 2);
   opts.status_capacity = 32;
   opts.registry = &registry;
   SchedulingService svc(test_model(), kParams, opts);
@@ -249,7 +219,7 @@ TEST(SchedulingService, StatusStoreEvictsOldestBeyondCapacity) {
 
 TEST(SchedulingService, VirtualExecutionCompletesQueuedTasks) {
   obs::Registry registry;
-  ServiceOptions opts = quiet_options(2, 4);
+  ServiceOptions opts = shard_options(2, 4);
   opts.time_scale = 1e-6;  // ~µs-scale virtual task durations
   opts.registry = &registry;
   SchedulingService svc(test_model(), kParams, opts);
@@ -273,7 +243,7 @@ TEST(SchedulingService, VirtualExecutionAdvancesUnderSustainedAdmission) {
   // worker never sees an empty pop; tasks must still start and finish
   // between batches.
   obs::Registry registry;
-  ServiceOptions opts = quiet_options(1, 2);
+  ServiceOptions opts = shard_options(1, 2);
   opts.time_scale = 1e-6;  // ~ns-to-µs virtual task durations
   opts.status_capacity = 4096;
   opts.registry = &registry;
@@ -298,7 +268,7 @@ TEST(SchedulingService, VirtualExecutionAdvancesUnderSustainedAdmission) {
 
 TEST(SchedulingService, RecordsArrivalAndPlacementPerShardChannel) {
   obs::Registry registry;
-  ServiceOptions opts = quiet_options(2, 4);
+  ServiceOptions opts = shard_options(2, 4);
   opts.registry = &registry;
   SchedulingService svc(test_model(), kParams, opts);
   obs::Recorder recorder(2);
@@ -338,7 +308,7 @@ TEST(SchedulingService, RecordsArrivalAndPlacementPerShardChannel) {
   EXPECT_EQ(arrivals, 40u);
   EXPECT_EQ(placements, 40u);
   // Request tracing is always on: every admitted task leaves one full
-  // span chain in its shard's channel; no migrations under steal_ratio 0.
+  // span chain in its shard's channel; no task ever migrates.
   EXPECT_EQ(submit_recv, 40u);
   EXPECT_EQ(ring_enq, 40u);
   EXPECT_EQ(ring_deq, 40u);
@@ -348,7 +318,7 @@ TEST(SchedulingService, RecordsArrivalAndPlacementPerShardChannel) {
 
 TEST(SchedulingService, MintsTraceIdsAndPublishesRingOccupancy) {
   obs::Registry registry;
-  ServiceOptions opts = quiet_options(2, 4);
+  ServiceOptions opts = shard_options(2, 4);
   opts.registry = &registry;
   SchedulingService svc(test_model(), kParams, opts);
   svc.start();
@@ -385,7 +355,7 @@ TEST(SchedulingService, MintsTraceIdsAndPublishesRingOccupancy) {
 
 TEST(SchedulingService, ConcurrentSubmittersAllLandExactlyOnce) {
   obs::Registry registry;
-  ServiceOptions opts = quiet_options(4, 4);
+  ServiceOptions opts = shard_options(4, 4);
   opts.registry = &registry;
   SchedulingService svc(test_model(), kParams, opts);
   svc.start();
@@ -422,7 +392,7 @@ TEST(SchedulingService, BatchSubmitMatchesTaskByTaskSubmit) {
   }
   obs::Registry one_registry;
   obs::Registry batch_registry;
-  ServiceOptions opts = quiet_options(kShards, 7);
+  ServiceOptions opts = shard_options(kShards, 7);
   opts.registry = &one_registry;
   SchedulingService one(test_model(), kParams, opts);
   opts.registry = &batch_registry;
@@ -463,22 +433,22 @@ TEST(SchedulingService, BatchSubmitMatchesTaskByTaskSubmit) {
 
 TEST(SchedulingService, FullRingTakesThePrefixOfItsShardsTasks) {
   obs::Registry registry;
-  ServiceOptions opts = quiet_options(2, 2);
+  ServiceOptions opts = shard_options(2, 2);
   opts.max_batch = 0;  // shards never consume while serving
   opts.ring_capacity = 8;
   opts.registry = &registry;
   SchedulingService svc(test_model(), kParams, opts);
   svc.start();
-  // Three tasks on each shard first, then a 40-task batch.
+  // Six equal tasks first, which balancing splits three a shard, then a
+  // 40-task batch.
   std::vector<Submission> first;
+  for (core::TaskId id = 1000; id < 1006; ++id) first.push_back({id, 1'000'000});
+  std::vector<SchedulingService::Ticket> first_tickets(first.size());
+  ASSERT_EQ(svc.submit(first, first_tickets), 6u);
   std::size_t per_shard[2] = {0, 0};
-  for (core::TaskId id = 1000; first.size() < 6; ++id) {
-    const std::size_t s = SchedulingService::route(id, 2);
-    if (per_shard[s] == 3) continue;
-    ++per_shard[s];
-    first.push_back({id, 1'000'000});
-  }
-  ASSERT_EQ(svc.submit(first), 6u);
+  for (const auto& t : first_tickets) ++per_shard[t.shard];
+  ASSERT_EQ(per_shard[0], 3u);
+  ASSERT_EQ(per_shard[1], 3u);
   std::vector<Submission> tasks;
   for (core::TaskId id = 1; id <= 40; ++id) tasks.push_back({id, 1'000'000});
   std::vector<SchedulingService::Ticket> tickets(tasks.size());
@@ -486,8 +456,8 @@ TEST(SchedulingService, FullRingTakesThePrefixOfItsShardsTasks) {
   EXPECT_EQ(svc.submit(tasks, tickets), 10u);
   std::size_t seen[2] = {0, 0};
   for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const std::size_t s = SchedulingService::route(tasks[i].id, 2);
-    EXPECT_EQ(tickets[i].shard, s);
+    const std::size_t s = tickets[i].shard;
+    ASSERT_LT(s, 2u);
     EXPECT_EQ(tickets[i].accepted, seen[s] < 5) << "task " << tasks[i].id;
     EXPECT_EQ(tickets[i].trace != 0, tickets[i].accepted);
     ++seen[s];
@@ -509,20 +479,15 @@ TEST(SchedulingService, FullRingTakesThePrefixOfItsShardsTasks) {
 }
 
 // Batch producers racing a single-task producer into small, slowly
-// drained rings, with work stealing on. Producers resubmit what a full
-// ring refused, so partial claims are frequent and every task is
-// admitted in the end. drain() returns only once every shard's
-// `enqueued == processed` and its ring is empty, and the counts close:
-// every task placed once, plus one placement per steal.
+// drained rings. Producers resubmit what a full ring refused, so partial
+// claims are frequent and every task is admitted in the end. drain()
+// returns only once every worker has emptied its ring, and the counts
+// close: every task placed exactly once.
 TEST(SchedulingService, BatchProducersWithStealingDrainExactly) {
   obs::Registry registry;
-  ServiceOptions opts;
-  opts.shards = 3;
-  opts.cores = 6;
+  ServiceOptions opts = shard_options(3, 6);
   opts.ring_capacity = 64;
   opts.max_batch = 4;  // slow consumers: batches meet full rings
-  opts.steal_ratio = 1.5;
-  opts.steal_min_queue = 4;
   opts.registry = &registry;
   SchedulingService svc(test_model(), kParams, opts);
   svc.start();
@@ -541,13 +506,8 @@ TEST(SchedulingService, BatchProducersWithStealingDrainExactly) {
                 ? 1
                 : std::min<std::size_t>(rng.uniform_u64(1, 64), left);
         batch.clear();
-        // Every other task on shard 0, so the other shards run dry first.
-        while (batch.size() < n) {
-          if (batch.size() % 2 == 0 ||
-              SchedulingService::route(id, opts.shards) == 0) {
-            batch.push_back({id, 2'000'000 + id % 97 * 10'000});
-          }
-          ++id;
+        for (; batch.size() < n; ++id) {
+          batch.push_back({id, 2'000'000 + id % 97 * 10'000});
         }
         left -= n;
         while (!batch.empty()) {
@@ -565,19 +525,236 @@ TEST(SchedulingService, BatchProducersWithStealingDrainExactly) {
     });
   }
   for (auto& t : producers) t.join();
-  // Queues only grow (no virtual execution), so the idle shards steal.
-  ASSERT_TRUE(eventually([&] { return svc.stolen() > 0; }))
-      << "no task migrated within the timeout";
   svc.drain();
   const std::uint64_t tasks = kProducers * kPerProducer;
   EXPECT_EQ(svc.submitted(), tasks);
   EXPECT_GT(svc.rejected(), 0u);
-  EXPECT_EQ(svc.placed(), tasks + svc.stolen());
+  EXPECT_EQ(svc.placed(), svc.submitted());
   std::size_t queued = 0;
   for (std::size_t s = 0; s < opts.shards; ++s) {
     queued += svc.shard_queue_len(s);
   }
   EXPECT_EQ(queued, tasks);
+}
+
+// A single submitter at time_scale 0 gets a routing that depends only on
+// its stream: the tallies change only by what it submits.
+TEST(SchedulingService, IdenticalRunsRouteIdentically) {
+  proptest::SplitMix64 rng(0x5a3e);
+  std::vector<Submission> stream;
+  for (core::TaskId id = 1; id <= 500; ++id) {
+    stream.push_back({id, rng.uniform_u64(10'000, 90'000'000)});
+  }
+  std::vector<SchedulingService::Ticket> runs[2];
+  for (auto& tickets : runs) {
+    obs::Registry registry;
+    ServiceOptions opts = shard_options(3, 7);
+    opts.registry = &registry;
+    SchedulingService svc(test_model(), kParams, opts);
+    svc.start();
+    tickets.resize(stream.size());
+    // Batches of 1 to 64 tasks, the same cuts in both runs.
+    proptest::SplitMix64 cuts(7);
+    for (std::size_t at = 0; at < stream.size();) {
+      const std::size_t n =
+          std::min<std::size_t>(cuts.uniform_u64(1, 64), stream.size() - at);
+      ASSERT_EQ(svc.submit(std::span(stream).subspan(at, n),
+                           std::span(tickets).subspan(at, n)),
+                n);
+      at += n;
+    }
+    svc.drain();
+  }
+  std::size_t per_shard[3] = {0, 0, 0};
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_EQ(runs[0][i].shard, runs[1][i].shard) << i;
+    ++per_shard[runs[0][i].shard];
+  }
+  for (const std::size_t n : per_shard) EXPECT_GT(n, 0u);
+}
+
+/// Table I cycle counts in a seeded order.
+std::vector<Cycles> spec_stream(std::size_t n, std::uint64_t seed) {
+  const auto rows = workload::spec2006int();
+  proptest::SplitMix64 rng(seed);
+  std::vector<Cycles> cycles;
+  for (std::size_t i = 0; i < n; ++i) {
+    cycles.push_back(workload::spec_cycles(rows[rng.uniform_index(rows.size())]));
+  }
+  return cycles;
+}
+
+/// Total cost of LMC replicas, one per shard, each fed in order the
+/// tasks `shard_of` gives it.
+Money replica_cost(std::size_t cores, std::size_t shards,
+                   const std::vector<Cycles>& cycles,
+                   const std::vector<std::size_t>& shard_of) {
+  Money total = 0.0;
+  for (std::size_t s = 0; s < shards; ++s) {
+    const std::size_t n = cores * (s + 1) / shards - cores * s / shards;
+    core::LmcScheduler lmc(std::vector<core::CostTable>(
+        n, core::CostTable(test_model(), kParams)));
+    for (std::size_t i = 0; i < cycles.size(); ++i) {
+      if (shard_of[i] == s) {
+        total += lmc.place_non_interactive(cycles[i], i + 1).marginal;
+      }
+    }
+  }
+  return total;
+}
+
+/// Total cost of the service's placements of `ids` with `cycles`: the
+/// sum of the marginals status() reports.
+Money service_cost(std::size_t cores, std::size_t shards,
+                   const std::vector<core::TaskId>& ids,
+                   const std::vector<Cycles>& cycles) {
+  obs::Registry registry;
+  ServiceOptions opts = shard_options(shards, cores);
+  opts.registry = &registry;
+  SchedulingService svc(test_model(), kParams, opts);
+  svc.start();
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_TRUE(svc.submit(ids[i], cycles[i]).accepted);
+  }
+  svc.drain();
+  Money total = 0.0;
+  for (const core::TaskId id : ids) total += svc.status(id)->marginal;
+  return total;
+}
+
+// Admission balancing stays closer to one LMC over all cores than routing
+// by id hash does, on SPEC tasks and the Table II model (each gap is the
+// mean over five seeded streams), and a stream whose ids all hash to
+// shard 0 costs what sequential ids cost.
+TEST(SchedulingService, AdmissionBalanceBeatsHashRouting) {
+  struct Row {
+    std::size_t cores;
+    std::size_t shards;
+  };
+  constexpr std::uint64_t kSeeds = 5;
+  for (const Row row : {Row{8, 2}, Row{8, 4}, Row{8, 8}, Row{7, 2}, Row{7, 3}}) {
+    for (const std::size_t n : {std::size_t{200}, std::size_t{2000}}) {
+      std::vector<core::TaskId> sequential;
+      std::vector<core::TaskId> skewed;
+      std::vector<std::size_t> by_hash;
+      for (core::TaskId id = 1; skewed.size() < n; ++id) {
+        if (sequential.size() < n) {
+          sequential.push_back(id);
+          by_hash.push_back(SchedulingService::route(id, row.shards));
+        }
+        if (SchedulingService::route(id, row.shards) == 0) skewed.push_back(id);
+      }
+      // Mean cost above one LMC over all cores, as a fraction.
+      double hash = 0.0;
+      double balanced = 0.0;
+      double balanced_skewed = 0.0;
+      for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        const std::vector<Cycles> cycles = spec_stream(n, seed);
+        const Money all_cores =
+            replica_cost(row.cores, 1, cycles, std::vector<std::size_t>(n, 0));
+        const auto gap = [&](Money cost) {
+          return (cost / all_cores - 1.0) / kSeeds;
+        };
+        hash += gap(replica_cost(row.cores, row.shards, cycles, by_hash));
+        balanced += gap(service_cost(row.cores, row.shards, sequential, cycles));
+        balanced_skewed +=
+            gap(service_cost(row.cores, row.shards, skewed, cycles));
+      }
+      SCOPED_TRACE(::testing::Message()
+                   << row.cores << " cores / " << row.shards << " shards, "
+                   << n << " tasks: hash +" << hash * 100 << "%, balanced +"
+                   << balanced * 100 << "%, skewed +" << balanced_skewed * 100
+                   << "%");
+      EXPECT_LE(balanced, hash);
+      EXPECT_LE(balanced_skewed, hash);
+      EXPECT_NEAR(balanced_skewed, balanced, 1e-4);  // 0.01 points
+      if (row.cores % row.shards != 0) {
+        // Shards of unequal size: balancing raw cycles instead of cycles
+        // per core overloads the smaller shards and lands near hash.
+        EXPECT_LE(balanced, hash / 4);
+      }
+    }
+  }
+}
+
+/// The first id from `from` on whose hash shard (of two) is `shard`.
+core::TaskId id_hashing_to(std::size_t shard, core::TaskId from) {
+  while (SchedulingService::route(from, 2) != shard) ++from;
+  return from;
+}
+
+// Cycles a full ring refused leave its shard's tally: after a refusal
+// the shards tie again, so the tie goes to the id's hash shard.
+TEST(SchedulingService, RefusedCyclesLeaveTheTally) {
+  obs::Registry registry;
+  ServiceOptions opts = shard_options(2, 2);
+  opts.max_batch = 0;  // shards never consume while serving
+  opts.ring_capacity = 8;
+  opts.registry = &registry;
+  SchedulingService svc(test_model(), kParams, opts);
+  svc.start();
+  constexpr Cycles kC = 1'000'000;
+  // Fourteen equal tasks alternate: seven a shard, one free slot each.
+  for (core::TaskId id = 1; id <= 14; ++id) {
+    ASSERT_TRUE(svc.submit(id, kC).accepted);
+  }
+  const core::TaskId a = 1000;
+  const std::size_t other = 1 - SchedulingService::route(a, 2);
+  const core::TaskId big = id_hashing_to(other, a + 2);
+  // a ties and takes its hash shard, a + 1 the other one, and the big
+  // task ties again and joins a + 1, whose ring has room for one.
+  const std::vector<Submission> batch = {{a, kC}, {a + 1, kC}, {big, 100 * kC}};
+  std::vector<SchedulingService::Ticket> tickets(batch.size());
+  ASSERT_EQ(svc.submit(batch, tickets), 2u);
+  ASSERT_EQ(tickets[2].shard, other);
+  ASSERT_FALSE(tickets[2].accepted);
+  // Both shards hold 8 tasks of kC: a tie, which goes to the hash shard.
+  const core::TaskId next = id_hashing_to(other, big + 1);
+  EXPECT_EQ(svc.submit(next, kC).shard, other);
+  svc.drain();
+}
+
+// Cycles a shard dispatches to virtual execution leave its tally.
+TEST(SchedulingService, DispatchedCyclesLeaveTheTally) {
+  obs::Registry registry;
+  ServiceOptions opts = shard_options(2, 2);
+  opts.time_scale = 1e-6;
+  opts.registry = &registry;
+  SchedulingService svc(test_model(), kParams, opts);
+  svc.start();
+  const SchedulingService::Ticket first = svc.submit(1, 1'000'000);
+  ASSERT_TRUE(first.accepted);
+  ASSERT_TRUE(eventually([&] { return svc.completed() == 1u; }));
+  // The first task's shard is back to zero outstanding cycles: a tie.
+  const core::TaskId next = id_hashing_to(first.shard, 2);
+  EXPECT_EQ(svc.submit(next, 1'000'000).shard, first.shard);
+  svc.drain();
+}
+
+// The routing tally stays exact past the point where a 64-bit sum of
+// 2^53-cycle tasks (the most POST /submit admits) would wrap: 2^11 of
+// them per shard. A wrapped tally would read near zero and draw every
+// later task.
+TEST(SchedulingService, RoutingTallyDoesNotWrapOnMaximalTasks) {
+  obs::Registry registry;
+  ServiceOptions opts = shard_options(2, 2);
+  opts.registry = &registry;
+  SchedulingService svc(test_model(), kParams, opts);
+  svc.start();
+  constexpr Cycles kMaxCycles = std::uint64_t{1} << 53;
+  std::size_t per_shard[2] = {0, 0};
+  for (core::TaskId id = 1; id <= 4096; ++id) {
+    const SchedulingService::Ticket ticket = svc.submit(id, kMaxCycles);
+    ASSERT_TRUE(ticket.accepted);
+    ++per_shard[ticket.shard];
+    ASSERT_LE(std::max(per_shard[0], per_shard[1]) -
+                  std::min(per_shard[0], per_shard[1]),
+              1u)
+        << "after task " << id;
+  }
+  svc.drain();
+  EXPECT_EQ(per_shard[0], 2048u);
+  EXPECT_EQ(per_shard[1], 2048u);
 }
 
 }  // namespace

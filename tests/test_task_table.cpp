@@ -3,7 +3,7 @@
 /// every status and step as the shard spelled them out, under seeded
 /// churn (eviction beyond capacity, updates to live and evicted ids,
 /// collisions on one home slot, wrap-around at the end of the index,
-/// index doublings, stolen tasks and facts that spill), bit-exact times
+/// index doublings, ids placed again and facts that spill), bit-exact times
 /// across the gap widths the record's 32-bit fields hold or spill, the
 /// retained-bytes gauge, and concurrent writers and readers for TSan.
 #include "dvfs/svc/task_table.h"
@@ -31,12 +31,12 @@ using obs::reqtrace::Stage;
 using obs::reqtrace::Step;
 
 static_assert(TaskTable::kRecordBytes <= 80,
-              "a never-stolen task's record must stay within 80 bytes");
+              "a task placed once must stay within an 80-byte record");
 
 constexpr std::uint64_t k32 = std::uint64_t{1} << 32;
 constexpr std::uint64_t kMs = 1'000'000;
 
-/// The shard that places `id` when nothing steals it.
+/// The stripe that holds `id`, and the shard `placed` puts it on.
 std::uint16_t home(core::TaskId id, std::size_t stripes) {
   return static_cast<std::uint16_t>(SchedulingService::route(id, stripes));
 }
@@ -67,7 +67,6 @@ TaskStatus status_from(const Placed& p) {
   st.shard = p.at.shard;
   st.core = p.at.core;
   st.rate_idx = p.at.rate_idx;
-  st.stolen = p.at.stolen;
   st.cycles = p.cycles;
   st.marginal = p.marginal;
   st.trace = p.trace;
@@ -78,12 +77,9 @@ TaskStatus status_from(const Placed& p) {
 /// The steps a placement leaves, spelled out as the shard wrote them
 /// before the table derived them.
 std::vector<Step> steps_from(const Placement& at) {
-  const double enqueue_s = seconds(at.enqueue_ns);
   const double place_s = seconds(at.place_ns);
-  return {at.stolen ? Step{Stage::kStealHop, enqueue_s, at.from_shard,
-                           at.shard}
-                    : Step{Stage::kSubmitRecv, seconds(at.recv_ns), 0, 0},
-          Step{Stage::kRingEnqueue, enqueue_s, at.shard, 0},
+  return {Step{Stage::kSubmitRecv, seconds(at.recv_ns), 0, 0},
+          Step{Stage::kRingEnqueue, seconds(at.enqueue_ns), at.shard, 0},
           Step{Stage::kRingDequeue, seconds(at.dequeue_ns), at.shard, 0},
           Step{Stage::kPlacement, place_s, at.core, at.rate_idx},
           Step{Stage::kShardQueue, place_s, at.core, at.depth}};
@@ -96,8 +92,7 @@ bool same_bits(double x, double y) {
 ::testing::AssertionResult same_status(const TaskStatus& x,
                                        const TaskStatus& y) {
   if (x.state != y.state || x.shard != y.shard || x.core != y.core ||
-      x.rate_idx != y.rate_idx || x.stolen != y.stolen ||
-      x.cycles != y.cycles || !same_bits(x.marginal, y.marginal) ||
+      x.rate_idx != y.rate_idx || x.cycles != y.cycles || !same_bits(x.marginal, y.marginal) ||
       x.trace != y.trace || !same_bits(x.placed_s, y.placed_s)) {
     return ::testing::AssertionFailure()
            << "status differs (trace " << x.trace << " vs " << y.trace
@@ -173,7 +168,6 @@ class Oracle {
     if (it == by_id_.end()) {
       EXPECT_FALSE(st.has_value()) << "id " << id << " should be gone";
       EXPECT_FALSE(tl.has_value()) << "id " << id << " should be gone";
-      EXPECT_EQ(table.trace_of(id), 0u);
       return;
     }
     ASSERT_TRUE(st.has_value()) << "id " << id << " lost";
@@ -181,7 +175,6 @@ class Oracle {
     ASSERT_TRUE(tl.has_value()) << "id " << id << " lost its timeline";
     EXPECT_EQ(tl->task, id);
     EXPECT_EQ(tl->trace_id, it->second.status.trace);
-    EXPECT_EQ(table.trace_of(id), it->second.status.trace);
     std::vector<Step> want = it->second.steps;
     obs::reqtrace::sort_steps(want);
     ASSERT_EQ(tl->steps.size(), want.size()) << "id " << id;
@@ -225,13 +218,13 @@ class Oracle {
 }
 
 /// Drives the table and the oracle through the same seeded operations
-/// over `ids`: first placements, re-placements (the steal path, and
-/// reused ids), exec begin/end mostly in lifecycle order, and
-/// re-insertion of evicted ids; checks every id after every batch.
-/// Instants advance by gaps at the edges of the record's 32-bit fields
-/// and sometimes step back; placements are sometimes stolen or land on
-/// a shard other than the stripe's, and execution sometimes runs on
-/// another core, so both the compact and the spilled form are exercised.
+/// over `ids`: first placements, re-placements (reused ids), exec
+/// begin/end mostly in lifecycle order, and re-insertion of evicted ids;
+/// checks every id after every batch. Instants advance by gaps at the
+/// edges of the record's 32-bit fields and sometimes step back;
+/// placements sometimes land on a shard other than the stripe's, and
+/// execution sometimes runs on another core, so both the compact and the
+/// spilled form are exercised.
 /// Stores the index size the table ended with in `*slots`.
 void churn(std::uint64_t seed, std::size_t capacity, std::size_t stripes,
            const std::vector<core::TaskId>& ids, std::size_t ops,
@@ -268,11 +261,9 @@ void churn(std::uint64_t seed, std::size_t capacity, std::size_t stripes,
         p.at.enqueue_ns = next_ns();
         p.at.dequeue_ns = next_ns();
         p.at.place_ns = next_ns();
-        p.at.stolen = rng.chance(0.15);
         p.at.shard = rng.chance(0.85)
                          ? home(id, stripes)
                          : static_cast<std::uint16_t>(rng.next());
-        p.at.from_shard = static_cast<std::uint16_t>(rng.next());
         p.at.core = static_cast<std::uint16_t>(op);
         p.at.rate_idx = static_cast<std::uint16_t>(rng.next());
         p.at.depth = static_cast<std::uint32_t>(rng.next());
@@ -429,22 +420,20 @@ TEST(TaskTable, IndexGrowsWithOccupancyNotCapacity) {
   EXPECT_EQ(table.index_slots(), 8192u);  // nine doublings from 16
   for (core::TaskId id = 1; id <= 3000; id += 37) {
     ASSERT_TRUE(table.status(id).has_value()) << id;
-    EXPECT_EQ(table.trace_of(id), id);
+    EXPECT_EQ(table.status(id)->trace, id);
   }
   EXPECT_EQ(table.evicted(), 0u);
 }
 
-TEST(TaskTable, StolenTaskSpillsStepsAndEvictionDropsThem) {
+TEST(TaskTable, PlacedAgainSpillsStepsAndEvictionDropsThem) {
   obs::Counter evicted;
   obs::Gauge bytes;
   TaskTable table(2, 1, evicted, bytes);
-  // First placement, then a steal re-placement on another shard: ten
+  // First placement, then the id placed again on another shard: ten
   // steps, all in the spill map from then on.
   table.place(7, placed(7, 1, 99, 0, 1));
   const double compact = bytes.value();
   Placed moved = placed(7, 1, 99, 400 * kMs, 6);
-  moved.at.stolen = true;
-  moved.at.from_shard = 0;
   moved.at.shard = 1;
   table.place(7, moved);
   EXPECT_GT(bytes.value(), compact);
@@ -454,13 +443,10 @@ TEST(TaskTable, StolenTaskSpillsStepsAndEvictionDropsThem) {
   const auto t = table.get(7);
   ASSERT_TRUE(t.has_value());
   ASSERT_EQ(t->steps.size(), 12u);
-  EXPECT_EQ(t->hops(), 1u);
   EXPECT_EQ(t->steps.front().stage, Stage::kSubmitRecv);
   EXPECT_EQ(t->steps.back().stage, Stage::kExecEnd);
-  EXPECT_NEAR(t->durations().total(), t->end_to_end_s(), 1e-12);
   const auto st = table.status(7);
   ASSERT_TRUE(st.has_value());
-  EXPECT_TRUE(st->stolen);
   EXPECT_EQ(st->core, 6u);
   EXPECT_EQ(st->shard, 1u);
   EXPECT_EQ(st->state, TaskStatus::State::kCompleted);
@@ -477,8 +463,8 @@ TEST(TaskTable, StolenTaskSpillsStepsAndEvictionDropsThem) {
   EXPECT_EQ(table.evicted(), 2u);
   EXPECT_LT(bytes.value(), spilled);
   EXPECT_LT(bytes.value() - compact, 1024.0);
-  // A stream of stolen tasks through the full ring holds steady: each
-  // eviction takes its task's spill entry and step bytes along.
+  // A stream of ids placed twice through the full ring holds steady:
+  // each eviction takes its task's spill entry and step bytes along.
   double steady = 0.0;
   for (core::TaskId id = 100; id < 1100; ++id) {
     table.place(id, placed(id, 1, id, id * kMs));
@@ -571,25 +557,21 @@ TEST(TaskTable, ExecAfterEvictionRecordsNothing) {
   EXPECT_EQ(table.evicted(), 1u);
 }
 
-// A task whose first record is a steal hop (its origin record already
-// evicted) and which is then stolen again and placed a third time.
-TEST(TaskTable, StolenTaskPlacedAgainMatchesOracle) {
+// An id first placed off its stripe's shard (compact: the record keeps
+// its own shard), then placed again on another shard and a third time.
+TEST(TaskTable, IdPlacedThreeTimesMatchesOracle) {
   obs::Counter evicted;
   obs::Gauge bytes;
   TaskTable table(16, 4, evicted, bytes);
   Oracle oracle(16, 4);
   const core::TaskId id = 77;
-  Placed hop = placed(id, 4, 0, 100 * kMs, 5);
-  hop.at.stolen = true;
-  hop.at.from_shard = home(id, 4);
-  hop.at.shard = static_cast<std::uint16_t>((home(id, 4) + 1) % 4);
-  table.place(id, hop);
-  oracle.place(id, hop);
+  Placed first = placed(id, 4, 0, 100 * kMs, 5);
+  first.at.shard = static_cast<std::uint16_t>((home(id, 4) + 1) % 4);
+  table.place(id, first);
+  oracle.place(id, first);
   oracle.expect_matches(table, id);
   Placed again = placed(id, 4, 0, 200 * kMs, 2);
-  again.at.stolen = true;
-  again.at.from_shard = hop.at.shard;
-  again.at.shard = home(id, 4);
+  again.at.shard = static_cast<std::uint16_t>((home(id, 4) + 2) % 4);
   table.place(id, again);
   oracle.place(id, again);
   oracle.expect_matches(table, id);
@@ -601,9 +583,8 @@ TEST(TaskTable, StolenTaskPlacedAgainMatchesOracle) {
   oracle.expect_matches(table, id);
   const auto t = table.get(id);
   ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(t->hops(), 2u);
   EXPECT_EQ(t->steps.size(), 17u);
-  EXPECT_FALSE(table.status(id)->stolen);  // the last placement was local
+  EXPECT_EQ(table.status(id)->shard, home(id, 4));
 }
 
 // A placement without a trace id keeps the one recorded, whether the
@@ -621,18 +602,18 @@ TEST(TaskTable, ZeroTraceIdKeepsTheRecordedOne) {
   };
   both(1, placed(1, 2, 9, 0));
   both(1, placed(1, 2, 0, kMs));  // compact → spilled, trace kept
-  EXPECT_EQ(table.trace_of(1), 9u);
+  EXPECT_EQ(table.status(1)->trace, 9u);
   both(1, placed(1, 2, 0, 2 * kMs));  // already spilled, trace kept
   EXPECT_EQ(table.get(1)->trace_id, 9u);
   both(2, placed(2, 2, 0, 0));
-  EXPECT_EQ(table.trace_of(2), 0u);
+  EXPECT_EQ(table.status(2)->trace, 0u);
   both(2, placed(2, 2, 5, kMs));
   EXPECT_EQ(table.status(2)->trace, 5u);
 }
 
 // svc.status.bytes follows occupancy one 1024-record chunk at a time,
-// whatever the capacity, and 100k never-stolen tasks retain at most
-// 100 bytes each with the index counted.
+// whatever the capacity, and 100k tasks placed once, on any shard,
+// retain at most 100 bytes each with the index counted.
 TEST(TaskTable, RetainedBytesGrowByChunkWithOccupancy) {
   obs::Counter evicted;
   obs::Gauge big_bytes;
@@ -649,8 +630,10 @@ TEST(TaskTable, RetainedBytesGrowByChunkWithOccupancy) {
     };
     const double fixed = empty - index_bytes();
     for (core::TaskId id = 1; id <= 100'000; ++id) {
-      big.place(id, placed(id, 1, id, id * kMs));
-      huge.place(id, placed(id, 1, id, id * kMs));
+      Placed p = placed(id, 1, id, id * kMs);
+      p.at.shard = static_cast<std::uint16_t>(id % 5);
+      big.place(id, p);
+      huge.place(id, p);
       if (id == 1 || id == 1024 || id == 1025 || id == 2048 || id == 2049) {
         const double chunks = static_cast<double>((id + 1023) / 1024);
         EXPECT_EQ(big_bytes.value(), fixed + chunks * kChunk + index_bytes())

@@ -73,8 +73,6 @@ constexpr const char* kUsage =
     "  --ring-capacity N    per-shard admission ring slots    (65536)\n"
     "  --max-batch N        ring messages per worker iteration (256;\n"
     "                       0 starves the shards: the 503 test hook)\n"
-    "  --steal-ratio R      steal when max/min shard queue cost exceeds\n"
-    "                       R (4.0; 0 disables work stealing)\n"
     "  --status-capacity N  remembered tasks for /schedule and\n"
     "                       /tasks/{id}/trace, FIFO-evicted (1M;\n"
     "                       ~88 MiB when full, held as it fills)\n"
@@ -94,7 +92,6 @@ int run_serve(const dvfs::util::Args& args) {
   opts.cores = args.get_u64("cores", 4);
   opts.ring_capacity = args.get_u64("ring-capacity", std::size_t{1} << 16);
   opts.max_batch = args.get_u64("max-batch", 256);
-  opts.steal_ratio = args.get_double("steal-ratio", 4.0);
   opts.status_capacity = args.get_u64("status-capacity", std::size_t{1} << 20);
   opts.time_scale = args.get_double("time-scale", 0.0);
 
@@ -129,12 +126,13 @@ int run_serve(const dvfs::util::Args& args) {
   // run's outputs — so the recording carries the final state.
   server.stop();
   svc.drain();
+  // "0 stolen" stays for log readers that parse this line; the shards
+  // balance at admission and never migrate a task.
   std::printf("drained: %llu submitted, %llu placed, %llu rejected, "
-              "%llu stolen, %llu completed\n",
+              "0 stolen, %llu completed\n",
               static_cast<unsigned long long>(svc.submitted()),
               static_cast<unsigned long long>(svc.placed()),
               static_cast<unsigned long long>(svc.rejected()),
-              static_cast<unsigned long long>(svc.stolen()),
               static_cast<unsigned long long>(svc.completed()));
   run.finish();
   return 0;
@@ -150,7 +148,7 @@ int main(int argc, char** argv) {
         {"plan", "model", "time-scale", "pin", "hw", "trace-out",
          "metrics-out", "record-out", "health-config", "health-period",
          "serve", "listen", "shards", "cores", "re", "rt", "ring-capacity",
-         "max-batch", "steal-ratio", "status-capacity", "serve-seconds",
+         "max-batch", "status-capacity", "serve-seconds",
          "profile-out", "profile-hz", "help"});
     if (args.has("help")) {
       std::fputs(kUsage, stdout);

@@ -68,7 +68,7 @@ struct TaskStatus {
 /// One placement of a task: what it decided and the facts its timeline
 /// steps derive from.
 struct Placed {
-  std::uint64_t trace = 0;  ///< request-trace id; 0 keeps the recorded one
+  std::uint64_t trace = 0;  ///< request-trace id assigned at ingress
   Cycles cycles = 0;
   Money marginal = 0.0;  ///< exact queue-cost delta of the placement
   obs::reqtrace::Placement at;

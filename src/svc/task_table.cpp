@@ -44,14 +44,14 @@ std::optional<std::uint32_t> gap(std::uint64_t from, std::uint64_t to) {
   return static_cast<std::uint32_t>(to - from);
 }
 
-TaskStatus status_of(const Placed& p, std::uint64_t trace) {
+TaskStatus status_of(const Placed& p) {
   TaskStatus st;
   st.shard = p.at.shard;
   st.core = p.at.core;
   st.rate_idx = p.at.rate_idx;
   st.cycles = p.cycles;
   st.marginal = p.marginal;
-  st.trace = trace;
+  st.trace = p.trace;
   st.placed_s = obs::reqtrace::ns_to_s(p.at.place_ns);
   return st;
 }
@@ -296,8 +296,8 @@ void TaskTable::place(core::TaskId id, const Placed& p) {
     // task moves to the spill map.
     Record& r = s.record(s.index[pos].slot);
     Spilled& sp = s.spill_out(r);
-    if (p.trace != 0) r.trace = p.trace;
-    sp.status = status_of(p, r.trace);
+    r.trace = p.trace;
+    sp.status = status_of(p);
     s.append(sp, obs::reqtrace::placement_steps(p.at));
     account(s);
     return;
@@ -341,7 +341,7 @@ void TaskTable::place(core::TaskId id, const Placed& p) {
   } else {
     r.held = kSpilled;
     Spilled& sp =
-        s.spill.try_emplace(id, Spilled{status_of(p, p.trace), {}})
+        s.spill.try_emplace(id, Spilled{status_of(p), {}})
             .first->second;
     s.append(sp, obs::reqtrace::placement_steps(p.at));
   }

@@ -126,9 +126,7 @@ class Oracle {
       fifo.push_back(id);
       it = by_id_.emplace(id, Entry{st, {}}).first;
     } else {
-      const std::uint64_t trace = it->second.status.trace;
       it->second.status = st;
-      if (st.trace == 0) it->second.status.trace = trace;
     }
     it->second.steps.insert(it->second.steps.end(), steps.begin(),
                             steps.end());
@@ -254,7 +252,7 @@ void churn(std::uint64_t seed, std::size_t capacity, std::size_t stripes,
       const TaskStatus* known = oracle.find(id);
       if (pick < 5) {
         Placed p;
-        p.trace = rng.chance(0.2) ? 0 : rng.next() | 1;
+        p.trace = rng.next() | 1;
         p.cycles = rng.next();
         p.marginal = rng.uniform_real(0.0, 1.0);
         p.at.recv_ns = next_ns();
@@ -321,21 +319,21 @@ std::vector<core::TaskId> ids_homing_to(std::uint32_t home, unsigned bits,
 }
 
 // Moved from the retired TraceStore: steps merge across writes and come
-// back sorted; a zero trace id keeps the one recorded.
+// back sorted; the latest placement's trace id is the one kept.
 TEST(TaskTable, AppendsMergesAndSortsSteps) {
   obs::Counter evicted;
   obs::Gauge bytes;
   TaskTable table(100, 16, evicted, bytes);
   table.place(1, placed(1, 16, 42, 500 * kMs));
-  // Placed again with earlier instants and no trace id.
-  table.place(1, placed(1, 16, 0, 250 * kMs));
+  // Placed again with earlier instants and another trace id.
+  table.place(1, placed(1, 16, 43, 250 * kMs));
   const auto st = table.advance(1, Stage::kExecBegin, 0, 1000 * kMs);
   ASSERT_TRUE(st.has_value());
   EXPECT_EQ(st->state, TaskStatus::State::kRunning);
   EXPECT_EQ(st->placed_s, 0.253);
   const auto t = table.get(1);
   ASSERT_TRUE(t.has_value());
-  EXPECT_EQ(t->trace_id, 42u);
+  EXPECT_EQ(t->trace_id, 43u);
   ASSERT_EQ(t->steps.size(), 11u);
   EXPECT_EQ(t->steps.front().stage, Stage::kSubmitRecv);
   EXPECT_EQ(t->steps.front().t_s, 0.25);
@@ -565,17 +563,17 @@ TEST(TaskTable, IdPlacedThreeTimesMatchesOracle) {
   TaskTable table(16, 4, evicted, bytes);
   Oracle oracle(16, 4);
   const core::TaskId id = 77;
-  Placed first = placed(id, 4, 0, 100 * kMs, 5);
+  Placed first = placed(id, 4, 1, 100 * kMs, 5);
   first.at.shard = static_cast<std::uint16_t>((home(id, 4) + 1) % 4);
   table.place(id, first);
   oracle.place(id, first);
   oracle.expect_matches(table, id);
-  Placed again = placed(id, 4, 0, 200 * kMs, 2);
+  Placed again = placed(id, 4, 2, 200 * kMs, 2);
   again.at.shard = static_cast<std::uint16_t>((home(id, 4) + 2) % 4);
   table.place(id, again);
   oracle.place(id, again);
   oracle.expect_matches(table, id);
-  const Placed third = placed(id, 4, 0, 300 * kMs, 2);
+  const Placed third = placed(id, 4, 3, 300 * kMs, 2);
   table.place(id, third);
   oracle.place(id, third);
   EXPECT_TRUE(advance_both(table, oracle, id, Stage::kExecBegin, 2, 400 * kMs));
@@ -585,30 +583,6 @@ TEST(TaskTable, IdPlacedThreeTimesMatchesOracle) {
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->steps.size(), 17u);
   EXPECT_EQ(table.status(id)->shard, home(id, 4));
-}
-
-// A placement without a trace id keeps the one recorded, whether the
-// record is still compact or already spilled; a first placement without
-// one records 0 until a later placement brings one.
-TEST(TaskTable, ZeroTraceIdKeepsTheRecordedOne) {
-  obs::Counter evicted;
-  obs::Gauge bytes;
-  TaskTable table(32, 2, evicted, bytes);
-  Oracle oracle(32, 2);
-  const auto both = [&](core::TaskId id, const Placed& p) {
-    table.place(id, p);
-    oracle.place(id, p);
-    oracle.expect_matches(table, id);
-  };
-  both(1, placed(1, 2, 9, 0));
-  both(1, placed(1, 2, 0, kMs));  // compact → spilled, trace kept
-  EXPECT_EQ(table.status(1)->trace, 9u);
-  both(1, placed(1, 2, 0, 2 * kMs));  // already spilled, trace kept
-  EXPECT_EQ(table.get(1)->trace_id, 9u);
-  both(2, placed(2, 2, 0, 0));
-  EXPECT_EQ(table.status(2)->trace, 0u);
-  both(2, placed(2, 2, 5, kMs));
-  EXPECT_EQ(table.status(2)->trace, 5u);
 }
 
 // svc.status.bytes follows occupancy one 1024-record chunk at a time,

@@ -1,41 +1,34 @@
 #!/usr/bin/env python3
-"""Compare dvfs-bench-v1 JSON reports against checked-in baselines.
+"""Gate the wall time of dvfs-bench-v1 reports against checked-in baselines.
 
 Usage:
     bench_compare.py --baseline DIR_OR_FILE --candidate DIR_OR_FILE
                      [--candidate DIR_OR_FILE ...]
-                     [--wall-tolerance 0.25] [--quality-tolerance 1e-6]
-                     [--min-wall-ns 1e6] [--markdown-out summary.md]
+                     [--wall-tolerance 0.25] [--min-wall-ns 1e6]
+                     [--markdown-out summary.md]
     bench_compare.py --self-test
 
 --markdown-out additionally writes the comparison as a Markdown table
-(one row per gated benchmark with wall-time and quality deltas plus a
-pass/fail verdict); CI appends it to $GITHUB_STEP_SUMMARY.
+(one row per gated benchmark with its wall-time delta and a pass/fail
+verdict); CI appends it to $GITHUB_STEP_SUMMARY.
 
 Repeat --candidate to pass several runs of the same suites; rows are
-merged by taking the per-row minimum of wall_ns (and of the quality
-fields, which are deterministic and identical across runs). Min-of-N is
-the standard way to strip scheduler noise from wall-clock numbers, and
-CI runs each gated bench twice for exactly that reason.
+merged by taking the per-row minimum of wall_ns. Min-of-N is the standard
+way to strip scheduler noise from wall-clock numbers, and CI runs each
+gated bench twice for exactly that reason.
 
-Rows are matched across the two reports by (name, params). Two classes of
-regression are gated differently:
-
-  * wall-time: a matched row fails if candidate wall_ns exceeds baseline by
-    more than --wall-tolerance (relative), but only when the baseline is at
-    least --min-wall-ns — sub-millisecond timings are noise on shared CI
-    runners and are never gated.
-  * quality (cost / energy_j / turnaround_s): deterministic model outputs,
-    so ANY increase beyond --quality-tolerance (relative) fails. These catch
-    "the scheduler silently got worse" bugs that timing never would.
+Rows are matched across the two reports by (name, params). A matched row
+fails if candidate wall_ns exceeds baseline by more than --wall-tolerance
+(relative), but only when the baseline is at least --min-wall-ns:
+sub-millisecond timings are noise on shared CI runners and are never
+gated. The figures a report carries (cost, energy, counters) are not
+gated here: each deterministic bench's ctest compares its whole report
+with a golden under bench/goldens/ exactly.
 
 Rows present only in the baseline fail (coverage loss), and so do rows
 (or whole suites) present only in the candidate: a benchmark without a
 baseline is not gated at all, so it must get one in the same change that
-adds it. Per field the asymmetry remains: a quality field with no
-baseline value is noted and skipped, while one that vanishes from the
-candidate fails. Exit status: 0 clean, 1 regression, 2 usage or I/O
-error.
+adds it. Exit status: 0 clean, 1 regression, 2 usage or I/O error.
 """
 
 import argparse
@@ -44,7 +37,6 @@ import os
 import sys
 
 SCHEMA = "dvfs-bench-v1"
-QUALITY_FIELDS = ("cost", "energy_j", "turnaround_s")
 
 
 def load_report(path):
@@ -83,22 +75,21 @@ def collect_reports(path):
 
 
 def compare_reports(base_doc, cand_doc, suite, opts, failures, notes,
-                    table=None):
+                    table):
     base = index_rows(base_doc, f"{suite} (baseline)")
     cand = index_rows(cand_doc, f"{suite} (candidate)")
 
     for key, brow in base.items():
         crow = cand.get(key)
         label = f"{suite}:{brow['name']} {key[1]}"
-        failures_before = len(failures)
         if crow is None:
             failures.append(f"{label}: row missing from candidate")
-            if table is not None:
-                table.append({"label": label, "bwall": None, "cwall": None,
-                              "quality": "row missing", "ok": False})
+            table.append({"label": label, "bwall": None, "cwall": None,
+                          "ok": False})
             continue
         bwall = float(brow.get("wall_ns", 0.0))
         cwall = float(crow.get("wall_ns", 0.0))
+        ok = True
         # The wall gate applies only when BOTH sides sit at or above the
         # row floor: sub-floor baselines are noise, and a candidate that
         # *drops* below the floor is an improvement to note (and refresh
@@ -109,64 +100,30 @@ def compare_reports(base_doc, cand_doc, suite, opts, failures, notes,
                 f"the {opts.min_wall_ns:.0f} ns row floor (improvement; "
                 f"consider refreshing baselines)"
             )
-        elif (bwall >= opts.min_wall_ns and cwall >= opts.min_wall_ns and
+        elif (bwall >= opts.min_wall_ns and
               cwall > bwall * (1.0 + opts.wall_tolerance)):
+            ok = False
             failures.append(
                 f"{label}: wall_ns {bwall:.3g} -> {cwall:.3g} "
                 f"(+{(cwall / bwall - 1.0) * 100.0:.1f}% > "
                 f"{opts.wall_tolerance * 100.0:.0f}% allowed)"
             )
-        for field in QUALITY_FIELDS:
-            if field not in brow:
-                # The row predates this field (a bench just started
-                # reporting it): nothing to gate against. Comparing to an
-                # implicit 0.0 would fail every nonzero candidate value.
-                if field in crow:
-                    notes.append(
-                        f"{label}: {field} has no baseline value; not gated"
-                    )
-                continue
-            if field not in crow:
-                failures.append(
-                    f"{label}: {field} missing from candidate (field "
-                    f"coverage loss)"
-                )
-                continue
-            bval = float(brow[field])
-            cval = float(crow[field])
-            if cval > bval * (1.0 + opts.quality_tolerance) + opts.quality_tolerance:
-                failures.append(
-                    f"{label}: {field} {bval:.6g} -> {cval:.6g} (any increase fails)"
-                )
-        if table is not None:
-            deltas = []
-            for field in QUALITY_FIELDS:
-                if field in brow and field in crow and float(brow[field]):
-                    rel = float(crow[field]) / float(brow[field]) - 1.0
-                    if abs(rel) > opts.quality_tolerance:
-                        deltas.append(f"{field} {rel:+.2%}")
-            table.append({
-                "label": label,
-                "bwall": bwall,
-                "cwall": cwall,
-                "quality": ", ".join(deltas) if deltas else "unchanged",
-                "ok": len(failures) == failures_before,
-            })
+        table.append({"label": label, "bwall": bwall, "cwall": cwall,
+                      "ok": ok})
 
     for key in cand:
         if key not in base:
             label = f"{suite}:{key[0]} {key[1]}"
             failures.append(f"{label}: row has no baseline (add one to "
                             f"the baseline report)")
-            if table is not None:
-                table.append({"label": label, "bwall": None,
-                              "cwall": float(cand[key].get("wall_ns", 0.0)),
-                              "quality": "no baseline", "ok": False})
+            table.append({"label": label, "bwall": None,
+                          "cwall": float(cand[key].get("wall_ns", 0.0)),
+                          "ok": False})
 
 
 def merge_min(docs):
-    """Merge repeated runs of one suite: per-row min of every numeric
-    gated field (noise only ever adds time)."""
+    """Merge repeated runs of one suite: per-row min of wall_ns (noise
+    only ever adds time)."""
     merged = docs[0]
     rows = {row_key(r): r for r in merged["rows"]}
     for doc in docs[1:]:
@@ -175,14 +132,9 @@ def merge_min(docs):
             if prev is None:
                 rows[row_key(row)] = row
                 merged["rows"].append(row)
-                continue
-            for field in ("wall_ns", *QUALITY_FIELDS):
-                # Only merge fields a run actually reported; defaulting an
-                # absent field to 0.0 would both fabricate a value and
-                # clobber the real one from the other run.
-                present = [float(d[field]) for d in (prev, row) if field in d]
-                if present:
-                    prev[field] = min(present)
+            else:
+                prev["wall_ns"] = min(float(prev.get("wall_ns", 0.0)),
+                                      float(row.get("wall_ns", 0.0)))
     return merged
 
 
@@ -207,16 +159,15 @@ def render_markdown(table, notes, failures):
     if table:
         lines += [
             "| benchmark | baseline wall | candidate wall | Δ wall "
-            "| quality | status |",
-            "|---|---:|---:|---:|---|:---:|",
+            "| status |",
+            "|---|---:|---:|---:|:---:|",
         ]
         for e in table:
             status = "✅" if e["ok"] else "❌"
             lines.append(
                 f"| `{e['label']}` | {_fmt_wall(e['bwall'])} "
                 f"| {_fmt_wall(e['cwall'])} "
-                f"| {_fmt_delta(e['bwall'], e['cwall'])} "
-                f"| {e['quality']} | {status} |"
+                f"| {_fmt_delta(e['bwall'], e['cwall'])} | {status} |"
             )
         lines.append("")
     if failures:
@@ -245,7 +196,7 @@ def run_compare(opts):
         if not cpaths:
             failures.append(f"{suite}: candidate report missing")
             table.append({"label": suite, "bwall": None, "cwall": None,
-                          "quality": "suite missing", "ok": False})
+                          "ok": False})
             continue
         cand_doc = merge_min([load_report(p) for p in cpaths])
         compare_reports(load_report(bpath), cand_doc, suite, opts,
@@ -253,7 +204,7 @@ def run_compare(opts):
     for suite in sorted(set(cand_files) - set(base_files)):
         failures.append(f"{suite}: suite has no baseline report")
         table.append({"label": suite, "bwall": None, "cwall": None,
-                      "quality": "no baseline", "ok": False})
+                      "ok": False})
 
     if opts.markdown_out:
         with open(opts.markdown_out, "w") as f:
@@ -277,17 +228,8 @@ def _mk_report(rows):
     return {"schema": SCHEMA, "suite": "t", "rows": rows}
 
 
-def _mk_row(name, params=None, wall_ns=0.0, cost=0.0, energy_j=0.0,
-            turnaround_s=0.0):
-    return {
-        "name": name,
-        "params": params or {},
-        "wall_ns": wall_ns,
-        "cost": cost,
-        "energy_j": energy_j,
-        "turnaround_s": turnaround_s,
-        "counters": {},
-    }
+def _mk_row(name, params=None, wall_ns=0.0):
+    return {"name": name, "params": params or {}, "wall_ns": wall_ns}
 
 
 def self_test():
@@ -317,8 +259,8 @@ def self_test():
             print(f"self-test ok: {desc}")
 
     base = [
-        _mk_row("a", {"n": 4}, wall_ns=2e6, cost=100.0),
-        _mk_row("a", {"n": 8}, wall_ns=4e6, cost=200.0, energy_j=50.0),
+        _mk_row("a", {"n": 4}, wall_ns=2e6),
+        _mk_row("a", {"n": 8}, wall_ns=4e6),
         _mk_row("tiny", wall_ns=1e3),
     ]
 
@@ -344,12 +286,7 @@ def self_test():
     check("candidate dropping below the row floor passes", base,
           now_sub_floor, 0)
 
-    worse_cost = copy.deepcopy(base)
-    worse_cost[1]["cost"] = 200.001
-    check("any cost increase fails", base, worse_cost, 1)
-
     better = copy.deepcopy(base)
-    better[1]["cost"] = 150.0
     better[0]["wall_ns"] = 1e6
     check("improvements pass", base, better, 0)
 
@@ -365,28 +302,6 @@ def self_test():
           [copy.deepcopy(base), copy.deepcopy(extra)], 1)
     check("row with its baseline added passes", extra, copy.deepcopy(extra),
           0)
-
-    # A bench that just started reporting a quality field must not be
-    # gated against an implicit 0.0 baseline.
-    no_energy_base = copy.deepcopy(base)
-    del no_energy_base[1]["energy_j"]
-    check("new quality field passes with a note", no_energy_base,
-          copy.deepcopy(base), 0)
-
-    lost_field = copy.deepcopy(base)
-    del lost_field[1]["energy_j"]
-    check("quality field dropped from candidate fails", base, lost_field, 1)
-
-    # Merging runs must not fabricate absent fields as 0.0 (which would
-    # mask a real regression behind a phantom minimum).
-    sparse_run = copy.deepcopy(worse_cost)
-    del sparse_run[1]["cost"]
-    check("min-of-N ignores absent fields when merging", base,
-          [copy.deepcopy(worse_cost), sparse_run], 1)
-
-    worse_energy = copy.deepcopy(base)
-    worse_energy[1]["energy_j"] = 50.5
-    check("any energy increase fails", base, worse_energy, 1)
 
     noisy_run = copy.deepcopy(base)
     noisy_run[0]["wall_ns"] = 2e6 * 3.0  # one flaky run...
@@ -452,8 +367,6 @@ def parse_args(argv):
                         "multiple runs (per-row minimum is gated)")
     p.add_argument("--wall-tolerance", type=float, default=0.25,
                    help="allowed relative wall_ns growth (default 0.25)")
-    p.add_argument("--quality-tolerance", type=float, default=1e-6,
-                   help="relative slack for cost/energy/turnaround")
     p.add_argument("--min-wall-ns", type=float, default=1e6,
                    help="ignore wall regressions below this baseline (ns)")
     p.add_argument("--markdown-out",

@@ -36,7 +36,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -250,7 +249,6 @@ class HealthMonitor {
 
  private:
   void tick_locked(double t);
-  [[nodiscard]] double now_s() const;
 
   Registry& registry_;
   Options options_;
@@ -264,7 +262,6 @@ class HealthMonitor {
   std::condition_variable cv_;
   bool stopping_ = false;
   std::thread thread_;
-  std::chrono::steady_clock::time_point epoch_;
 };
 
 }  // namespace dvfs::obs::health

@@ -116,7 +116,7 @@ class ScopedStage {
 /// interrupted PC.
 struct Sample {
   static constexpr std::size_t kMaxFrames = 32;
-  double t_s = 0.0;  ///< seconds on the profiler's axis (start() = 0)
+  double t_s = 0.0;  ///< run-clock seconds (obs/clock.h)
   std::uint32_t tid = 0;
   std::uint16_t shard = kNoShard;
   std::uint8_t stage = 0;  ///< Stage
@@ -202,9 +202,6 @@ class CpuProfiler {
 
   [[nodiscard]] bool running() const noexcept;
   [[nodiscard]] int hz() const noexcept { return options_.hz; }
-
-  /// Seconds on the profiler's time axis (0 at the most recent start()).
-  [[nodiscard]] double now_s() const noexcept;
 
   /// Synchronous collection pass — what the collector thread runs every
   /// few milliseconds. Exposed so tests (and the HTTP handler) can make

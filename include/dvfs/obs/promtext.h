@@ -102,7 +102,6 @@ class MetricsHttpServer {
     std::string content_type = "text/plain; charset=utf-8";
     std::string body;
   };
-  using Handler = std::function<Response()>;
 
   /// A fully parsed request, as handed to a RequestHandler. `path` is
   /// the request target with any `?query` stripped (so routes match
@@ -142,13 +141,10 @@ class MetricsHttpServer {
   MetricsHttpServer(const MetricsHttpServer&) = delete;
   MetricsHttpServer& operator=(const MetricsHttpServer&) = delete;
 
-  /// Registers (or replaces) a GET route under an exact path, e.g.
-  /// `/healthz`. Call before `start()`; routes are not guarded against
-  /// the serving thread.
-  void add_route(const std::string& path, Handler handler);
-
-  /// Method-aware exact route: `add_route("POST", "/submit", ...)`.
-  /// A request that matches the path but not the method answers 405.
+  /// Registers (or replaces) an exact route for one method:
+  /// `add_route("POST", "/submit", ...)`. A request that matches the path
+  /// but not the method answers 405. Call before `start()`; routes are
+  /// not guarded against the serving thread.
   void add_route(const std::string& method, const std::string& path,
                  RequestHandler handler);
 

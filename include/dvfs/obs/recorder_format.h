@@ -246,7 +246,9 @@ struct Event {
   std::uint16_t core = 0;
   std::uint16_t rate_idx = 0;
   std::uint16_t aux = 0;
-  double time_s = 0.0;  ///< simulated (or wall) seconds since run start
+  /// Seconds on the run clock (obs/clock.h), the origin every wall-clock
+  /// channel of a recording shares; sim::Engine's channel: simulated s.
+  double time_s = 0.0;
   std::uint64_t task = 0;
   std::uint64_t u0 = 0;
   double f0 = 0.0;

@@ -21,7 +21,7 @@
 /// Both copies take their steps from the same two functions:
 /// `placement_steps()` turns the facts of one placement into its five
 /// steps and `exec_step()` writes an execution step, each time from
-/// integer nanoseconds through `ns_to_s()`.
+/// integer nanoseconds on the run clock through `ns_to_s()` (obs/clock.h).
 ///
 /// A stage is defined in one place: its row of the `kStages` table —
 /// the event it is recorded as (which also names it), the event fields
@@ -78,7 +78,7 @@ enum class Stage : std::uint8_t {
 /// stored as the stage's `kStages` row says.
 struct Step {
   Stage stage = Stage::kSubmitRecv;
-  double t_s = 0.0;  ///< steady seconds since service start
+  double t_s = 0.0;  ///< seconds on the run clock (obs/clock.h)
   std::uint32_t a = 0;
   std::uint32_t b = 0;
 
@@ -188,14 +188,6 @@ constexpr void for_each_detail(const Step& s, F&& f) {
 /// The step an event records; nullopt for events that are not a stage.
 /// The only decoder of a step.
 [[nodiscard]] std::optional<Step> to_step(const dfr::Event& e);
-
-/// Steady nanoseconds since service start as the seconds a step carries.
-/// Every daemon-side step time is formed this way (as
-/// `std::chrono::duration<double>` forms it from nanoseconds), so an
-/// instant kept in integer nanoseconds rebuilds to the same double.
-[[nodiscard]] constexpr double ns_to_s(std::uint64_t ns) {
-  return static_cast<double>(ns) / 1e9;
-}
 
 /// The facts one pass of a task through a shard leaves behind: when it
 /// arrived, crossed the shard's admission ring and was placed, and what

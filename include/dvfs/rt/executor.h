@@ -65,8 +65,8 @@ struct RtTaskRecord {
   std::size_t core = 0;
   std::size_t rate_idx = 0;
   Seconds planned_seconds = 0.0;  ///< model: cycles * T(rate) * time_scale
-  Seconds start = 0.0;            ///< wall time since run start
-  Seconds finish = 0.0;
+  Seconds start = 0.0;            ///< run-clock seconds (obs/clock.h)
+  Seconds finish = 0.0;           ///< run-clock seconds
   Joules model_energy = 0.0;      ///< cycles * E(rate)
   /// Hardware telemetry for the span, when a provider was attached;
   /// sources stay kUnavailable otherwise.
@@ -106,8 +106,9 @@ class RealtimeExecutor {
   /// Attaches a flight recorder for subsequent execute() calls; nullptr
   /// detaches. The recorder must have at least one channel per plan core
   /// — each worker thread is the single producer of its own channel, so
-  /// the wait-free SPSC contract holds with real concurrency. Events use
-  /// wall-clock seconds since run start as their timestamp.
+  /// the wait-free SPSC contract holds with real concurrency. Events are
+  /// stamped in run-clock seconds (obs/clock.h), the time base of every
+  /// other wall-clock channel of the same recording.
   void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
   /// Attaches a hardware telemetry provider for subsequent execute()

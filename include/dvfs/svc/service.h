@@ -40,7 +40,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -212,7 +211,6 @@ class SchedulingService {
   /// push; drain() waits for this to hit zero after flipping the phase so
   /// no accepted ticket can land in a ring the drain no longer watches.
   std::atomic<std::uint64_t> inflight_submits_{0};
-  std::chrono::steady_clock::time_point start_time_{};
 
   // Request tracing: id source and per-bucket exemplars.
   std::atomic<std::uint64_t> trace_seq_{0};

@@ -62,7 +62,7 @@ struct TaskStatus {
   Cycles cycles = 0;
   Money marginal = 0.0;  ///< exact queue-cost delta of the placement
   std::uint64_t trace = 0;  ///< request-trace id assigned at ingress
-  double placed_s = 0.0;    ///< placement instant (steady s since start)
+  double placed_s = 0.0;    ///< placement instant (run-clock seconds)
 };
 
 /// One placement of a task: what it decided and the facts its timeline

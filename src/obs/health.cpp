@@ -1,12 +1,14 @@
 #include "dvfs/obs/health.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <set>
 #include <utility>
 
 #include "dvfs/common.h"
+#include "dvfs/obs/clock.h"
 #include "dvfs/obs/promtext.h"
 #include "dvfs/obs/recorder.h"
 
@@ -547,19 +549,12 @@ HealthMonitor::HealthMonitor(Registry& registry, std::vector<Rule> rules,
     : registry_(registry),
       options_(options),
       engine_(std::move(rules)),
-      store_(options.series_capacity),
-      epoch_(std::chrono::steady_clock::now()) {
+      store_(options.series_capacity) {
   DVFS_REQUIRE(options_.period_s > 0.0, "health period must be positive");
   engine_.prepare(store_);
 }
 
 HealthMonitor::~HealthMonitor() { stop(); }
-
-double HealthMonitor::now_s() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       epoch_)
-      .count();
-}
 
 void HealthMonitor::tick_locked(double t) {
   store_.sample(registry_, t);
@@ -595,7 +590,7 @@ void HealthMonitor::tick_locked(double t) {
 
 void HealthMonitor::tick() {
   const std::scoped_lock lock(mu_);
-  tick_locked(now_s());
+  tick_locked(ns_to_s(now_ns()));
 }
 
 void HealthMonitor::start() {
@@ -609,7 +604,7 @@ void HealthMonitor::start() {
                        [this] { return stopping_; })) {
         break;
       }
-      tick_locked(now_s());
+      tick_locked(ns_to_s(now_ns()));
     }
   });
 }
@@ -625,23 +620,24 @@ void HealthMonitor::stop() {
   // One final tick so the published gauges, the recorded events, and any
   // subsequent metrics snapshot reflect the end state of the run.
   const std::scoped_lock lock(mu_);
-  tick_locked(now_s());
+  tick_locked(ns_to_s(now_ns()));
 }
 
 void HealthMonitor::settle() {
   double max_for = 0.0;
   for (const Rule& r : engine_.rules()) max_for = std::max(max_for, r.for_s);
-  const double deadline = now_s() + max_for + 2.0 * options_.period_s;
+  const double deadline =
+      ns_to_s(now_ns()) + max_for + 2.0 * options_.period_s;
   for (;;) {
     bool any_pending = false;
     {
       const std::scoped_lock lock(mu_);
-      tick_locked(now_s());
+      tick_locked(ns_to_s(now_ns()));
       for (std::size_t i = 0; i < engine_.rules().size(); ++i) {
         if (engine_.state(i) == AlertState::kPending) any_pending = true;
       }
     }
-    if (!any_pending || now_s() >= deadline) break;
+    if (!any_pending || ns_to_s(now_ns()) >= deadline) break;
     std::this_thread::sleep_for(
         std::chrono::duration<double>(options_.period_s));
   }
@@ -662,7 +658,7 @@ std::vector<AlertState> HealthMonitor::states() const {
 
 Json HealthMonitor::status_json() const {
   const std::scoped_lock lock(mu_);
-  return engine_.status_json(now_s());
+  return engine_.status_json(ns_to_s(now_ns()));
 }
 
 }  // namespace dvfs::obs::health

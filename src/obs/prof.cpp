@@ -25,6 +25,7 @@
 #include <ucontext.h>
 
 #include "dvfs/common.h"
+#include "dvfs/obs/clock.h"
 #include "dvfs/obs/metrics.h"
 #include "dvfs/obs/promtext.h"
 #include "dvfs/obs/recorder.h"
@@ -87,16 +88,9 @@ ThreadState g_pool[kMaxThreads];
 /// handoff. Never taken by the signal handler.
 std::mutex g_mu;
 std::atomic<bool> g_sampling{false};
-std::atomic<std::int64_t> g_epoch_ns{0};
 int g_hz = 100;  // under g_mu
 
 thread_local ThreadState* t_slot = nullptr;
-
-std::int64_t mono_ns() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::int64_t>(ts.tv_sec) * 1000000000LL + ts.tv_nsec;
-}
 
 /// Frame-pointer walk from the interrupted context. Every dereference is
 /// bounds-checked against the thread's stack, so a frame-pointer-less
@@ -139,9 +133,7 @@ extern "C" void dvfs_sigprof_handler(int, siginfo_t*, void* ucv) {
   if (st == nullptr || !g_sampling.load(std::memory_order_relaxed)) return;
   const int saved_errno = errno;
   Sample s;
-  s.t_s = static_cast<double>(mono_ns() -
-                              g_epoch_ns.load(std::memory_order_relaxed)) /
-          1e9;
+  s.t_s = ns_to_s(now_ns());
   s.tid = static_cast<std::uint32_t>(st->tid);
   s.shard = detail::tls_shard;
   s.stage = detail::tls_stage;
@@ -284,7 +276,6 @@ struct CpuProfiler::Impl {
 
   std::atomic<bool> running{false};
   std::thread collector;
-  std::atomic<std::int64_t> epoch_ns{mono_ns()};
 
   /// Serializes collection passes: the collector thread, collect_now(),
   /// and the final pass in stop() are each "the consumer".
@@ -313,12 +304,6 @@ bool CpuProfiler::running() const noexcept {
   return impl_->running.load(std::memory_order_relaxed);
 }
 
-double CpuProfiler::now_s() const noexcept {
-  return static_cast<double>(
-             mono_ns() - impl_->epoch_ns.load(std::memory_order_relaxed)) /
-         1e9;
-}
-
 namespace {
 /// The one running profiler's Impl (under g_mu); the handler never needs
 /// it — only the start()/stop() exclusivity check does, so an opaque
@@ -336,9 +321,6 @@ void CpuProfiler::start() {
     install_handler_once();
     g_active = impl_.get();
     g_hz = options_.hz;
-    const std::int64_t now = mono_ns();
-    g_epoch_ns.store(now, std::memory_order_relaxed);
-    impl_->epoch_ns.store(now, std::memory_order_relaxed);
     g_sampling.store(true, std::memory_order_release);
     for (auto& st : g_pool) {
       if (st.state.load(std::memory_order_relaxed) == ThreadState::kActive) {
@@ -1006,7 +988,7 @@ void register_pprof_route(MetricsHttpServer& server, CpuProfiler& prof) {
           }
           seconds = std::min(seconds, 30.0);
         }
-        const double since = prof.now_s();
+        const double since = ns_to_s(now_ns());
         std::this_thread::sleep_for(
             std::chrono::duration<double>(seconds));
         prof.collect_now();

@@ -196,19 +196,11 @@ std::string lower(std::string s) {
 MetricsHttpServer::MetricsHttpServer(Options options, BodyFn body)
     : options_(std::move(options)) {
   DVFS_REQUIRE(body != nullptr, "metrics server needs a body callback");
-  const Handler metrics = [body = std::move(body)] {
+  const RequestHandler metrics = [body = std::move(body)](const Request&) {
     return Response{200, "text/plain; version=0.0.4; charset=utf-8", body()};
   };
-  add_route("/metrics", metrics);
-  add_route("/", metrics);
-}
-
-void MetricsHttpServer::add_route(const std::string& path, Handler handler) {
-  DVFS_REQUIRE(handler != nullptr, "route needs a handler");
-  add_route("GET", path,
-            [handler = std::move(handler)](const Request&) {
-              return handler();
-            });
+  add_route("GET", "/metrics", metrics);
+  add_route("GET", "/", metrics);
 }
 
 void MetricsHttpServer::add_route(const std::string& method,

@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "dvfs/common.h"
+#include "dvfs/obs/clock.h"
 
 namespace dvfs::obs::reqtrace {
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -14,18 +13,13 @@
 #include <sched.h>
 #endif
 
+#include "dvfs/obs/clock.h"
 #include "dvfs/obs/metrics.h"
 #include "dvfs/obs/prof.h"
 #include "dvfs/obs/recorder.h"
 
 namespace dvfs::rt {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-Seconds seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 // CPU-bound mixing kernel. The state dependency chain defeats both
 // vectorization and dead-code elimination (the result is returned and
@@ -60,14 +54,14 @@ SpinCalibrator::SpinCalibrator(double calibration_seconds) {
                "calibration duration must be positive");
   // Warm up, then measure.
   std::uint64_t sink = kernel(1, 200'000);
-  const auto t0 = Clock::now();
+  const std::uint64_t t0 = obs::now_ns();
   std::uint64_t iterations = 0;
   constexpr std::uint64_t kChunk = 100'000;
-  while (seconds_since(t0) < calibration_seconds) {
+  while (obs::ns_to_s(obs::now_ns() - t0) < calibration_seconds) {
     sink = kernel(sink, kChunk);
     iterations += kChunk;
   }
-  const double elapsed = seconds_since(t0);
+  const double elapsed = obs::ns_to_s(obs::now_ns() - t0);
   ips_ = static_cast<double>(iterations) / elapsed;
   DVFS_REQUIRE(ips_ > 0.0 && sink != 0, "calibration failed");
 }
@@ -75,14 +69,14 @@ SpinCalibrator::SpinCalibrator(double calibration_seconds) {
 std::uint64_t SpinCalibrator::spin_for(Seconds seconds, double ips) {
   DVFS_REQUIRE(seconds >= 0.0, "cannot spin for negative time");
   DVFS_REQUIRE(ips > 0.0, "invalid calibration");
-  const auto t0 = Clock::now();
+  const std::uint64_t t0 = obs::now_ns();
   std::uint64_t sink = 0x243f6a8885a308d3ULL;
   // Chunks cap at ~200 us between clock checks but shrink near the target
   // so short spins do not overshoot by a whole chunk.
   const std::uint64_t max_chunk =
       std::max<std::uint64_t>(1'000, static_cast<std::uint64_t>(ips * 2e-4));
   while (true) {
-    const double remaining = seconds - seconds_since(t0);
+    const double remaining = seconds - obs::ns_to_s(obs::now_ns() - t0);
     if (remaining <= 0.0) break;
     const auto want = static_cast<std::uint64_t>(remaining * ips);
     sink = kernel(sink, std::clamp<std::uint64_t>(want, 256, max_chunk));
@@ -117,7 +111,7 @@ RtResult RealtimeExecutor::execute(const core::Plan& plan) const {
 
   RtResult result;
   std::mutex result_mutex;
-  const auto t0 = Clock::now();
+  const std::uint64_t t0 = obs::now_ns();
   const double ips = calibrator_.iterations_per_second();
 
   // Resolved before the workers spawn so the threads themselves only do
@@ -141,7 +135,7 @@ RtResult RealtimeExecutor::execute(const core::Plan& plan) const {
     recorder_->channel(0).record(
         {.type = static_cast<std::uint8_t>(obs::dfr::EventType::kRunBegin),
          .core = static_cast<std::uint16_t>(plan.cores.size()),
-         .time_s = 0.0});
+         .time_s = obs::ns_to_s(t0)});
   }
 
   std::vector<std::thread> workers;
@@ -180,12 +174,12 @@ RtResult RealtimeExecutor::execute(const core::Plan& plan) const {
                             obs::dfr::EventType::kFreqChange),
                         .core = static_cast<std::uint16_t>(j),
                         .rate_idx = static_cast<std::uint16_t>(st.rate_idx),
-                        .time_s = seconds_since(t0),
+                        .time_s = obs::ns_to_s(obs::now_ns()),
                         .f0 = model_.rates()[st.rate_idx]});
           }
         }
         last_rate = st.rate_idx;
-        rec.start = seconds_since(t0);
+        rec.start = obs::ns_to_s(obs::now_ns());
         if (rc != nullptr) {
           rc->record({.type = static_cast<std::uint8_t>(
                           obs::dfr::EventType::kTaskStart),
@@ -228,7 +222,7 @@ RtResult RealtimeExecutor::execute(const core::Plan& plan) const {
             rec.measured.joules /= avg_busy;
           }
         }
-        rec.finish = seconds_since(t0);
+        rec.finish = obs::ns_to_s(obs::now_ns());
         tasks_executed.inc();
         task_wall_ns.observe(
             static_cast<std::uint64_t>((rec.finish - rec.start) * 1e9));
@@ -277,7 +271,7 @@ RtResult RealtimeExecutor::execute(const core::Plan& plan) const {
   }
   for (std::thread& w : workers) w.join();
 
-  result.wall_makespan = seconds_since(t0);
+  result.wall_makespan = obs::ns_to_s(obs::now_ns() - t0);
   for (const RtTaskRecord& t : result.tasks) {
     result.model_energy += t.model_energy;
   }

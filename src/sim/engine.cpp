@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <functional>
 #include <limits>
 #include <vector>
 
+#include "dvfs/obs/clock.h"
 #include "dvfs/obs/recorder.h"
 #include "dvfs/sim/metrics.h"
 
@@ -501,12 +501,9 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
   std::uint64_t callbacks = 0;
   const auto timed_call = [&](obs::dfr::DecisionKind what, auto&& fn) {
     if (callbacks++ % kDecisionSampleEvery == 0) {
-      const auto t0 = std::chrono::steady_clock::now();
+      const std::uint64_t t0 = obs::now_ns();
       fn();
-      stats_.decision_ns.observe(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count()));
+      stats_.decision_ns.observe(obs::now_ns() - t0);
     } else {
       fn();
     }

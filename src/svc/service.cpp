@@ -6,21 +6,13 @@
 #include <utility>
 
 #include "dvfs/core/task.h"
+#include "dvfs/obs/clock.h"
 #include "dvfs/obs/prof.h"
 #include "dvfs/obs/recorder.h"
 
 namespace dvfs::svc {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-std::uint64_t now_ns_since(Clock::time_point origin) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                           origin)
-          .count());
-}
 
 /// SplitMix64 finalizer: sequential task ids must not all land on one
 /// shard, so the route hash has to mix low bits into high entropy.
@@ -150,8 +142,8 @@ void SchedulingService::start() {
   Phase expected = Phase::kIdle;
   DVFS_REQUIRE(phase_.compare_exchange_strong(expected, Phase::kRunning),
                "service already started");
-  start_time_ = Clock::now();
   if (recorder_ != nullptr) {
+    const double now = obs::ns_to_s(obs::now_ns());
     DVFS_REQUIRE(recorder_->num_channels() >= shards_.size(),
                  "recorder needs one channel per shard");
     for (auto& s : shards_) {
@@ -159,8 +151,9 @@ void SchedulingService::start() {
       obs::dfr::Event begin;
       begin.type = static_cast<std::uint8_t>(obs::dfr::EventType::kRunBegin);
       begin.core = static_cast<std::uint16_t>(s->num_cores);
+      begin.time_s = now;
       s->channel->record(begin);
-      obs::record_params(*s->channel, 0.0, obs::dfr::PolicyKind::kLmc,
+      obs::record_params(*s->channel, now, obs::dfr::PolicyKind::kLmc,
                          s->num_cores, params_.re, params_.rt);
     }
   }
@@ -248,7 +241,7 @@ std::size_t SchedulingService::submit(std::span<const Submission> tasks,
     }
     return 0;
   }
-  const std::uint64_t recv_ns = now_ns_since(start_time_);
+  const std::uint64_t recv_ns = obs::now_ns();
   // Trace ids come from a mixed sequence so they look (and dedupe) like
   // real distributed-tracing ids while staying deterministic per run;
   // request i takes the i-th id of one reservation.
@@ -275,7 +268,7 @@ std::size_t SchedulingService::submit(std::span<const Submission> tasks,
     if (want == 0) continue;
     Shard& shard = *shards_[s];
     const std::span<Msg> group(msgs.data() + begin, want);
-    const std::uint64_t enqueue_ns = now_ns_since(start_time_);
+    const std::uint64_t enqueue_ns = obs::now_ns();
     double cycles = 0.0;
     for (Msg& msg : group) {
       msg.enqueue_ns = enqueue_ns;
@@ -360,7 +353,7 @@ void SchedulingService::worker(Shard& shard) {
     if (n > 0) {
       // One timestamp per batch: every message in it left the ring at
       // this instant as far as the trace is concerned.
-      const std::uint64_t dequeue_ns = now_ns_since(start_time_);
+      const std::uint64_t dequeue_ns = obs::now_ns();
       for (std::size_t i = 0; i < n; ++i) {
         handle_submit(shard, batch[i], dequeue_ns);
       }
@@ -394,8 +387,8 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
       shard.lmc.place_non_interactive(msg.cycles, msg.id);
   ++shard.queue_len;
   placed_.inc();
-  const std::uint64_t place_ns = now_ns_since(start_time_);
-  const double place_s = obs::reqtrace::ns_to_s(place_ns);
+  const std::uint64_t place_ns = obs::now_ns();
+  const double place_s = obs::ns_to_s(place_ns);
   const std::uint64_t latency_us = (place_ns - msg.enqueue_ns) / 1000;
   admission_latency_us_.observe(latency_us);
   admission_exemplars_.observe(latency_us, msg.trace, place_s);
@@ -427,7 +420,7 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
 
     Event arrival;
     arrival.type = static_cast<std::uint8_t>(EventType::kTaskArrival);
-    arrival.time_s = obs::reqtrace::ns_to_s(msg.enqueue_ns);
+    arrival.time_s = obs::ns_to_s(msg.enqueue_ns);
     arrival.task = msg.id;
     arrival.u0 = msg.cycles;
     arrival.aux = static_cast<std::uint16_t>(core::TaskClass::kBatch);
@@ -453,8 +446,8 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
 void SchedulingService::virtual_execute(Shard& shard) {
   const obs::prof::ScopedStage prof_stage(obs::prof::Stage::kExec);
   using obs::reqtrace::Stage;
-  const std::uint64_t now_ns = now_ns_since(start_time_);
-  const double now = obs::reqtrace::ns_to_s(now_ns);
+  const std::uint64_t now_ns = obs::now_ns();
+  const double now = obs::ns_to_s(now_ns);
   bool changed = false;
   double dispatched = 0.0;
   for (std::size_t c = 0; c < shard.num_cores; ++c) {

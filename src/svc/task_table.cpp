@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "dvfs/obs/clock.h"
 #include "dvfs/svc/service.h"
 
 namespace dvfs::svc {
@@ -52,7 +53,7 @@ TaskStatus status_of(const Placed& p) {
   st.cycles = p.cycles;
   st.marginal = p.marginal;
   st.trace = p.trace;
-  st.placed_s = obs::reqtrace::ns_to_s(p.at.place_ns);
+  st.placed_s = obs::ns_to_s(p.at.place_ns);
   return st;
 }
 
@@ -167,7 +168,7 @@ struct TaskTable::Stripe {
     st.cycles = r.cycles;
     st.marginal = r.marginal;
     st.trace = r.trace;
-    st.placed_s = obs::reqtrace::ns_to_s(r.at(kPlace));
+    st.placed_s = obs::ns_to_s(r.at(kPlace));
     return st;
   }
 

@@ -243,7 +243,7 @@ TEST(MetricsHttpServer, AcceptAllowsMatchingRules) {
 TEST(MetricsHttpServer, CustomRoutesNegotiateTheirOwnType) {
   MetricsHttpServer server({.host = "127.0.0.1", .port = 0},
                            [] { return std::string("metrics\n"); });
-  server.add_route("/healthz", [] {
+  server.add_route("GET", "/healthz", [](const MetricsHttpServer::Request&) {
     return MetricsHttpServer::Response{
         .status = 503,
         .content_type = "application/json; charset=utf-8",
@@ -290,9 +290,11 @@ class PostServerTest : public ::testing::Test {
               .content_type = "text/plain; charset=utf-8",
               .body = "path:" + req.path + "\n"};
         });
-    server_->add_route("/boom", []() -> MetricsHttpServer::Response {
-      throw std::runtime_error("handler exploded");
-    });
+    server_->add_route(
+        "GET", "/boom",
+        [](const MetricsHttpServer::Request&) -> MetricsHttpServer::Response {
+          throw std::runtime_error("handler exploded");
+        });
     server_->start();
   }
   std::unique_ptr<MetricsHttpServer> server_;

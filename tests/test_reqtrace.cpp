@@ -8,15 +8,16 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dvfs/core/energy_model.h"
+#include "dvfs/obs/health.h"
 #include "dvfs/obs/recorder.h"
 #include "dvfs/svc/service.h"
+#include "eventually.h"
 
 namespace dvfs::obs::reqtrace {
 namespace {
@@ -280,21 +281,6 @@ TEST(ReqTrace, PlacementStepsSpellOutOnePlacement) {
   EXPECT_THROW((void)exec_step(Stage::kPlacement, 6, 0), std::exception);
 }
 
-// ns_to_s is the conversion std::chrono performs for duration<double>,
-// so times kept in integer nanoseconds rebuild bit for bit.
-TEST(ReqTrace, NsToSecondsMatchesChronoDuration) {
-  for (const std::uint64_t ns :
-       {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{999'999'999},
-        std::uint64_t{1} << 32, (std::uint64_t{1} << 53) + 1,
-        std::uint64_t{123'456'789'012'345}}) {
-    const std::chrono::nanoseconds d(static_cast<std::int64_t>(ns));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ns_to_s(ns)),
-              std::bit_cast<std::uint64_t>(
-                  std::chrono::duration<double>(d).count()))
-        << ns;
-  }
-}
-
 // One step per stage, with the details the `.dfr` format documents for
 // its event: encoding then decoding gives the step back, and the event
 // carries the fields the format promises.
@@ -399,17 +385,7 @@ TEST(ExemplarStore, FindsOnlyRegisteredSeries) {
 core::EnergyModel test_model() { return core::EnergyModel::icpp2014_table2(); }
 constexpr core::CostParams kParams{0.4, 0.1};
 
-/// Polls `pred` for up to `timeout_ms`; returns whether it turned true.
-template <typename Pred>
-bool eventually(Pred pred, int timeout_ms = 5000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return pred();
-}
+using test::eventually;
 
 // The headline acceptance gate: every task the service executed
 // reconstructs — from the recorded event stream alone — to a full
@@ -460,6 +436,49 @@ TEST(ReqTraceService, RecordedTimelinesTelescopeToEndToEnd) {
     EXPECT_EQ(live->trace_id, t.trace_id);
     EXPECT_EQ(live->steps.size(), t.steps.size());
   }
+}
+
+// One recording, one time base: a health sample taken between two
+// submissions sits between their receipt instants, though the monitor
+// was built well before the service started.
+TEST(ReqTraceService, HealthSampleSharesTheShardTimeBase) {
+  obs::Registry registry;
+  svc::ServiceOptions opts;
+  opts.shards = 1;
+  opts.cores = 2;
+  opts.registry = &registry;
+  svc::SchedulingService svc(test_model(), kParams, opts);
+  Recorder recorder(1);
+  svc.set_recorder(&recorder);
+  health::HealthMonitor monitor(registry, health::builtin_rules());
+  monitor.set_channel(&recorder.add_channel(Recorder::kDefaultCapacity));
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  svc.start();
+  ASSERT_TRUE(svc.submit(1, 1'000'000).accepted);
+  monitor.tick();
+  ASSERT_TRUE(svc.submit(2, 1'000'000).accepted);
+  svc.drain();
+  recorder.drain();
+  ASSERT_EQ(recorder.events_dropped(), 0u);
+
+  const std::vector<Timeline> timelines = build_timelines(recorder.events());
+  ASSERT_EQ(timelines.size(), 2u);
+  double recv_s[3] = {};
+  for (const Timeline& t : timelines) {
+    ASSERT_LE(t.task, 2u);
+    ASSERT_EQ(t.steps.front().stage, Stage::kSubmitRecv);
+    recv_s[t.task] = t.steps.front().t_s;
+  }
+  std::size_t samples = 0;
+  for (const Event& e : recorder.events()) {
+    if (e.type != static_cast<std::uint8_t>(EventType::kHealthSample)) {
+      continue;
+    }
+    ++samples;
+    EXPECT_LE(recv_s[1], e.time_s);
+    EXPECT_LE(e.time_s, recv_s[2]);
+  }
+  EXPECT_GT(samples, 0u);
 }
 
 // The two copies of every timeline agree step for step: what the task

@@ -8,12 +8,10 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -22,6 +20,7 @@
 #include "dvfs/obs/metrics.h"
 #include "dvfs/obs/promtext.h"
 #include "dvfs/obs/reqtrace.h"
+#include "eventually.h"
 #include "http_client.h"
 #include "proptest/rng.h"
 #include "submit_oracle.h"
@@ -30,6 +29,7 @@ namespace dvfs::svc {
 namespace {
 
 using test::body_of;
+using test::eventually;
 using test::http_get;
 using test::http_post;
 
@@ -41,17 +41,6 @@ void expect_json_error(const std::string& response) {
   ASSERT_TRUE(body.contains("error")) << response;
   EXPECT_TRUE(body.at("error").is_string()) << response;
   EXPECT_EQ(response.find(".cpp"), std::string::npos) << response;
-}
-
-template <typename Pred>
-bool eventually(Pred pred, int timeout_ms = 5000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return pred();
 }
 
 /// A running service with the real routes registered, exemplar-linked

@@ -20,6 +20,7 @@
 #include "dvfs/core/online_lmc.h"
 #include "dvfs/obs/recorder.h"
 #include "dvfs/workload/spec2006int.h"
+#include "eventually.h"
 #include "proptest/rng.h"
 #include "dvfs/svc/service.h"
 
@@ -36,17 +37,7 @@ ServiceOptions shard_options(std::size_t shards, std::size_t cores) {
   return opts;
 }
 
-/// Polls `pred` for up to `timeout_ms`; returns whether it turned true.
-template <typename Pred>
-bool eventually(Pred pred, int timeout_ms = 5000) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  return pred();
-}
+using test::eventually;
 
 TEST(SchedulingService, RouteIsStableAndCoversShards) {
   std::vector<bool> hit(8, false);

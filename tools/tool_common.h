@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "dvfs/core/cost_model.h"
+#include "dvfs/obs/clock.h"
 #include "dvfs/obs/health.h"
 #include "dvfs/obs/json.h"
 #include "dvfs/obs/metrics.h"
@@ -122,22 +123,22 @@ class ToolRun {
   void add_health_route(obs::MetricsHttpServer& server) const {
     if (monitor_ == nullptr) return;
     obs::health::HealthMonitor* m = monitor_.get();
-    server.add_route("/healthz", [m] {
-      return obs::MetricsHttpServer::Response{
-          .status = m->healthy() ? 200 : 503,
-          .content_type = "application/json; charset=utf-8",
-          .body = m->status_json().dump(2) + "\n"};
-    });
+    server.add_route(
+        "GET", "/healthz", [m](const obs::MetricsHttpServer::Request&) {
+          return obs::MetricsHttpServer::Response{
+              .status = m->healthy() ? 200 : 503,
+              .content_type = "application/json; charset=utf-8",
+              .body = m->status_json().dump(2) + "\n"};
+        });
   }
 
   /// Blocks until SIGINT/SIGTERM or until `--serve-seconds` elapse
   /// (0 = no limit).
   void wait_for_exit() const {
     const std::uint64_t serve_s = args_.get_u64("serve-seconds", 0);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(serve_s);
+    const std::uint64_t t0 = obs::now_ns();
     while (g_signal == 0 &&
-           (serve_s == 0 || std::chrono::steady_clock::now() < deadline)) {
+           (serve_s == 0 || (obs::now_ns() - t0) / 1'000'000'000 < serve_s)) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
     if (g_signal != 0) {

@@ -108,20 +108,6 @@ void BM_CostTableConstructionMemoized(benchmark::State& state) {
 }
 BENCHMARK(BM_CostTableConstructionMemoized)->RangeMultiplier(2)->Range(2, 256);
 
-// The ds-layer single-slot memo: a get() on an unchanged rate set is one
-// element-wise key comparison, no hull pass.
-void BM_MemoizedEnvelopeHit(benchmark::State& state) {
-  const auto m = model_with_rates(static_cast<std::size_t>(state.range(0)));
-  const core::CostParams cp{0.3, 0.7};
-  const auto lines = lines_for(m, cp);
-  ds::MemoizedEnvelope memo;
-  (void)memo.get(lines);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(&memo.get(lines));
-  }
-}
-BENCHMARK(BM_MemoizedEnvelopeHit)->RangeMultiplier(2)->Range(2, 256);
-
 }  // namespace
 
 int main(int argc, char** argv) {

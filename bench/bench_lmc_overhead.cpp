@@ -130,8 +130,7 @@ void BM_PlaceNonInteractiveSampled(benchmark::State& state) {
   core::TaskId id = 1'000'000;
   obs::hw::LinuxHwProvider provider(
       {.counters = obs::hw::LinuxHwProvider::Counters::kTimer,
-       .energy = obs::hw::LinuxHwProvider::Energy::kModel,
-       .respect_env = false});
+       .energy = obs::hw::LinuxHwProvider::Energy::kModel});
   const std::unique_ptr<obs::hw::ThreadTelemetry> telemetry =
       provider.open_thread_telemetry(0);
   for (auto _ : state) {

@@ -99,12 +99,6 @@ class CpufreqBackend {
   /// value must be one of available_khz (both checked, mirroring the
   /// kernel's behaviour).
   virtual void set_speed(std::size_t cpu, KHz khz) = 0;
-
-  /// In-kernel frequency transition (cpufreq driver "target" call): what a
-  /// governor like ondemand performs internally. Not gated on the
-  /// userspace governor; the frequency must still be in the table. User
-  /// code should use set_speed; GovernorDaemon uses this.
-  virtual void driver_set_speed(std::size_t cpu, KHz khz) = 0;
 };
 
 /// In-memory backend for simulations and tests.
@@ -121,7 +115,6 @@ class SimulatedCpufreq final : public CpufreqBackend {
   [[nodiscard]] GovernorKind governor(std::size_t cpu) const override;
   void set_governor(std::size_t cpu, GovernorKind g) override;
   void set_speed(std::size_t cpu, KHz khz) override;
-  void driver_set_speed(std::size_t cpu, KHz khz) override;
 
  private:
   struct CpuState {
@@ -146,7 +139,6 @@ class SysfsCpufreq final : public CpufreqBackend {
   [[nodiscard]] GovernorKind governor(std::size_t cpu) const override;
   void set_governor(std::size_t cpu, GovernorKind g) override;
   void set_speed(std::size_t cpu, KHz khz) override;
-  void driver_set_speed(std::size_t cpu, KHz khz) override;
 
   [[nodiscard]] const std::string& root() const { return root_; }
 

@@ -80,38 +80,4 @@ struct EnvelopeResult {
 [[nodiscard]] std::size_t argmin_line_at(std::span<const Line> lines,
                                          std::size_t k);
 
-/// Single-slot memo of lower_envelope_integer, keyed by the exact line
-/// set. Algorithm 1 depends only on the rate configuration (through the
-/// induced lines), not on the queue contents, so callers that re-derive
-/// the envelope per decision can route through one of these and pay the
-/// Theta(n) construction only when the rate set actually changes.
-///
-/// Invalidation contract (see docs/flat_range_tree.md): get() compares the
-/// requested lines element-wise against the cached key — any change of
-/// slope, intercept, id, order, or count rebuilds; bit-identical requests
-/// are served from cache. invalidate() drops the cache unconditionally.
-class MemoizedEnvelope {
- public:
-  /// The envelope of `lines`, rebuilt iff `lines` differs from the cached
-  /// key. The reference stays valid until the next get()/invalidate().
-  const EnvelopeResult& get(std::span<const Line> lines);
-
-  void invalidate() {
-    valid_ = false;
-    key_.clear();
-  }
-
-  [[nodiscard]] bool valid() const { return valid_; }
-
-  /// Number of envelope constructions performed (cache rebuilds); test
-  /// support for the stale-cache trap.
-  [[nodiscard]] std::size_t rebuilds() const { return rebuilds_; }
-
- private:
-  std::vector<Line> key_;
-  EnvelopeResult cached_;
-  std::size_t rebuilds_ = 0;
-  bool valid_ = false;
-};
-
 }  // namespace dvfs::ds

@@ -25,7 +25,6 @@
 #include "dvfs/core/task.h"
 #include "dvfs/core/yds.h"
 #include "dvfs/cpufreq/cpufreq.h"
-#include "dvfs/cpufreq/governor_daemon.h"
 #include "dvfs/ds/flat_range_tree.h"
 #include "dvfs/ds/lower_envelope.h"
 #include "dvfs/governors/fifo_policy.h"

@@ -18,8 +18,7 @@
 /// PreemptionLane: they preempt a running non-interactive task and FIFO
 /// among themselves; preempted work resumes once no higher-priority work
 /// remains. Every start, the lane's included, runs at the frequency rule's
-/// rate. The ondemand and conservative rules are cpufreq::governor_step,
-/// the same step the cpufreq governor daemon takes.
+/// rate. The ondemand and conservative rules are cpufreq::governor_step.
 #pragma once
 
 #include <cstdint>

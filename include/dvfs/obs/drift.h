@@ -33,13 +33,17 @@
 namespace dvfs::obs::hw {
 
 /// Aggregate drift state, returned by DriftTracker::summary() and carried
-/// on rt::RtResult. Ratios are 0 when that dimension never measured.
+/// on rt::RtResult. Ratios are 0 when that dimension never measured; the
+/// per-dimension span counts say how many spans measured it.
 struct DriftSummary {
   double cycles_ratio = 0.0;
   double duration_ratio = 0.0;
   double energy_ratio = 0.0;
   std::uint64_t spans_measured = 0;
   std::uint64_t spans_model = 0;
+  std::uint64_t cycles_spans = 0;
+  std::uint64_t duration_spans = 0;
+  std::uint64_t energy_spans = 0;
 };
 
 /// Thread-safe accumulator. Construct once per run (metric references are
@@ -58,6 +62,12 @@ class DriftTracker {
   struct Dim {
     double predicted_sum = 0.0;
     double measured_sum = 0.0;
+    std::uint64_t spans = 0;
+    void add(double predicted, double measured) {
+      predicted_sum += predicted;
+      measured_sum += measured;
+      ++spans;
+    }
     [[nodiscard]] double ratio() const {
       return predicted_sum > 0.0 ? measured_sum / predicted_sum : 0.0;
     }

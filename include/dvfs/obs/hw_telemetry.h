@@ -31,9 +31,10 @@
 ///    consumer code path (drift gauges, `.dfr` v2 events,
 ///    `dvfs_inspect drift`) is testable in CI without privileges.
 ///
-/// Setting the environment variable `DVFS_HW_FORCE_FALLBACK=1` makes
-/// `LinuxHwProvider` behave as if perf and RAPL were unavailable — CI
-/// uses it to pin down the unprivileged code path deterministically.
+/// `LinuxHwProvider::Options` is the one selector: `kAuto` tries the
+/// hardware source and falls back, `kTimer` / `kModel` never try it, so a
+/// test that constructs `{Counters::kTimer, Energy::kModel}` reads the
+/// same labels on every host.
 #pragma once
 
 #include <cstdint>
@@ -196,22 +197,17 @@ class LinuxHwProvider final : public HwProvider {
  public:
   enum class Counters : std::uint8_t {
     kAuto,   ///< perf, else thread timer
-    kPerf,   ///< perf only as a *request*; still falls back, labeled
     kTimer,  ///< never try perf
     kModel,  ///< charge the model (explicit no-measurement mode)
   };
   enum class Energy : std::uint8_t {
     kAuto,   ///< RAPL, else model
-    kRapl,   ///< RAPL only as a request; still falls back, labeled
     kModel,  ///< charge the model
   };
   struct Options {
     Counters counters = Counters::kAuto;
     Energy energy = Energy::kAuto;
     std::string powercap_root = "/sys/class/powercap";
-    /// Honour DVFS_HW_FORCE_FALLBACK=1 (forces timer+model). CI sets the
-    /// variable to pin the unprivileged path; tests may opt out.
-    bool respect_env = true;
   };
 
   LinuxHwProvider() : LinuxHwProvider(Options{}) {}
@@ -255,7 +251,7 @@ class FakeHwProvider final : public HwProvider {
 };
 
 /// Builds a provider from a `--hw` flag spec:
-///   "auto" | "perf" | "timer" | "model"        -> LinuxHwProvider modes
+///   "auto" | "timer" | "model"                 -> LinuxHwProvider modes
 ///   "fake" | "fake:cycles=A,time=B,energy=C,ipc=D" -> FakeHwProvider
 ///   "off"                                      -> nullptr (no telemetry)
 /// Throws dvfs::PreconditionError on garbage.

@@ -347,11 +347,12 @@ struct Report {
 
 // ---------------------------------------------------------------- HTTP
 
-/// Registers `GET /debug/pprof/profile` on `server`: blocks for
-/// `?seconds=N` (default 1, clamped to [0, 30]) of wall time, then
-/// answers the window's samples as gzipped pprof. 503 when `prof` is
-/// not running. The serving thread registers itself for profiling on
-/// first request (stage kHttp), so HTTP parsing shows up in profiles.
+/// Registers `GET /debug/pprof/profile` on `server`: answers at once
+/// with the samples of the last `?seconds=N` (default 1, clamped to
+/// [0, 30]) of wall time still in the profiler's window, as gzipped
+/// pprof. 503 when `prof` is not running. The serving thread registers
+/// itself for profiling on first request (stage kHttp), so HTTP parsing
+/// shows up in profiles.
 void register_pprof_route(MetricsHttpServer& server, CpuProfiler& prof);
 
 }  // namespace prof

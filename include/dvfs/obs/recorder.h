@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "dvfs/common.h"
 #include "dvfs/obs/metrics.h"
 #include "dvfs/obs/recorder_format.h"
 #include "dvfs/obs/spsc_ring.h"
@@ -154,11 +155,22 @@ struct Decision {
   double f1 = 0.0;
 };
 
+/// One task entering the system: its kTaskArrival fields.
+struct Arrival {
+  double time_s = 0.0;
+  std::uint64_t task = 0;
+  std::uint64_t cycles = 0;
+  std::uint16_t klass = 0;  ///< core::TaskClass
+  double deadline = kNoDeadline;
+};
+
 /// Writes a kCandidate per entry of `candidates` (core = index, the
 /// chosen one flagged kFlagChosen), then the kPlacement. With
-/// record_params() the only writer of these event types.
+/// record_arrival() and record_params() the only writer of these event
+/// types.
 void record_decision(RecorderChannel& channel, const Decision& d,
                      std::span<const double> candidates = {});
+void record_arrival(RecorderChannel& channel, const Arrival& a);
 void record_params(RecorderChannel& channel, double time_s,
                    dfr::PolicyKind kind, std::size_t cores, double re = 0.0,
                    double rt = 0.0);

@@ -176,9 +176,6 @@ class SchedulingService {
   [[nodiscard]] std::uint64_t placed() const;
   [[nodiscard]] std::uint64_t completed() const;
 
-  /// Per-shard introspection (tests, /metrics labels).
-  [[nodiscard]] std::size_t shard_queue_len(std::size_t shard) const;
-
   /// The task table behind status() and the live per-task request
   /// timelines (always on). `traces().get(id)` backs
   /// `GET /tasks/{id}/trace`.

@@ -124,13 +124,6 @@ void SimulatedCpufreq::set_speed(std::size_t cpu, KHz khz) {
   cpus_[cpu].current = khz;
 }
 
-void SimulatedCpufreq::driver_set_speed(std::size_t cpu, KHz khz) {
-  check_cpu(cpu);
-  DVFS_REQUIRE(is_member(available_, khz),
-               "frequency not in scaling_available_frequencies");
-  cpus_[cpu].current = khz;
-}
-
 // -------------------------------------------------------------------- sysfs
 
 SysfsCpufreq::SysfsCpufreq(std::string root) : root_(std::move(root)) {
@@ -193,14 +186,6 @@ void SysfsCpufreq::set_speed(std::size_t cpu, KHz khz) {
   write_file(cpufreq_dir(cpu) + "/scaling_setspeed", std::to_string(khz));
   // On hardware the kernel propagates setspeed into scaling_cur_freq; a
   // fake tree needs the propagation done by hand.
-  write_file(cpufreq_dir(cpu) + "/scaling_cur_freq", std::to_string(khz));
-}
-
-void SysfsCpufreq::driver_set_speed(std::size_t cpu, KHz khz) {
-  DVFS_REQUIRE(is_member(available_khz(cpu), khz),
-               "frequency not in scaling_available_frequencies");
-  // On hardware the driver performs the transition and the kernel updates
-  // scaling_cur_freq; on a fake tree the daemon plays the kernel's role.
   write_file(cpufreq_dir(cpu) + "/scaling_cur_freq", std::to_string(khz));
 }
 

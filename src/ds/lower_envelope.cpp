@@ -93,17 +93,6 @@ EnvelopeResult lower_envelope_integer(std::span<const Line> lines) {
   return result;
 }
 
-const EnvelopeResult& MemoizedEnvelope::get(std::span<const Line> lines) {
-  if (!valid_ || key_.size() != lines.size() ||
-      !std::equal(key_.begin(), key_.end(), lines.begin())) {
-    cached_ = lower_envelope_integer(lines);
-    key_.assign(lines.begin(), lines.end());
-    valid_ = true;
-    ++rebuilds_;
-  }
-  return cached_;
-}
-
 std::size_t argmin_line_at(std::span<const Line> lines, std::size_t k) {
   DVFS_REQUIRE(!lines.empty(), "need at least one line");
   DVFS_REQUIRE(k >= 1, "positions are 1-based");

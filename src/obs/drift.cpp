@@ -58,31 +58,30 @@ void DriftTracker::observe(const SpanPrediction& predicted,
     ++spans_model_;
   }
   if (counters_real) {
-    cycles_.predicted_sum += static_cast<double>(predicted.cycles);
-    cycles_.measured_sum += static_cast<double>(measured.cycles);
+    cycles_.add(static_cast<double>(predicted.cycles),
+                static_cast<double>(measured.cycles));
     cycles_gauge_.set(cycles_.ratio());
   }
   if (time_real) {
-    duration_.predicted_sum += predicted.seconds;
-    duration_.measured_sum += measured.seconds;
+    duration_.add(predicted.seconds, measured.seconds);
     duration_gauge_.set(duration_.ratio());
   }
   if (energy_real) {
-    energy_.predicted_sum += predicted.joules;
-    energy_.measured_sum += measured.joules;
+    energy_.add(predicted.joules, measured.joules);
     energy_gauge_.set(energy_.ratio());
   }
 }
 
 DriftSummary DriftTracker::summary() const {
   const std::scoped_lock lock(mu_);
-  DriftSummary s;
-  s.cycles_ratio = cycles_.ratio();
-  s.duration_ratio = duration_.ratio();
-  s.energy_ratio = energy_.ratio();
-  s.spans_measured = spans_measured_;
-  s.spans_model = spans_model_;
-  return s;
+  return DriftSummary{.cycles_ratio = cycles_.ratio(),
+                      .duration_ratio = duration_.ratio(),
+                      .energy_ratio = energy_.ratio(),
+                      .spans_measured = spans_measured_,
+                      .spans_model = spans_model_,
+                      .cycles_spans = cycles_.spans,
+                      .duration_spans = duration_.spans,
+                      .energy_spans = energy_.spans};
 }
 
 }  // namespace dvfs::obs::hw

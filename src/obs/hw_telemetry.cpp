@@ -1,7 +1,7 @@
 #include "dvfs/obs/hw_telemetry.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -21,11 +21,6 @@ namespace dvfs::obs::hw {
 namespace fs = std::filesystem;
 
 namespace {
-
-bool force_fallback_env() {
-  const char* v = std::getenv("DVFS_HW_FORCE_FALLBACK");
-  return v != nullptr && v[0] == '1';
-}
 
 /// CLOCK_THREAD_CPUTIME_ID as seconds; the POSIX thread clock exists on
 /// every supported target and needs no privilege.
@@ -346,14 +341,8 @@ void make_fake_powercap_tree(const std::string& dir, std::size_t packages,
 // ------------------------------------------------------ LinuxHwProvider
 
 LinuxHwProvider::LinuxHwProvider(Options options)
-    : options_(options) {
-  if (options_.respect_env && force_fallback_env()) {
-    if (options_.counters != Counters::kModel) {
-      options_.counters = Counters::kTimer;
-    }
-    options_.energy = Energy::kModel;
-  }
-  if (options_.energy == Energy::kAuto || options_.energy == Energy::kRapl) {
+    : options_(std::move(options)) {
+  if (options_.energy == Energy::kAuto) {
     auto rapl = std::make_unique<RaplReader>(options_.powercap_root);
     if (rapl->available()) rapl_ = std::move(rapl);
   }
@@ -361,8 +350,7 @@ LinuxHwProvider::LinuxHwProvider(Options options)
 
 std::unique_ptr<ThreadTelemetry> LinuxHwProvider::open_thread_telemetry(
     std::size_t) {
-  const bool try_perf = options_.counters == Counters::kAuto ||
-                        options_.counters == Counters::kPerf;
+  const bool try_perf = options_.counters == Counters::kAuto;
   const bool use_timer = options_.counters != Counters::kModel;
   return std::make_unique<LinuxThreadTelemetry>(try_perf, use_timer,
                                                 rapl_.get());
@@ -372,7 +360,6 @@ std::string LinuxHwProvider::describe() const {
   std::string counters;
   switch (options_.counters) {
     case Counters::kAuto: counters = "perf|timer"; break;
-    case Counters::kPerf: counters = "perf"; break;
     case Counters::kTimer: counters = "timer"; break;
     case Counters::kModel: counters = "model"; break;
   }
@@ -403,10 +390,6 @@ std::string FakeHwProvider::describe() const {
 std::unique_ptr<HwProvider> make_provider(const std::string& spec) {
   if (spec == "off") return nullptr;
   if (spec == "auto") return std::make_unique<LinuxHwProvider>();
-  if (spec == "perf") {
-    return std::make_unique<LinuxHwProvider>(
-        LinuxHwProvider::Options{.counters = LinuxHwProvider::Counters::kPerf});
-  }
   if (spec == "timer") {
     return std::make_unique<LinuxHwProvider>(LinuxHwProvider::Options{
         .counters = LinuxHwProvider::Counters::kTimer});
@@ -429,11 +412,10 @@ std::unique_ptr<HwProvider> make_provider(const std::string& spec) {
                      "bad --hw fake option (want key=value): " + kv);
         const std::string key = kv.substr(0, eq);
         double value = 0.0;
-        try {
-          value = std::stod(kv.substr(eq + 1));
-        } catch (const std::exception&) {
-          DVFS_REQUIRE(false, "bad --hw fake value: " + kv);
-        }
+        const char* end = kv.data() + kv.size();
+        const auto [ptr, ec] = std::from_chars(kv.data() + eq + 1, end, value);
+        DVFS_REQUIRE(ec == std::errc{} && ptr == end && std::isfinite(value),
+                     "bad --hw fake value: " + kv);
         if (key == "cycles") {
           cfg.cycles_skew = value;
         } else if (key == "time") {
@@ -452,7 +434,7 @@ std::unique_ptr<HwProvider> make_provider(const std::string& spec) {
     return std::make_unique<FakeHwProvider>(cfg);
   }
   DVFS_REQUIRE(false,
-               "unknown --hw spec (want auto|perf|timer|model|fake[:k=v,...]"
+               "unknown --hw spec (want auto|timer|model|fake[:k=v,...]"
                "|off): " + spec);
   return nullptr;  // unreachable
 }

@@ -988,16 +988,18 @@ void register_pprof_route(MetricsHttpServer& server, CpuProfiler& prof) {
           }
           seconds = std::min(seconds, 30.0);
         }
-        const double since = ns_to_s(now_ns());
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(seconds));
+        // The last `seconds` of the profiler's window, answered at once:
+        // the server has one thread, so a handler that waited would hold
+        // every other route behind it.
         prof.collect_now();
-        const std::vector<StackSample> samples = prof.samples_since(since);
+        const std::vector<StackSample> samples =
+            prof.samples_since(ns_to_s(now_ns()) - seconds);
         PprofOptions options;
         options.hz = prof.hz();
         options.time_nanos =
             std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::system_clock::now().time_since_epoch())
+                std::chrono::system_clock::now().time_since_epoch() -
+                std::chrono::duration<double>(seconds))
                 .count();
         options.mappings = read_proc_self_maps();
         const DladdrSymbolizer sym;

@@ -63,6 +63,16 @@ void record_decision(RecorderChannel& channel, const Decision& d,
                   .f1 = d.f1});
 }
 
+void record_arrival(RecorderChannel& channel, const Arrival& a) {
+  channel.record(
+      {.type = static_cast<std::uint8_t>(dfr::EventType::kTaskArrival),
+       .aux = a.klass,
+       .time_s = a.time_s,
+       .task = a.task,
+       .u0 = a.cycles,
+       .f0 = a.deadline});
+}
+
 void record_params(RecorderChannel& channel, double time_s,
                    dfr::PolicyKind kind, std::size_t cores, double re,
                    double rt) {

@@ -567,14 +567,12 @@ SimResult Engine::run(const workload::Trace& trace, Policy& policy) {
                                            .deadline = task.deadline});
         ++tally_.arrivals;
         if (recorder_ != nullptr) {
-          recorder_->record(
-              {.type = static_cast<std::uint8_t>(
-                   obs::dfr::EventType::kTaskArrival),
-               .aux = static_cast<std::uint16_t>(task.klass),
-               .time_s = now_,
-               .task = task.id,
-               .u0 = task.cycles,
-               .f0 = task.deadline});
+          obs::record_arrival(
+              *recorder_, {.time_s = now_,
+                           .task = task.id,
+                           .cycles = task.cycles,
+                           .klass = static_cast<std::uint16_t>(task.klass),
+                           .deadline = task.deadline});
         }
         timed_call(obs::dfr::DecisionKind::kOnArrival,
                    [&] { policy.on_arrival(*this, task); });

@@ -80,8 +80,6 @@ struct SchedulingService::Shard {
   /// execution dispatches. A double, because POST /submit admits up to
   /// 2^53 cycles per task and a 64-bit sum of those wraps after 2^11.
   alignas(64) std::atomic<double> outstanding{0.0};
-  /// queue_len as the worker last published it.
-  alignas(64) std::atomic<std::uint64_t> published_len{0};
 };
 
 SchedulingService::SchedulingService(core::EnergyModel model,
@@ -410,22 +408,18 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
                         .at = at});
 
   if (shard.channel != nullptr) {
-    using obs::dfr::Event;
-    using obs::dfr::EventType;
     const auto steps = obs::reqtrace::placement_steps(at);
     // steps[3], the placement, is recorded as the decision record below.
     for (const obs::reqtrace::Step& s : std::span(steps).first<3>()) {
       shard.channel->record(obs::reqtrace::to_event(msg.id, msg.trace, s));
     }
 
-    Event arrival;
-    arrival.type = static_cast<std::uint8_t>(EventType::kTaskArrival);
-    arrival.time_s = obs::ns_to_s(msg.enqueue_ns);
-    arrival.task = msg.id;
-    arrival.u0 = msg.cycles;
-    arrival.aux = static_cast<std::uint16_t>(core::TaskClass::kBatch);
-    arrival.f0 = kNoDeadline;
-    shard.channel->record(arrival);
+    obs::record_arrival(
+        *shard.channel,
+        {.time_s = obs::ns_to_s(msg.enqueue_ns),
+         .task = msg.id,
+         .cycles = msg.cycles,
+         .klass = static_cast<std::uint16_t>(core::TaskClass::kBatch)});
     obs::record_decision(
         *shard.channel,
         {.time_s = place_s,
@@ -437,7 +431,7 @@ void SchedulingService::handle_submit(Shard& shard, const Msg& msg,
          .cost = placement.marginal,
          .f1 = shard.lmc.total_queue_cost()});
 
-    Event shardq = obs::reqtrace::to_event(msg.id, msg.trace, steps[4]);
+    auto shardq = obs::reqtrace::to_event(msg.id, msg.trace, steps[4]);
     shardq.rate_idx = at.rate_idx;
     shard.channel->record(shardq);
   }
@@ -501,11 +495,8 @@ void SchedulingService::virtual_execute(Shard& shard) {
 }
 
 void SchedulingService::publish_gauges(Shard& shard) {
-  const Money cost = shard.lmc.total_queue_cost();
-  shard.published_len.store(shard.queue_len, std::memory_order_relaxed);
-  shard.cost_gauge.set(cost);
+  shard.cost_gauge.set(shard.lmc.total_queue_cost());
   shard.len_gauge.set(static_cast<double>(shard.queue_len));
-  shard.occupancy_gauge.set(static_cast<double>(shard.ring.size()));
 }
 
 std::uint64_t SchedulingService::submitted() const {
@@ -517,12 +508,6 @@ std::uint64_t SchedulingService::rejected() const {
 std::uint64_t SchedulingService::placed() const { return placed_.value(); }
 std::uint64_t SchedulingService::completed() const {
   return completed_.value();
-}
-
-std::size_t SchedulingService::shard_queue_len(std::size_t shard) const {
-  DVFS_REQUIRE(shard < shards_.size(), "shard index out of range");
-  return static_cast<std::size_t>(
-      shards_[shard]->published_len.load(std::memory_order_relaxed));
 }
 
 }  // namespace dvfs::svc

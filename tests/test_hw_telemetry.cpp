@@ -1,13 +1,12 @@
 /// Hardware-telemetry tests: source labeling (never silently mislabeled),
-/// RAPL wraparound accounting against a fake powercap tree, the forced
-/// unprivileged fallback path, the fake provider's exact-replay guarantee
+/// RAPL wraparound accounting against a fake powercap tree, the
+/// unprivileged timer+model path, the fake provider's exact-replay guarantee
 /// (all drift ratios read 1.0 to the last bit), and the executor
 /// integration including `.dfr` v2 events.
 #include "dvfs/obs/hw_telemetry.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -34,18 +33,6 @@ void write_file(const fs::path& p, const std::string& text) {
   ASSERT_TRUE(os.is_open()) << p;
   os << text;
 }
-
-/// Scoped environment override (tests run serially in-process).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
 
 TEST(Source, EncodingRoundTrips) {
   const std::uint16_t aux =
@@ -143,9 +130,11 @@ TEST(FakeHwProvider, SkewsScaleEachDimension) {
   EXPECT_THROW(FakeHwProvider({.cycles_skew = -1.0}), PreconditionError);
 }
 
-TEST(LinuxHwProvider, ForcedFallbackDegradesWithHonestLabels) {
-  const ScopedEnv env("DVFS_HW_FORCE_FALLBACK", "1");
-  LinuxHwProvider provider;
+TEST(LinuxHwProvider, TimerAndModelDegradeWithHonestLabels) {
+  // The unprivileged path, pinned by the options: it reads the same on
+  // hosts with and without perf or RAPL.
+  LinuxHwProvider provider({.counters = LinuxHwProvider::Counters::kTimer,
+                            .energy = LinuxHwProvider::Energy::kModel});
   EXPECT_FALSE(provider.rapl_active());
   EXPECT_EQ(provider.describe(), "timer+model");
   const auto tel = provider.open_thread_telemetry(0);
@@ -167,8 +156,7 @@ TEST(LinuxHwProvider, AutoCountersAreAlwaysLabeledTruthfully) {
   // Whatever this host supports, the label must match the value's origin:
   // a perf reading is a real measurement, a model fallback echoes the
   // prediction. No third state, no crash.
-  LinuxHwProvider provider({.energy = LinuxHwProvider::Energy::kModel,
-                            .respect_env = false});
+  LinuxHwProvider provider({.energy = LinuxHwProvider::Energy::kModel});
   const auto tel = provider.open_thread_telemetry(0);
   const SpanPrediction pred{.cycles = 777, .seconds = 0.0, .joules = 0.0};
   tel->begin_span(pred);
@@ -190,8 +178,7 @@ TEST(LinuxHwProvider, RaplEnergyFromInjectedTreeIsShared) {
   const std::string root = temp_dir("dvfs_rapl_provider");
   make_fake_powercap_tree(root, 1, /*with_core_domain=*/false);
   LinuxHwProvider provider({.counters = LinuxHwProvider::Counters::kTimer,
-                            .powercap_root = root,
-                            .respect_env = false});
+                            .powercap_root = root});
   EXPECT_TRUE(provider.rapl_active());
   EXPECT_EQ(provider.describe(), "timer+rapl");
   const auto tel = provider.open_thread_telemetry(0);
@@ -210,7 +197,6 @@ TEST(MakeProvider, ParsesSpecs) {
   EXPECT_NE(make_provider("auto"), nullptr);
   EXPECT_NE(make_provider("timer"), nullptr);
   EXPECT_NE(make_provider("model"), nullptr);
-  EXPECT_NE(make_provider("perf"), nullptr);
   const auto fake = make_provider("fake:cycles=1.5,energy=2,ipc=0.5");
   ASSERT_NE(fake, nullptr);
   const auto* cfg = dynamic_cast<FakeHwProvider*>(fake.get());
@@ -220,9 +206,15 @@ TEST(MakeProvider, ParsesSpecs) {
   EXPECT_DOUBLE_EQ(cfg->config().time_skew, 1.0);
   EXPECT_DOUBLE_EQ(cfg->config().ipc, 0.5);
   EXPECT_THROW(make_provider("nonsense"), PreconditionError);
+  EXPECT_THROW(make_provider("perf"), PreconditionError);
   EXPECT_THROW(make_provider("fake:bogus=1"), PreconditionError);
   EXPECT_THROW(make_provider("fake:cycles"), PreconditionError);
   EXPECT_THROW(make_provider("fake:cycles=abc"), PreconditionError);
+  // A value must be a finite number over the whole field.
+  EXPECT_THROW(make_provider("fake:energy=2x"), PreconditionError);
+  EXPECT_THROW(make_provider("fake:cycles=inf"), PreconditionError);
+  EXPECT_THROW(make_provider("fake:energy="), PreconditionError);
+  EXPECT_THROW(make_provider("fake:energy= 2"), PreconditionError);
 }
 
 TEST(DriftTracker, RatiosAndProvenanceCounters) {

@@ -3,9 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <initializer_list>
 #include <random>
-#include <utility>
 #include <vector>
 
 namespace dvfs::ds {
@@ -144,113 +142,6 @@ TEST_P(LowerEnvelopeProperty, WinnerMatchesBruteForceValue) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LowerEnvelopeProperty,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
-
-// ---------------------------------------------------------------------------
-// MemoizedEnvelope: the per-rate-set cache must serve repeats without
-// rebuilding and must rebuild on ANY change to the line set — the classic
-// stale-cache trap is serving the old envelope after the rate set mutated.
-// ---------------------------------------------------------------------------
-
-std::vector<Line> make_lines(std::initializer_list<std::pair<double, double>>
-                                 slope_intercept) {
-  std::vector<Line> lines;
-  std::size_t id = 0;
-  for (const auto& [s, i] : slope_intercept) {
-    lines.push_back(Line{s, i, id++});
-  }
-  return lines;
-}
-
-TEST(MemoizedEnvelope, RepeatRequestsHitTheCache) {
-  MemoizedEnvelope memo;
-  EXPECT_FALSE(memo.valid());
-  const std::vector<Line> lines =
-      make_lines({{4.0, 1.0}, {2.0, 3.0}, {1.0, 6.0}});
-  const EnvelopeResult& a = memo.get(lines);
-  EXPECT_TRUE(memo.valid());
-  EXPECT_EQ(memo.rebuilds(), 1u);
-  for (int i = 0; i < 100; ++i) {
-    const EnvelopeResult& b = memo.get(lines);
-    EXPECT_EQ(&a, &b);  // the cached object itself, not a rebuild
-  }
-  EXPECT_EQ(memo.rebuilds(), 1u);
-}
-
-TEST(MemoizedEnvelope, MutatedRateSetMidRunForcesRebuild) {
-  MemoizedEnvelope memo;
-  std::vector<Line> lines = make_lines({{4.0, 1.0}, {2.0, 3.0}, {1.0, 6.0}});
-  const EnvelopeResult before = memo.get(lines);
-  ASSERT_EQ(memo.rebuilds(), 1u);
-
-  // Mid-run DVFS reconfiguration: a rate's characteristics change, so its
-  // line moves. Serving `before` now would hand out stale winners.
-  lines[1] = Line{1.5, 4.0, lines[1].id};
-  const EnvelopeResult& after = memo.get(lines);
-  EXPECT_EQ(memo.rebuilds(), 2u);
-  EXPECT_EQ(after.range_of.size(), lines.size());
-  // Fresh result matches a from-scratch construction at every queried k.
-  const EnvelopeResult fresh = lower_envelope_integer(lines);
-  for (std::size_t k = 1; k <= 64; ++k) {
-    EXPECT_EQ(after.winner(k), fresh.winner(k)) << "k=" << k;
-  }
-  // And differs from the stale envelope somewhere (the mutation moved the
-  // crossover), proving a cache hit here would have been wrong.
-  bool diverged = false;
-  for (std::size_t k = 1; k <= 64 && !diverged; ++k) {
-    diverged = before.winner(k) != after.winner(k);
-  }
-  EXPECT_TRUE(diverged);
-
-  // Growing or shrinking the rate set rebuilds too.
-  lines.push_back(Line{0.5, 9.0, 3});
-  (void)memo.get(lines);
-  EXPECT_EQ(memo.rebuilds(), 3u);
-  lines.pop_back();
-  (void)memo.get(lines);
-  EXPECT_EQ(memo.rebuilds(), 4u);
-}
-
-TEST(MemoizedEnvelope, ExplicitInvalidateDropsTheCache) {
-  MemoizedEnvelope memo;
-  const std::vector<Line> lines = make_lines({{2.0, 1.0}, {1.0, 2.0}});
-  (void)memo.get(lines);
-  ASSERT_TRUE(memo.valid());
-  memo.invalidate();
-  EXPECT_FALSE(memo.valid());
-  (void)memo.get(lines);  // identical lines, but the cache was dropped
-  EXPECT_EQ(memo.rebuilds(), 2u);
-}
-
-TEST(MemoizedEnvelope, DegenerateOneRateSet) {
-  MemoizedEnvelope memo;
-  const std::vector<Line> one = make_lines({{3.0, 2.0}});
-  const EnvelopeResult& r = memo.get(one);
-  ASSERT_EQ(r.active.size(), 1u);
-  EXPECT_EQ(r.winner(1), 0u);
-  EXPECT_EQ(r.winner(1'000'000), 0u);
-  EXPECT_TRUE(r.range_of[0].unbounded());
-  (void)memo.get(one);
-  EXPECT_EQ(memo.rebuilds(), 1u);
-  // Transition 1 rate -> 2 rates rebuilds.
-  (void)memo.get(make_lines({{3.0, 2.0}, {1.0, 5.0}}));
-  EXPECT_EQ(memo.rebuilds(), 2u);
-}
-
-TEST(MemoizedEnvelope, NearIdenticalRatesStillKeyDistinctly) {
-  // Two configurations whose lines differ only in the 15th significant
-  // digit are DIFFERENT rate sets: exact-key comparison must rebuild, not
-  // fuzzy-match them together.
-  MemoizedEnvelope memo;
-  const std::vector<Line> a = make_lines({{2.0, 1.0}, {1.0, 2.0}});
-  std::vector<Line> b = a;
-  b[1].slope = std::nextafter(b[1].slope, 0.0);
-  (void)memo.get(a);
-  (void)memo.get(b);
-  EXPECT_EQ(memo.rebuilds(), 2u);
-  // And flipping back is a miss again (single-slot memo, exact key).
-  (void)memo.get(a);
-  EXPECT_EQ(memo.rebuilds(), 3u);
-}
 
 }  // namespace
 }  // namespace dvfs::ds

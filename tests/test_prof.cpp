@@ -890,5 +890,34 @@ TEST(PprofRoute, ServesGzippedProfileAndValidatesInput) {
   server.stop();
 }
 
+// The server has one thread: a profile fetch answers from the window the
+// profiler already holds, so neither it nor the request behind it waits
+// out the requested interval.
+TEST(PprofRoute, ProfileFetchDoesNotHoldTheServingThread) {
+  MetricsHttpServer server({.host = "127.0.0.1", .port = 0},
+                           [] { return std::string("metrics\n"); });
+  CpuProfiler prof;
+  register_pprof_route(server, prof);
+  server.start();
+  prof.start();
+  using Clock = std::chrono::steady_clock;
+  const auto elapsed_s = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+
+  Clock::time_point t0 = Clock::now();
+  const std::string profile =
+      http_get(server.port(), "/debug/pprof/profile?seconds=5");
+  EXPECT_LT(elapsed_s(t0), 1.0);
+  EXPECT_NE(profile.find("HTTP/1.1 200 OK"), std::string::npos);
+
+  t0 = Clock::now();
+  const std::string metrics = http_get(server.port(), "/metrics");
+  EXPECT_LT(elapsed_s(t0), 1.0);
+  EXPECT_NE(metrics.find("HTTP/1.1 200 OK"), std::string::npos);
+  prof.stop();
+  server.stop();
+}
+
 }  // namespace
 }  // namespace dvfs::obs::prof

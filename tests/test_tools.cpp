@@ -85,6 +85,29 @@ TEST_F(ToolsFixture, TraceGenRejectsBadFlags) {
   EXPECT_NE(run(tool("dvfs_trace_gen") + " --bogus 1"), 0);
 }
 
+// A model spec is an integer over the whole field: garbage, overflow and
+// trailing junk are usage errors (exit 2), never an abort or a prefix.
+TEST_F(ToolsFixture, MalformedModelSpecsAreUsageErrors) {
+  const std::string trace = dir_ + "/trace.csv";
+  ASSERT_EQ(run(tool("dvfs_trace_gen") +
+                " --kind judgegirl --seed 5 --duration 60"
+                " --submissions 5 --interactive 5 --out " + trace),
+            0);
+  for (const char* spec :
+       {"cubic:x", "cubic:99999999999999999999999", "cubic:5x"}) {
+    for (const std::string& command :
+         {tool("dvfs_simulate") + " --trace " + trace + " --policy lmc",
+          tool("dvfs_execute") +
+              " --serve --listen 127.0.0.1:0 --serve-seconds 1"}) {
+      int code = 0;
+      const std::string out =
+          run_capture(command + " --model " + spec, &code);
+      EXPECT_EQ(code, 2) << command << " --model " << spec << "\n" << out;
+      EXPECT_NE(out.find("error:"), std::string::npos) << out;
+    }
+  }
+}
+
 TEST_F(ToolsFixture, PlanSpecWorkloadsRoundTrip) {
   const std::string plan_path = dir_ + "/plan.csv";
   ASSERT_EQ(run(tool("dvfs_plan") + " --spec --cores 4 --out " + plan_path),

@@ -45,7 +45,7 @@ constexpr const char* kUsage =
     "                       execution)\n"
     "  --pin                pin worker threads to CPUs (best effort)\n"
     "  --hw SPEC            hardware telemetry provider:\n"
-    "                       auto | perf | timer | model | off |\n"
+    "                       auto | timer | model | off |\n"
     "                       fake[:cycles=A,time=B,energy=C,ipc=D]\n"
     "                       (default off; measures per-task cycles/CPI\n"
     "                       via perf_event_open and energy via RAPL,\n"

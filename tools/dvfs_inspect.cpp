@@ -63,6 +63,7 @@
 #include "dvfs/core/cost_model.h"
 #include "dvfs/core/schedule.h"
 #include "dvfs/core/task.h"
+#include "dvfs/obs/drift.h"
 #include "dvfs/obs/health.h"
 #include "dvfs/obs/hw_telemetry.h"
 #include "dvfs/obs/json.h"
@@ -487,18 +488,12 @@ int cmd_audit(const obs::Recording& rec, const util::Args& args) {
 /// energy ratio, time-per-cycle by the duration ratio) and reports which
 /// placement/rate decisions WBG would flip and what the model error cost.
 int cmd_drift(const obs::Recording& rec, const util::Args& args) {
-  struct DimAgg {
-    double predicted = 0.0;
-    double measured = 0.0;
-    std::size_t spans = 0;
-    [[nodiscard]] double ratio() const {
-      return predicted > 0.0 ? measured / predicted : 0.0;
-    }
-  };
-  DimAgg cycles, duration, energy;
+  // The executor's own drift rule, fed from the recording: a dimension
+  // counts only where its source was measured.
+  obs::Registry scratch;
+  obs::hw::DriftTracker tracker(scratch);
   std::map<core::TaskId, Event> planned;
   std::map<std::string, std::size_t> source_census;
-  std::size_t spans = 0, model_spans = 0;
 
   for (const Event& e : rec.events) {
     switch (static_cast<EventType>(e.type)) {
@@ -509,56 +504,46 @@ int cmd_drift(const obs::Recording& rec, const util::Args& args) {
         const auto it = planned.find(e.task);
         if (it == planned.end()) break;
         const Event& p = it->second;
-        ++spans;
         const auto counter_src = obs::hw::decode_counter_source(e.aux);
         const auto time_src = obs::hw::decode_time_source(e.aux);
         const auto energy_src = obs::hw::decode_energy_source(e.aux);
         ++source_census[std::string("counter=") + to_string(counter_src)];
         ++source_census[std::string("time=") + to_string(time_src)];
         ++source_census[std::string("energy=") + to_string(energy_src)];
-        bool any_measured = false;
-        if (obs::hw::is_measured(counter_src)) {
-          cycles.predicted += static_cast<double>(p.u0);
-          cycles.measured += static_cast<double>(e.u0);
-          ++cycles.spans;
-          any_measured = true;
-        }
-        if (obs::hw::is_measured(time_src)) {
-          duration.predicted += p.f1;
-          duration.measured += e.f1;
-          ++duration.spans;
-          any_measured = true;
-        }
-        if (obs::hw::is_measured(energy_src)) {
-          energy.predicted += p.f0;
-          energy.measured += e.f0;
-          ++energy.spans;
-          any_measured = true;
-        }
-        if (!any_measured) ++model_spans;
+        tracker.observe({.cycles = p.u0, .seconds = p.f1, .joules = p.f0},
+                        {.cycles = e.u0,
+                         .seconds = e.f1,
+                         .joules = e.f0,
+                         .counter_source = counter_src,
+                         .time_source = time_src,
+                         .energy_source = energy_src});
         break;
       }
       default:
         break;
     }
   }
+  const obs::hw::DriftSummary drift = tracker.summary();
+  const std::uint64_t spans = drift.spans_measured + drift.spans_model;
   DVFS_REQUIRE(spans > 0,
                "recording has no hw telemetry spans (record with "
                "dvfs_execute --hw ... --record-out)");
 
-  std::printf("drift: %zu telemetry spans (%zu fully model-charged)\n",
-              spans, model_spans);
-  const auto print_dim = [](const char* name, const DimAgg& d) {
-    if (d.spans > 0) {
-      std::printf("  %-8s measured/predicted = %.6f over %zu spans\n", name,
-                  d.ratio(), d.spans);
+  std::printf("drift: %llu telemetry spans (%llu fully model-charged)\n",
+              static_cast<unsigned long long>(spans),
+              static_cast<unsigned long long>(drift.spans_model));
+  const auto print_dim = [](const char* name, double ratio,
+                            std::uint64_t n) {
+    if (n > 0) {
+      std::printf("  %-8s measured/predicted = %.6f over %llu spans\n", name,
+                  ratio, static_cast<unsigned long long>(n));
     } else {
       std::printf("  %-8s no measured spans (model-charged)\n", name);
     }
   };
-  print_dim("cycles", cycles);
-  print_dim("duration", duration);
-  print_dim("energy", energy);
+  print_dim("cycles", drift.cycles_ratio, drift.cycles_spans);
+  print_dim("duration", drift.duration_ratio, drift.duration_spans);
+  print_dim("energy", drift.energy_ratio, drift.energy_spans);
   for (const auto& [label, n] : source_census) {
     std::printf("    source %-22s %zu\n", label.c_str(), n);
   }
@@ -574,8 +559,10 @@ int cmd_drift(const obs::Recording& rec, const util::Args& args) {
   const double rt = args.get_double("rt", 0.1);
   const core::EnergyModel base =
       tools::model_from_flag(args.get_string("model", "table2"));
-  const double energy_scale = energy.spans > 0 ? energy.ratio() : 1.0;
-  const double time_scale = duration.spans > 0 ? duration.ratio() : 1.0;
+  const double energy_scale =
+      drift.energy_spans > 0 ? drift.energy_ratio : 1.0;
+  const double time_scale =
+      drift.duration_spans > 0 ? drift.duration_ratio : 1.0;
   std::vector<double> epc, tpc;
   for (std::size_t i = 0; i < base.num_rates(); ++i) {
     epc.push_back(base.energy_per_cycle(i) * energy_scale);
@@ -635,13 +622,13 @@ int cmd_drift(const obs::Recording& rec, const util::Args& args) {
     const obs::Json doc(obs::Json::Object{
         {"schema", obs::Json("dvfs-drift-v1")},
         {"spans", obs::Json(obs::Json::Object{
-                      {"total", obs::Json(static_cast<std::uint64_t>(spans))},
-                      {"model_only",
-                       obs::Json(static_cast<std::uint64_t>(model_spans))}})},
+                      {"total", obs::Json(spans)},
+                      {"model_only", obs::Json(drift.spans_model)}})},
         {"ratios",
-         obs::Json(obs::Json::Object{{"cycles", obs::Json(cycles.ratio())},
-                                     {"duration", obs::Json(duration.ratio())},
-                                     {"energy", obs::Json(energy.ratio())}})},
+         obs::Json(obs::Json::Object{
+             {"cycles", obs::Json(drift.cycles_ratio)},
+             {"duration", obs::Json(drift.duration_ratio)},
+             {"energy", obs::Json(drift.energy_ratio)}})},
         {"sources", obs::Json(std::move(sources))},
         {"replan",
          obs::Json(obs::Json::Object{

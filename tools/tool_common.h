@@ -2,6 +2,7 @@
 /// \brief Shared plumbing for the dvfs command-line tools.
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -31,8 +32,12 @@ namespace dvfs::tools {
   if (spec == "table2") return core::EnergyModel::icpp2014_table2();
   const std::string prefix = "cubic:";
   if (spec.rfind(prefix, 0) == 0) {
-    const std::size_t n = std::stoul(spec.substr(prefix.size()));
-    DVFS_REQUIRE(n >= 1 && n <= 64, "cubic rate count must be in [1, 64]");
+    std::size_t n = 0;
+    const char* end = spec.data() + spec.size();
+    const auto [ptr, ec] =
+        std::from_chars(spec.data() + prefix.size(), end, n);
+    DVFS_REQUIRE(ec == std::errc{} && ptr == end && n >= 1 && n <= 64,
+                 "cubic rate count must be an integer in [1, 64]: " + spec);
     std::vector<Rate> rates;
     for (std::size_t i = 0; i < n; ++i) {
       rates.push_back(0.5 + 0.25 * static_cast<double>(i));
